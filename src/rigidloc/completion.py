@@ -89,15 +89,11 @@ def _kabsch(source: np.ndarray, target: np.ndarray):
 
 
 def _linear_trilaterate(anchors: np.ndarray, dists: np.ndarray):
-    """Closed-form point fix (exact for noiseless ranges): subtracting the
-    first range equation from the rest leaves a linear system."""
-    a0, d0 = anchors[0], dists[0]
-    lhs = 2.0 * (anchors[1:] - a0)
-    rhs = (d0**2 - dists[1:] ** 2
-           + (anchors[1:] ** 2).sum(axis=1) - (a0**2).sum())
-    if np.linalg.matrix_rank(lhs) < anchors.shape[1]:
-        return None
-    return np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+    """Closed-form point fix (exact for noiseless ranges), or None when the
+    anchors leave the linearized system rank-deficient."""
+    from .estimators import _linearized_fix  # estimators imports this module
+    fix, rank = _linearized_fix(anchors, dists)
+    return fix[0] if rank == anchors.shape[1] else None
 
 
 def _congruent_fill(partial: PartialEdm):

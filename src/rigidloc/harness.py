@@ -20,14 +20,14 @@ from pathlib import Path
 import numpy as np
 
 from .completion import complete_edm
-from .estimators import estimate_motion, rbl_two_stage, relative_pose_anchorless
+from .estimators import estimate_motion, relative_pose_anchorless
+from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
 from .geometry import (
     BodyMotion,
     Conformation,
     Pose,
     apply_pose,
     random_rotation,
-    rotation_geodesic_error,
 )
 from .measurement import (
     AnchorSet,
@@ -40,6 +40,9 @@ from .placement import (
     PlacementProblem,
     evaluate_placement,
     optimize_placement,
+    pose_error_samples,
+    pose_errors,
+    rmse_and_se,
 )
 
 SCENARIOS = (
@@ -440,80 +443,56 @@ def _apply_missing(values_mask, fraction: float, rng: np.random.Generator):
     return np.where(mask, values, np.nan), mask
 
 
-def _pose_errors(est_pose: Pose, true_pose: Pose):
-    t_err = float(((est_pose.translation - true_pose.translation) ** 2).sum())
-    r_err = rotation_geodesic_error(est_pose.rotation, true_pose.rotation) ** 2
-    return t_err, r_err
-
-
 def _summarize(scenario, params, t_sq, r_sq, failures, trials, elapsed):
-    t_rmse, t_se = _rmse_se(t_sq)
-    r_rmse, r_se = _rmse_se(r_sq)
+    t_rmse, t_se = rmse_and_se(t_sq)
+    r_rmse, r_se = rmse_and_se(r_sq)
     return ResultRow(scenario, params, t_rmse, r_rmse, t_se, r_se,
                      failures, trials, elapsed)
-
-
-def _rmse_se(squared):
-    sq = np.asarray(squared, dtype=float)
-    if sq.size == 0:
-        return float("nan"), float("nan")
-    rmse = float(np.sqrt(sq.mean()))
-    if sq.size < 2 or rmse == 0.0:
-        return rmse, 0.0
-    return rmse, float(sq.std(ddof=1) / np.sqrt(sq.size) / (2.0 * rmse))
 
 
 def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
     conf = _resolve_conformation(config, sensors)
     center = anchors.positions.mean(axis=0)
     fraction = config.missing_fraction[0]
-    weighted = config.estimator["weighted"]
-    t_sq, r_sq = [], []
-    failures = 0
+
+    def draws():
+        for trial in range(config.trials):
+            rng = _trial_rng(config.master_seed, sweep_idx, trial)
+            pose = _random_pose(rng, config.dim, center)
+            ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
+            values, mask = _apply_missing((ranges.values, ranges.mask), fraction, rng)
+            yield pose, MaskedRangeMatrix(values, mask, sigma)
+
     start = time.perf_counter()
-    for trial in range(config.trials):
-        rng = _trial_rng(config.master_seed, sweep_idx, trial)
-        pose = _random_pose(rng, config.dim, center)
-        ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
-        values, mask = _apply_missing((ranges.values, ranges.mask), fraction, rng)
-        try:
-            est = rbl_two_stage(anchors, MaskedRangeMatrix(values, mask, sigma),
-                                conf, weighted=weighted)
-        except ValueError:
-            failures += 1
-            continue
-        t_err, r_err = _pose_errors(est.pose, pose)
-        t_sq.append(t_err)
-        r_sq.append(r_err)
+    t_sq, r_sq, failures = pose_error_samples(anchors, conf, draws(),
+                                              config.estimator["weighted"])
     return t_sq, r_sq, failures, time.perf_counter() - start
 
 
 def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
     conf = _resolve_conformation(config, sensors)
     center = anchors.positions.mean(axis=0)
-    weighted = config.estimator["weighted"]
-    t_sq, r_sq = [], []
-    failures = 0
+    m = anchors.num_anchors
+
+    def draws():
+        for trial in range(config.trials):
+            rng = _trial_rng(config.master_seed, sweep_idx, trial)
+            pose = _random_pose(rng, config.dim, center)
+            ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
+            values, mask = _apply_missing((ranges.values, ranges.mask), fraction, rng)
+            try:
+                partial = assemble_partial_edm(anchors, conf,
+                                               MaskedRangeMatrix(values, mask, sigma))
+                result = complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
+                cross = MaskedRangeMatrix(result.distances()[:m, m:],
+                                          noise_sigma=sigma)
+            except ValueError:
+                cross = None
+            yield pose, cross
+
     start = time.perf_counter()
-    for trial in range(config.trials):
-        rng = _trial_rng(config.master_seed, sweep_idx, trial)
-        pose = _random_pose(rng, config.dim, center)
-        ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
-        values, mask = _apply_missing((ranges.values, ranges.mask), fraction, rng)
-        try:
-            partial = assemble_partial_edm(anchors, conf,
-                                           MaskedRangeMatrix(values, mask, sigma))
-            result = complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
-            m = anchors.num_anchors
-            cross = result.distances()[:m, m:]
-            est = rbl_two_stage(anchors, MaskedRangeMatrix(cross, noise_sigma=sigma),
-                                conf, weighted=weighted)
-        except ValueError:
-            failures += 1
-            continue
-        t_err, r_err = _pose_errors(est.pose, pose)
-        t_sq.append(t_err)
-        r_sq.append(r_err)
+    t_sq, r_sq, failures = pose_error_samples(anchors, conf, draws(),
+                                              config.estimator["weighted"])
     return t_sq, r_sq, failures, time.perf_counter() - start
 
 
@@ -539,7 +518,7 @@ def _point_anchorless(config, sweep_idx, sigma, sensors):
         except ValueError:
             failures += 1
             continue
-        t_err, r_err = _pose_errors(est.pose, pose)
+        t_err, r_err = pose_errors(est.pose, pose)
         t_sq.append(t_err)
         r_sq.append(r_err)
     return t_sq, r_sq, failures, time.perf_counter() - start

@@ -11,11 +11,12 @@ scores a candidate layout by Monte-Carlo localization error.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import rbl_two_stage
+from .estimators import rbl_two_stage_batch
 from .geometry import (
     Conformation,
     Pose,
@@ -26,6 +27,12 @@ from .geometry import (
 from .measurement import AnchorSet, simulate_ranges
 
 UNIT_NORM_TOL = 1e-9
+
+# Monte-Carlo trials are drawn and solved in blocks of at most this many
+# node fixes (trials x nodes), which bounds the memory of a long run. The
+# value keeps the peak RSS of a two-thread harness sweep within 5% of
+# solving trial by trial (see README, "Batched estimation").
+BLOCK_NODE_FIXES = 256
 
 
 @dataclass(frozen=True)
@@ -160,26 +167,58 @@ def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,
         raise ValueError("at least one trial is required")
     center = anchors.positions.mean(axis=0)
     entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    t_sq, r_sq = [], []
-    failures = 0
-    for trial in range(trials):
-        rng = np.random.default_rng((*entropy, trial))
-        pose = Pose(random_rotation(rng, anchors.dim),
-                    center + rng.uniform(-pose_spread, pose_spread, anchors.dim))
-        ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
-        try:
-            est = rbl_two_stage(anchors, ranges, conf)
-        except ValueError:
-            failures += 1
-            continue
-        t_sq.append(((est.pose.translation - pose.translation) ** 2).sum())
-        r_sq.append(rotation_geodesic_error(est.pose.rotation, pose.rotation) ** 2)
-    t_rmse, t_se = _rmse_and_se(t_sq)
-    r_rmse, r_se = _rmse_and_se(r_sq)
+
+    def draws():
+        for trial in range(trials):
+            rng = np.random.default_rng((*entropy, trial))
+            pose = Pose(random_rotation(rng, anchors.dim),
+                        center + rng.uniform(-pose_spread, pose_spread, anchors.dim))
+            yield pose, simulate_ranges(anchors, apply_pose(conf, pose), sigma,
+                                        None, rng)
+
+    t_sq, r_sq, failures = pose_error_samples(anchors, conf, draws())
+    t_rmse, t_se = rmse_and_se(t_sq)
+    r_rmse, r_se = rmse_and_se(r_sq)
     return PlacementEvaluation(t_rmse, r_rmse, t_se, r_se, failures, trials)
 
 
-def _rmse_and_se(squared_errors) -> tuple[float, float]:
+def pose_errors(est_pose: Pose, true_pose: Pose):
+    """Squared translation error and squared rotation geodesic error."""
+    t_err = float(((est_pose.translation - true_pose.translation) ** 2).sum())
+    r_err = rotation_geodesic_error(est_pose.rotation, true_pose.rotation) ** 2
+    return t_err, r_err
+
+
+def pose_error_samples(anchors: AnchorSet, conf: Conformation, draws,
+                       weighted: bool = True):
+    """Squared pose errors of the two-stage estimator over Monte-Carlo draws.
+
+    ``draws`` yields (true pose, ranges) per trial; ranges of None mark a
+    trial that already failed before estimation. Draws are taken and
+    solved in blocks of at most ``BLOCK_NODE_FIXES`` node fixes. Returns
+    the squared translation and rotation errors of the successful trials,
+    in trial order, and the number of failed trials.
+    """
+    draws = iter(draws)
+    per_block = max(1, BLOCK_NODE_FIXES // conf.num_nodes)
+    t_sq, r_sq = [], []
+    failures = 0
+    while block := list(itertools.islice(draws, per_block)):
+        solvable = [(pose, ranges) for pose, ranges in block if ranges is not None]
+        failures += len(block) - len(solvable)
+        estimates = rbl_two_stage_batch(anchors, [r for _, r in solvable], conf,
+                                        weighted=weighted)
+        for (pose, _), est in zip(solvable, estimates):
+            if isinstance(est, ValueError):
+                failures += 1
+                continue
+            t_err, r_err = pose_errors(est.pose, pose)
+            t_sq.append(t_err)
+            r_sq.append(r_err)
+    return t_sq, r_sq, failures
+
+
+def rmse_and_se(squared_errors) -> tuple[float, float]:
     """RMSE plus its standard error (delta method on the mean square)."""
     sq = np.asarray(squared_errors, dtype=float)
     if sq.size == 0:

@@ -1,0 +1,256 @@
+"""Batched estimation: ``multilaterate`` on range matrices, the batched
+two-stage estimator, and their agreement with one-at-a-time calls."""
+
+import numpy as np
+import pytest
+
+from rigidloc import estimators
+from rigidloc.completion import _linear_trilaterate
+from rigidloc.estimators import (
+    DegenerateGeometryError,
+    InsufficientMeasurementsError,
+    _motion_design,
+    multilaterate,
+    rbl_two_stage,
+    rbl_two_stage_batch,
+)
+from rigidloc.geometry import Pose, apply_pose, random_rotation
+from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
+from rigidloc.measurement import AnchorSet, MaskedRangeMatrix, simulate_ranges
+
+
+def ranges_to(anchors, point):
+    return np.linalg.norm(anchors.positions - np.asarray(point, float), axis=1)
+
+
+def mixed_columns(dim, rng, count):
+    """Range columns of every kind for a fixed anchor set: full rank,
+    noisy, mirror pairs, exact hits, too few anchors and (3D) degenerate."""
+    if dim == 3:
+        # the first four anchors are one face of a cube; the last three
+        # are collinear
+        anchors = AnchorSet([[30, 30, 30], [30, -30, 30], [-30, 30, 30],
+                             [-30, -30, 30], [30, 30, -30], [-30, -30, -30],
+                             [0, 0, 5], [0, 0, 15], [0, 0, 25]])
+        face = np.array([True] * 4 + [False] * 5)
+        line = np.array([False] * 6 + [True] * 3)
+    else:
+        # the first three anchors are collinear
+        anchors = AnchorSet([[0, 0], [10, 0], [20, 0], [5, 12], [-8, 6]])
+        face = np.array([True, True, True, False, False])
+        line = None
+    m = anchors.num_anchors
+    cols, masks = [], []
+    for i in range(count):
+        target = rng.uniform(-6, 6, dim)
+        d = ranges_to(anchors, target)
+        mask = np.ones(m, dtype=bool)
+        kind = i % 6
+        if kind == 1:
+            d = np.abs(d + rng.normal(0, 0.1, m))
+        elif kind == 2:
+            mask = face.copy()
+            d = np.abs(d + rng.normal(0, 0.05 * (i % 2), m))
+        elif kind == 3:
+            d[rng.integers(m)] = 0.0
+        elif kind == 4:
+            mask[: m - dim + 1] = False
+        elif kind == 5 and line is not None:
+            mask = line.copy()
+        elif kind == 5:
+            mask = rng.random(m) > 0.3
+        cols.append(np.where(mask, d, np.nan))
+        masks.append(mask)
+    return anchors, np.array(cols).T, np.array(masks).T
+
+
+def single_outcome(anchors, column, mask):
+    try:
+        fix = multilaterate(anchors, column, mask)
+    except ValueError as err:
+        return type(err)
+    return fix
+
+
+class TestMatrixMultilaterate:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_single_columns(self, dim):
+        anchors, values, mask = mixed_columns(dim, np.random.default_rng(dim), 60)
+        fix = multilaterate(anchors, values, mask)
+        assert fix.position.shape == (values.shape[1], dim)
+        assert isinstance(fix.iterations, int)
+        assert isinstance(fix.converged, bool)
+        kinds = set()
+        for b in range(values.shape[1]):
+            one = single_outcome(anchors, values[:, b], mask[:, b])
+            if isinstance(one, type):
+                kinds.add(one)
+                assert type(fix.errors[b]) is one
+                assert np.all(np.isnan(fix.position[b]))
+                continue
+            assert fix.errors[b] is None
+            assert np.array_equal(fix.position[b], one.position)
+            assert fix.residual_rms[b] == one.residual_rms
+            assert fix.point_iterations[b] == one.iterations
+            assert fix.point_converged[b] == one.converged
+            assert fix.ambiguous[b] == one.ambiguous
+            if one.ambiguous:
+                kinds.add("mirror")
+                assert np.array_equal(fix.candidates[b], np.array(one.candidates))
+            elif one.iterations == 0:
+                kinds.add("exact")
+            else:
+                kinds.add("full")
+        expected = {"full", "mirror", "exact", InsufficientMeasurementsError}
+        if dim == 3:
+            expected.add(DegenerateGeometryError)
+        assert kinds == expected
+        solved = [e is None for e in fix.errors]
+        assert fix.iterations == int(fix.point_iterations[solved].sum())
+
+    def test_vector_is_the_one_column_case(self):
+        anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+        d = ranges_to(anchors, [1.0, 1.0])
+        one = multilaterate(anchors, d)
+        column = multilaterate(anchors, d[:, None])
+        assert np.array_equal(column.position[0], one.position)
+        assert column.iterations == one.iterations
+        assert column.converged == one.converged
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bit_identical_alone_and_inside_a_large_batch(self, dim):
+        rng = np.random.default_rng(10 + dim)
+        anchors, values, mask = mixed_columns(dim, rng, 600)
+        batch = multilaterate(anchors, values, mask)
+        for b in rng.choice(values.shape[1], 30, replace=False):
+            alone = multilaterate(anchors, values[:, b:b + 1], mask[:, b:b + 1])
+            assert type(alone.errors[0]) is type(batch.errors[b])
+            assert np.array_equal(alone.position[0], batch.position[b],
+                                  equal_nan=True)
+            assert np.array_equal(alone.residual_rms[0], batch.residual_rms[b],
+                                  equal_nan=True)
+            assert np.array_equal(alone.candidates[0], batch.candidates[b],
+                                  equal_nan=True)
+            assert alone.point_iterations[0] == batch.point_iterations[b]
+            assert alone.point_converged[0] == batch.point_converged[b]
+
+    def test_mirror_pair_counts_both_candidates(self, monkeypatch):
+        monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
+        anchors = AnchorSet([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0],
+                             [4.0, 4.0, 0.0]])
+        d = ranges_to(anchors, [1.0, 2.0, 2.0]) + [0.01, -0.02, 0.015, 0.0]
+        fix = multilaterate(anchors, d)
+        assert fix.ambiguous
+        assert fix.iterations == 2
+        assert not fix.converged
+
+    def test_length_mismatch_raises(self):
+        anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
+        with pytest.raises(ValueError):
+            multilaterate(anchors, np.ones((4, 2)))
+
+
+class TestBatchTwoStage:
+    def trials(self, count, nodes=8):
+        anchors = cube_anchor_layout(8, dim=3, span=60.0)
+        conf = box_vehicle_conformation(nodes, dim=3)
+        rng = np.random.default_rng(77)
+        out = []
+        for i in range(count):
+            pose = Pose(random_rotation(rng, 3), rng.uniform(-5, 5, 3))
+            ranges = simulate_ranges(anchors, apply_pose(conf, pose),
+                                     0.1 * (i % 3), None, rng)
+            values, mask = ranges.values.copy(), ranges.mask.copy()
+            if i % 5 == 1:
+                mask[rng.random(mask.shape) < 0.4] = False
+            elif i % 5 == 2:
+                mask[[2, 3, 4, 5]] = False  # only the x = +30 face: mirrors
+            elif i % 5 == 3:
+                mask[3:] = False  # no usable node
+            out.append(MaskedRangeMatrix(np.where(mask, values, np.nan), mask, 0.1))
+        return anchors, conf, out
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_matches_rbl_two_stage(self, weighted):
+        anchors, conf, ranges = self.trials(40)
+        batch = rbl_two_stage_batch(anchors, ranges, conf, weighted=weighted)
+        outcomes = set()
+        for r, got in zip(ranges, batch):
+            try:
+                est = rbl_two_stage(anchors, r, conf, weighted=weighted)
+            except ValueError as err:
+                assert type(got) is type(err)
+                outcomes.add(type(err))
+                continue
+            assert np.array_equal(got.pose.rotation, est.pose.rotation)
+            assert np.array_equal(got.pose.translation, est.pose.translation)
+            assert (got.stage1_rms, got.stage2_rms, got.iterations,
+                    got.rotation_unique, got.ambiguous_nodes,
+                    got.unconverged_nodes) == (
+                        est.stage1_rms, est.stage2_rms, est.iterations,
+                        est.rotation_unique, est.ambiguous_nodes,
+                        est.unconverged_nodes)
+            outcomes.add("ambiguous" if est.ambiguous_nodes else "estimate")
+        assert outcomes == {"estimate", "ambiguous", InsufficientMeasurementsError}
+
+    def test_no_usable_node_is_an_insufficient_error(self):
+        anchors, conf, ranges = self.trials(4)
+        assert isinstance(rbl_two_stage_batch(anchors, ranges, conf)[3],
+                          InsufficientMeasurementsError)
+
+    def test_wrong_shape_raises(self):
+        anchors, conf, ranges = self.trials(2)
+        with pytest.raises(ValueError, match="shape"):
+            rbl_two_stage_batch(anchors, [ranges[0], MaskedRangeMatrix(np.ones((8, 3)))],
+                                conf)
+
+    def test_unconverged_nodes_reported(self, monkeypatch):
+        anchors = cube_anchor_layout(8, dim=3, span=60.0)
+        conf = box_vehicle_conformation(8, dim=3)
+        rng = np.random.default_rng(5)
+        pose = Pose(random_rotation(rng, 3), rng.uniform(-5, 5, 3))
+        body = apply_pose(conf, pose)
+        monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
+        noisy = rbl_two_stage(anchors, simulate_ranges(anchors, body, 0.1, None, rng),
+                              conf)
+        exact = rbl_two_stage(anchors, simulate_ranges(anchors, body, 0.0), conf)
+        assert noisy.unconverged_nodes > 0
+        assert exact.unconverged_nodes == 0
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_motion_design_matches_explicit_rows(dim):
+    rng = np.random.default_rng(60 + dim)
+    anchors = cube_anchor_layout(8 if dim == 3 else 4, dim=dim, span=60.0)
+    conf = box_vehicle_conformation(8, dim=dim)
+    pose = Pose(random_rotation(rng, dim), rng.uniform(-5, 5, dim))
+    rates = rng.normal(size=(anchors.num_anchors, conf.num_nodes))
+    obs = rng.random(rates.shape) > 0.3
+    design, rhs = _motion_design(anchors, pose, conf, rates, obs)
+    body = apply_pose(conf, pose).positions
+    rows, expected_rhs = [], []
+    for n in range(anchors.num_anchors):
+        for m in range(conf.num_nodes):
+            if not obs[n, m]:
+                continue
+            u = body[m] - anchors.positions[n]
+            u = u / np.linalg.norm(u)
+            r = pose.rotation @ conf.coords[m]
+            if dim == 2:
+                rows.append([u @ (np.array([[0.0, -1.0], [1.0, 0.0]]) @ r), *u])
+            else:
+                rows.append([*np.cross(r, u), *u])
+            expected_rhs.append(rates[n, m])
+    assert np.allclose(design, np.array(rows), rtol=0.0, atol=1e-12)
+    assert np.array_equal(rhs, np.array(expected_rhs))
+
+
+def test_linear_trilaterate_rejects_rank_deficient_rows():
+    flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                     [1.0, 1.0, 0.0]])
+    assert _linear_trilaterate(flat, np.ones(4)) is None
+    anchors = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0],
+                        [0.0, 0.0, 4.0]])
+    target = np.array([1.0, 2.0, 0.5])
+    fix = _linear_trilaterate(anchors, np.linalg.norm(anchors - target, axis=1))
+    assert np.allclose(fix, target, atol=1e-12)
