@@ -21,10 +21,11 @@ from .harness import (
     ConfigError,
     emit_results,
     load_config,
+    placement_problem,
     run_experiment,
 )
 from .measurement import PartialEdm
-from .placement import PlacementProblem, evaluate_placement, optimize_placement
+from .placement import evaluate_placement, optimize_placement
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
     place_p = sub.add_parser("placement",
                              help="optimize anchor placement and score it")
     place_p.add_argument("config", help="config supplying anchor count, "
-                                        "dim, span, noise levels and trials")
+                                        "dim, span, conformation, noise "
+                                        "levels and trials")
     place_p.add_argument("--out-dir", default=".")
     place_p.add_argument("--seed", type=int, default=None)
     place_p.add_argument("--trials", type=int, default=None)
@@ -100,11 +102,7 @@ def _cmd_validate(args) -> int:
 def _cmd_placement(args) -> int:
     config = load_config(args.config)
     config = _apply_overrides(config, args.seed, args.trials)
-    from .harness import box_vehicle_conformation
-
-    problem = PlacementProblem(config.anchor_count, config.dim,
-                               anchor_radius=config.anchor_span / 2.0,
-                               seed=config.master_seed)
+    problem, conf = placement_problem(config)
     result = optimize_placement(problem)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -115,7 +113,6 @@ def _cmd_placement(args) -> int:
     }, indent=2) + "\n")
     print(json_path)
 
-    conf = box_vehicle_conformation(config.sensor_counts[0], config.dim)
     anchors = result.to_anchor_set()
     lines = ["sigma,translation_rmse,rotation_rmse,translation_se,"
              "rotation_se,failures,trials"]

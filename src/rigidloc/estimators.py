@@ -19,6 +19,7 @@ from .geometry import (
     BodyMotion,
     Conformation,
     Pose,
+    affine_basis,
     apply_pose,
 )
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
@@ -121,16 +122,6 @@ def _observed(values, mask):
     else:
         mask = np.asarray(mask, dtype=bool).reshape(-1) & np.isfinite(values)
     return values, mask
-
-
-def _affine_basis(points: np.ndarray, tol: float = 1e-9):
-    """Orthonormal directions spanning the points' affine hull, plus rank."""
-    center = points.mean(axis=0)
-    _, svals, vt = np.linalg.svd(points - center, full_matrices=True)
-    svals = np.concatenate([svals, np.zeros(points.shape[1] - len(svals))])
-    scale = max(svals.max(initial=0.0), 1.0)
-    rank = int(np.sum(svals > tol * scale))
-    return center, vt, rank
 
 
 def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -322,7 +313,7 @@ def _fix_columns(anchors, dists, obs, guess) -> PointFix:
     for p, pattern in enumerate(patterns):
         cols = todo[which == p]
         pts, d_obs = anchors[pattern], dists[cols][:, pattern]
-        _, axes, rank = _affine_basis(pts)
+        _, axes, rank = affine_basis(pts)
         if rank == dim:
             owner.append(cols)
             second.append(np.zeros(cols.size, dtype=bool))
@@ -462,7 +453,7 @@ def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
     rot, trans, rms = _weighted_kabsch(conf.coords, points[ok], weights[ok])
     # the rotation is unique when the weighted nodes span the space
     patterns, which = _pattern_groups(weights[ok] > 0)
-    unique = np.array([_affine_basis(conf.coords[p])[2] == conf.dim
+    unique = np.array([affine_basis(conf.coords[p])[2] == conf.dim
                        for p in patterns])[which]
     # a Kabsch rotation is a product of orthogonal SVD factors, so it is a
     # proper rotation to rounding and needs no re-orthonormalization
@@ -757,7 +748,7 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
     embedded = edm_to_points(edm, dim)
     # eigentruncation turns a zero Gram eigenvalue into sqrt(eps)-sized
     # coordinates, so the rank test needs a matching tolerance
-    if _affine_basis(embedded, tol=1e-6)[2] < dim:
+    if affine_basis(embedded, tol=1e-6)[2] < dim:
         raise DegenerateGeometryError(
             "combined point set does not span the space")
 

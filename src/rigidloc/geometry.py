@@ -28,6 +28,21 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
+def affine_basis(points: np.ndarray, tol: float = 1e-9):
+    """(center, directions, rank) of a point set's affine hull.
+
+    The rows of ``directions`` are orthonormal, ordered by decreasing
+    spread: the first ``rank`` span the hull, the rest its missing
+    directions. A singular value counts when it exceeds ``tol`` times the
+    largest one, or times 1 if that is smaller.
+    """
+    center = points.mean(axis=0)
+    _, svals, vt = np.linalg.svd(points - center, full_matrices=True)
+    svals = np.concatenate([svals, np.zeros(points.shape[1] - len(svals))])
+    scale = max(svals.max(initial=0.0), 1.0)
+    return center, vt, int(np.sum(svals > tol * scale))
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -76,10 +91,7 @@ class Conformation:
         Equals ``dim`` when the nodes affinely span the full space, which is
         what the pose estimators need for a unique rotation.
         """
-        centered = self.coords - self.coords.mean(axis=0)
-        svals = np.linalg.svd(centered, compute_uv=False)
-        scale = svals[0] if svals.size and svals[0] > 0 else 1.0
-        return int(np.sum(svals > tol * max(scale, 1.0)))
+        return affine_basis(self.coords, tol)[2]
 
     def spans_space(self) -> bool:
         return self.affine_rank() == self.dim

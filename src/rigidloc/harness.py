@@ -2,18 +2,18 @@
 
 Runs seeded sweeps over noise level, sensor count and missing-data
 fraction for the estimation scenarios, aggregates RMSE per sweep point and
-emits CSV/JSON/plot-ready tables. Every trial derives its generator from
-(master_seed, sweep index, trial index), so results are bit-reproducible
-no matter how sweep points are scheduled; the RBL_THREADS environment
-variable caps the worker threads.
+emits CSV/JSON/plot-ready tables. Sweep points run one after another in
+sweep order. Every trial derives its generator from (master_seed, sweep
+index, trial index), so results are bit-reproducible however the trials
+of a point are blocked for estimation.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,20 +38,11 @@ from .measurement import (
 )
 from .placement import (
     PlacementProblem,
+    error_statistics,
     evaluate_placement,
+    one_at_a_time,
     optimize_placement,
-    pose_error_samples,
-    pose_errors,
-    rmse_and_se,
-)
-
-SCENARIOS = (
-    "rmse_vs_sensors",
-    "rmse_vs_noise",
-    "completion_benchmark",
-    "anchorless_two_body",
-    "motion_tracking",
-    "placement_study",
+    two_stage_statistics,
 )
 
 DEFAULT_SIGMAS = (0.01, 0.05, 0.1, 0.5)
@@ -258,6 +249,10 @@ def save_config(config: ExperimentConfig, path) -> None:
 
 @dataclass
 class ResultRow:
+    """One sweep point. ``wall_time_s`` is the wall time of that point
+    alone; points run one after another, so the times of different rows
+    do not overlap."""
+
     scenario: str
     params: dict
     translation_rmse: float
@@ -332,12 +327,8 @@ class ResultTable:
     def plot_series_keys(self):
         """(x key, series keys) for plot-data emission, per scenario."""
         scenario = self.rows[0].scenario if self.rows else "rmse_vs_sensors"
-        if scenario == "rmse_vs_sensors":
-            return "sensors", tuple(k for k in self.param_keys if k != "sensors")
-        if scenario == "completion_benchmark":
-            return "missing_fraction", tuple(k for k in self.param_keys
-                                             if k != "missing_fraction")
-        return "sigma", tuple(k for k in self.param_keys if k != "sigma")
+        x_key = _SWEEPS[scenario].x_key
+        return x_key, tuple(k for k in self.param_keys if k != x_key)
 
 
 def _format_cell(value) -> str:
@@ -384,20 +375,6 @@ def emit_results(table: ResultTable, fmt: str, out_dir) -> list:
                       "expected csv, json or plot-data")
 
 
-def _worker_count(num_points: int) -> int:
-    env = os.environ.get("RBL_THREADS", "").strip()
-    if env:
-        try:
-            workers = int(env)
-        except ValueError as err:
-            raise ConfigError("RBL_THREADS must be an integer") from err
-        if workers < 1:
-            raise ConfigError("RBL_THREADS must be at least 1")
-    else:
-        workers = min(4, os.cpu_count() or 1)
-    return max(1, min(workers, num_points))
-
-
 def _trial_rng(master_seed: int, sweep_idx: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((master_seed, sweep_idx, trial))
 
@@ -434,205 +411,177 @@ def _random_pose(rng: np.random.Generator, dim: int, center) -> Pose:
                 np.asarray(center) + rng.uniform(-POSE_SPREAD, POSE_SPREAD, dim))
 
 
-def _apply_missing(values_mask, fraction: float, rng: np.random.Generator):
-    values, mask = values_mask
-    if fraction <= 0:
-        return values, mask
-    keep = rng.random(mask.shape) >= fraction
-    mask = mask & keep
-    return np.where(mask, values, np.nan), mask
-
-
-def _summarize(scenario, params, t_sq, r_sq, failures, trials, elapsed):
-    t_rmse, t_se = rmse_and_se(t_sq)
-    r_rmse, r_se = rmse_and_se(r_sq)
-    return ResultRow(scenario, params, t_rmse, r_rmse, t_se, r_se,
-                     failures, trials, elapsed)
+def _range_draws(config, anchors, conf, sweep_idx, sigma, fraction):
+    """(true pose, ranges) per trial, each range dropped with probability
+    ``fraction``."""
+    center = anchors.positions.mean(axis=0)
+    for trial in range(config.trials):
+        rng = _trial_rng(config.master_seed, sweep_idx, trial)
+        pose = _random_pose(rng, config.dim, center)
+        ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
+        values, mask = ranges.values, ranges.mask
+        if fraction > 0:
+            mask = mask & (rng.random(mask.shape) >= fraction)
+            values = np.where(mask, values, np.nan)
+        yield pose, MaskedRangeMatrix(values, mask, sigma)
 
 
 def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
     conf = _resolve_conformation(config, sensors)
-    center = anchors.positions.mean(axis=0)
-    fraction = config.missing_fraction[0]
-
-    def draws():
-        for trial in range(config.trials):
-            rng = _trial_rng(config.master_seed, sweep_idx, trial)
-            pose = _random_pose(rng, config.dim, center)
-            ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
-            values, mask = _apply_missing((ranges.values, ranges.mask), fraction, rng)
-            yield pose, MaskedRangeMatrix(values, mask, sigma)
-
-    start = time.perf_counter()
-    t_sq, r_sq, failures = pose_error_samples(anchors, conf, draws(),
-                                              config.estimator["weighted"])
-    return t_sq, r_sq, failures, time.perf_counter() - start
+    draws = _range_draws(config, anchors, conf, sweep_idx, sigma,
+                         config.missing_fraction[0])
+    return two_stage_statistics(anchors, conf, draws, config.estimator["weighted"])
 
 
 def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
     conf = _resolve_conformation(config, sensors)
-    center = anchors.positions.mean(axis=0)
     m = anchors.num_anchors
+
+    def complete(ranges):
+        # a completion failure is an estimation failure of that trial
+        try:
+            partial = assemble_partial_edm(anchors, conf, ranges)
+            result = complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
+            return MaskedRangeMatrix(result.distances()[:m, m:], noise_sigma=sigma)
+        except ValueError:
+            return None
+
+    draws = ((pose, complete(ranges)) for pose, ranges in
+             _range_draws(config, anchors, conf, sweep_idx, sigma, fraction))
+    return two_stage_statistics(anchors, conf, draws, config.estimator["weighted"])
+
+
+def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
+    conf = _resolve_conformation(config, sensors)
 
     def draws():
         for trial in range(config.trials):
             rng = _trial_rng(config.master_seed, sweep_idx, trial)
-            pose = _random_pose(rng, config.dim, center)
-            ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
-            values, mask = _apply_missing((ranges.values, ranges.mask), fraction, rng)
-            try:
-                partial = assemble_partial_edm(anchors, conf,
-                                               MaskedRangeMatrix(values, mask, sigma))
-                result = complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
-                cross = MaskedRangeMatrix(result.distances()[:m, m:],
-                                          noise_sigma=sigma)
-            except ValueError:
-                cross = None
-            yield pose, cross
+            rot = random_rotation(rng, config.dim)
+            direction = rng.normal(size=config.dim)
+            direction /= np.linalg.norm(direction)
+            pose = Pose(rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction)
+            body2 = apply_pose(conf, pose)
+            diff = conf.coords[:, None, :] - body2.positions[None, :, :]
+            dists = np.sqrt((diff**2).sum(axis=2))
+            if sigma > 0:
+                dists = np.maximum(dists + rng.normal(0.0, sigma, dists.shape), 0.0)
+            yield pose, dists
 
-    start = time.perf_counter()
-    t_sq, r_sq, failures = pose_error_samples(anchors, conf, draws(),
-                                              config.estimator["weighted"])
-    return t_sq, r_sq, failures, time.perf_counter() - start
+    return error_statistics(draws(), one_at_a_time(
+        lambda dists: relative_pose_anchorless(
+            conf, conf, MaskedRangeMatrix(dists, noise_sigma=sigma))))
 
 
-def _point_anchorless(config, sweep_idx, sigma, sensors):
-    conf = _resolve_conformation(config, sensors)
-    t_sq, r_sq = [], []
-    failures = 0
-    start = time.perf_counter()
-    for trial in range(config.trials):
-        rng = _trial_rng(config.master_seed, sweep_idx, trial)
-        rot = random_rotation(rng, config.dim)
-        direction = rng.normal(size=config.dim)
-        direction /= np.linalg.norm(direction)
-        pose = Pose(rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction)
-        body2 = apply_pose(conf, pose)
-        diff = conf.coords[:, None, :] - body2.positions[None, :, :]
-        dists = np.sqrt((diff**2).sum(axis=2))
-        if sigma > 0:
-            dists = np.maximum(dists + rng.normal(0.0, sigma, dists.shape), 0.0)
-        try:
-            est = relative_pose_anchorless(conf, conf,
-                                           MaskedRangeMatrix(dists, noise_sigma=sigma))
-        except ValueError:
-            failures += 1
-            continue
-        t_err, r_err = pose_errors(est.pose, pose)
-        t_sq.append(t_err)
-        r_sq.append(r_err)
-    return t_sq, r_sq, failures, time.perf_counter() - start
+def _motion_errors(est, motion: BodyMotion):
+    """Squared translational and angular velocity errors."""
+    omega_err = np.asarray(est.motion.omega) - np.asarray(motion.omega)
+    return (float(((est.motion.t_dot - motion.t_dot) ** 2).sum()),
+            float((omega_err**2).sum()))
 
 
 def _point_motion(config, anchors, sweep_idx, sigma, sensors):
     conf = _resolve_conformation(config, sensors)
     center = anchors.positions.mean(axis=0)
-    t_sq, r_sq = [], []
-    failures = 0
-    start = time.perf_counter()
-    for trial in range(config.trials):
-        rng = _trial_rng(config.master_seed, sweep_idx, trial)
-        pose = _random_pose(rng, config.dim, center)
-        omega = rng.uniform(-0.5, 0.5, 3) if config.dim == 3 \
-            else float(rng.uniform(-0.5, 0.5))
-        motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, config.dim))
-        rates = simulate_range_rates(anchors, conf, pose, motion, sigma,
-                                     None, rng)
-        try:
-            est = estimate_motion(anchors, pose, conf, rates)
-        except ValueError:
-            failures += 1
-            continue
-        t_sq.append(float(((est.motion.t_dot - motion.t_dot) ** 2).sum()))
-        omega_err = np.asarray(est.motion.omega) - np.asarray(motion.omega)
-        r_sq.append(float((omega_err**2).sum()))
-    return t_sq, r_sq, failures, time.perf_counter() - start
+
+    def draws():
+        for trial in range(config.trials):
+            rng = _trial_rng(config.master_seed, sweep_idx, trial)
+            pose = _random_pose(rng, config.dim, center)
+            omega = rng.uniform(-0.5, 0.5, 3) if config.dim == 3 \
+                else float(rng.uniform(-0.5, 0.5))
+            motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, config.dim))
+            rates = simulate_range_rates(anchors, conf, pose, motion, sigma,
+                                         None, rng)
+            yield motion, (pose, rates)
+
+    return error_statistics(draws(), one_at_a_time(
+        lambda data: estimate_motion(anchors, data[0], conf, data[1])),
+        _motion_errors)
+
+
+def placement_problem(config: ExperimentConfig):
+    """The anchor-placement problem a config describes, and the body that
+    scores its layouts.
+
+    ``anchor_count`` directions are optimized on a sphere of radius
+    ``anchor_span / 2`` seeded by ``master_seed``; the body is the first
+    ``sensor_counts[0]`` nodes of the configured conformation.
+    """
+    problem = PlacementProblem(config.anchor_count, config.dim,
+                               anchor_radius=config.anchor_span / 2.0,
+                               seed=config.master_seed)
+    return problem, _resolve_conformation(config, config.sensor_counts[0])
+
+
+def _placement_layouts(config: ExperimentConfig):
+    """(body, {layout name: anchors}) for the placement study."""
+    problem, conf = placement_problem(config)
+    return conf, {
+        "optimized": optimize_placement(problem).to_anchor_set(),
+        "cube": cube_anchor_layout(config.anchor_count, config.dim,
+                                   config.anchor_span),
+    }
+
+
+def _point_placement(config, study, sweep_idx, sigma, placement):
+    conf, layouts = study
+    return evaluate_placement(layouts[placement], conf, sigma, config.trials,
+                              seed=(config.master_seed, sweep_idx))
+
+
+@dataclass(frozen=True)
+class _Sweep:
+    """How a scenario sweeps.
+
+    ``loops`` are its parameters from the outermost sweep loop in; the
+    sweep index, and so every trial's seed, follows this order. ``x_key``
+    is the x axis of its plot data. ``shared(config)`` builds what all its
+    points use, and ``point`` names the function that runs one point as
+    ``point(config, shared, sweep_idx, *params)``, with the parameters in
+    column order. The function is looked up by name when a run starts, so
+    a wrapper installed on this module is called.
+    """
+
+    loops: tuple
+    x_key: str
+    point: str
+    shared: Callable = _resolve_anchors
+
+
+_SWEEPS = {
+    "rmse_vs_sensors": _Sweep(("sigma", "sensors"), "sensors", "_point_rmse_vs"),
+    "rmse_vs_noise": _Sweep(("sensors", "sigma"), "sigma", "_point_rmse_vs"),
+    "completion_benchmark": _Sweep(("sigma", "sensors", "missing_fraction"),
+                                   "missing_fraction", "_point_completion"),
+    "anchorless_two_body": _Sweep(("sigma", "sensors"), "sigma",
+                                  "_point_anchorless", lambda config: None),
+    "motion_tracking": _Sweep(("sigma", "sensors"), "sigma", "_point_motion"),
+    "placement_study": _Sweep(("sigma", "placement"), "sigma",
+                              "_point_placement", _placement_layouts),
+}
+SCENARIOS = tuple(_SWEEPS)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Execute all sweep points of the configured scenario.
 
-    Sweep points run in a thread pool (size capped by RBL_THREADS) and are
-    reduced in sweep order; per-trial seeding keeps the output identical
-    for any worker count.
+    Points run one after another in sweep order, in the calling thread.
     """
-    scenario = config.scenario
-    if scenario == "placement_study":
-        return _run_placement_study(config)
-
-    anchors = _resolve_anchors(config) if scenario != "anchorless_two_body" else None
-    if scenario == "rmse_vs_sensors":
-        points = [{"sigma": s, "sensors": k}
-                  for s in config.sigma_list for k in config.sensor_counts]
-        param_keys = ("sigma", "sensors")
-    elif scenario == "rmse_vs_noise":
-        points = [{"sigma": s, "sensors": k}
-                  for k in config.sensor_counts for s in config.sigma_list]
-        param_keys = ("sigma", "sensors")
-    elif scenario == "completion_benchmark":
-        points = [{"sigma": s, "sensors": k, "missing_fraction": f}
-                  for s in config.sigma_list for k in config.sensor_counts
-                  for f in config.missing_fraction]
-        param_keys = ("sigma", "sensors", "missing_fraction")
-    elif scenario in ("anchorless_two_body", "motion_tracking"):
-        points = [{"sigma": s, "sensors": k}
-                  for s in config.sigma_list for k in config.sensor_counts]
-        param_keys = ("sigma", "sensors")
-    else:  # pragma: no cover - guarded by config validation
-        raise ConfigError(f"unknown scenario {scenario!r}")
-
-    def run_point(idx_params):
-        idx, params = idx_params
-        if scenario in ("rmse_vs_sensors", "rmse_vs_noise"):
-            stats = _point_rmse_vs(config, anchors, idx, params["sigma"],
-                                   params["sensors"])
-        elif scenario == "completion_benchmark":
-            stats = _point_completion(config, anchors, idx, params["sigma"],
-                                      params["sensors"],
-                                      params["missing_fraction"])
-        elif scenario == "anchorless_two_body":
-            stats = _point_anchorless(config, idx, params["sigma"],
-                                      params["sensors"])
-        else:
-            stats = _point_motion(config, anchors, idx, params["sigma"],
-                                  params["sensors"])
-        t_sq, r_sq, failures, elapsed = stats
-        return _summarize(scenario, params, t_sq, r_sq, failures,
-                          config.trials, elapsed)
-
-    tasks = list(enumerate(points))
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        rows = [run_point(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_point, tasks))
-    return ResultTable(rows, param_keys)
-
-
-def _run_placement_study(config: ExperimentConfig) -> ResultTable:
-    """Compare the optimized anchor layout against the default cube."""
-    problem = PlacementProblem(config.anchor_count, config.dim,
-                               anchor_radius=config.anchor_span / 2.0,
-                               seed=config.master_seed)
-    layouts = {
-        "optimized": optimize_placement(problem).to_anchor_set(),
-        "cube": cube_anchor_layout(config.anchor_count, config.dim,
-                                   config.anchor_span),
-    }
-    conf = _resolve_conformation(config, config.sensor_counts[0])
+    sweep = _SWEEPS[config.scenario]
+    shared = sweep.shared(config)
+    point = globals()[sweep.point]
+    # dict order is the column order of the output
+    values = {"sigma": config.sigma_list, "sensors": config.sensor_counts,
+              "missing_fraction": config.missing_fraction,
+              "placement": ("optimized", "cube")}
+    columns = tuple(k for k in values if k in sweep.loops)
     rows = []
-    idx = 0
-    for sigma in config.sigma_list:
-        for name, anchors in layouts.items():
-            start = time.perf_counter()
-            ev = evaluate_placement(anchors, conf, sigma, config.trials,
-                                    seed=(config.master_seed, idx))
-            rows.append(ResultRow("placement_study",
-                                  {"sigma": sigma, "placement": name},
-                                  ev.translation_rmse, ev.rotation_rmse,
-                                  ev.translation_se, ev.rotation_se,
-                                  ev.failures, ev.trials,
-                                  time.perf_counter() - start))
-            idx += 1
-    return ResultTable(rows, ("sigma", "placement"))
+    for idx, combo in enumerate(itertools.product(*(values[k] for k in sweep.loops))):
+        setting = dict(zip(sweep.loops, combo))
+        params = {k: setting[k] for k in columns}
+        start = time.perf_counter()
+        stats = point(config, shared, idx, *params.values())
+        rows.append(ResultRow(config.scenario, params, **vars(stats),
+                              wall_time_s=time.perf_counter() - start))
+    return ResultTable(rows, columns)

@@ -19,6 +19,7 @@ from .geometry import (
     Conformation,
     PlacedBody,
     Pose,
+    affine_basis,
     apply_pose,
     body_velocities,
 )
@@ -193,12 +194,8 @@ def _hull_equations(points: np.ndarray) -> np.ndarray:
         return ConvexHull(points).equations
     except QhullError:
         pass
-    center = points.mean(axis=0)
-    centered = points - center
-    _, svals, vt = np.linalg.svd(centered, full_matrices=True)
-    svals = np.concatenate([svals, np.zeros(points.shape[1] - len(svals))])
-    scale = max(svals.max(initial=0.0), 1.0)
-    thin = vt[svals <= 1e-12 * scale]
+    _, directions, rank = affine_basis(points, tol=1e-12)
+    thin = directions[rank:]
     inflated = [points]
     for direction in thin:
         offset = 0.5 * DEGENERATE_HULL_THICKNESS * direction

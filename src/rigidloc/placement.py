@@ -30,8 +30,8 @@ UNIT_NORM_TOL = 1e-9
 
 # Monte-Carlo trials are drawn and solved in blocks of at most this many
 # node fixes (trials x nodes), which bounds the memory of a long run. The
-# value keeps the peak RSS of a two-thread harness sweep within 5% of
-# solving trial by trial (see README, "Batched estimation").
+# value kept the peak RSS of a harness sweep within 5% of solving trial by
+# trial (see README, "Batched estimation").
 BLOCK_NODE_FIXES = 256
 
 
@@ -73,6 +73,9 @@ class PlacementResult:
 
 @dataclass
 class PlacementEvaluation:
+    """RMSE and its standard error over the successful trials of a
+    Monte-Carlo run, with the failed and total trial counts."""
+
     translation_rmse: float
     rotation_rmse: float
     translation_se: float
@@ -176,10 +179,7 @@ def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,
             yield pose, simulate_ranges(anchors, apply_pose(conf, pose), sigma,
                                         None, rng)
 
-    t_sq, r_sq, failures = pose_error_samples(anchors, conf, draws())
-    t_rmse, t_se = rmse_and_se(t_sq)
-    r_rmse, r_se = rmse_and_se(r_sq)
-    return PlacementEvaluation(t_rmse, r_rmse, t_se, r_se, failures, trials)
+    return two_stage_statistics(anchors, conf, draws())
 
 
 def pose_errors(est_pose: Pose, true_pose: Pose):
@@ -189,33 +189,60 @@ def pose_errors(est_pose: Pose, true_pose: Pose):
     return t_err, r_err
 
 
-def pose_error_samples(anchors: AnchorSet, conf: Conformation, draws,
-                       weighted: bool = True):
-    """Squared pose errors of the two-stage estimator over Monte-Carlo draws.
+def error_statistics(draws, solve, errors=None,
+                     block_size: int = 1) -> PlacementEvaluation:
+    """Error statistics of an estimator over Monte-Carlo draws.
 
-    ``draws`` yields (true pose, ranges) per trial; ranges of None mark a
-    trial that already failed before estimation. Draws are taken and
-    solved in blocks of at most ``BLOCK_NODE_FIXES`` node fixes. Returns
-    the squared translation and rotation errors of the successful trials,
-    in trial order, and the number of failed trials.
+    ``draws`` yields (truth, data) per trial; data of None marks a trial
+    that already failed while its data was prepared. Draws are taken
+    ``block_size`` at a time and ``solve`` maps the block's data list to
+    one estimate, or one estimation ``ValueError``, per item.
+    ``errors(estimate, truth)`` gives the squared translation and rotation
+    errors of a success (default: ``pose_errors`` of ``estimate.pose``).
+    Failed trials are counted and excluded from the RMSE.
     """
+    errors = errors or (lambda est, pose: pose_errors(est.pose, pose))
     draws = iter(draws)
-    per_block = max(1, BLOCK_NODE_FIXES // conf.num_nodes)
     t_sq, r_sq = [], []
-    failures = 0
-    while block := list(itertools.islice(draws, per_block)):
-        solvable = [(pose, ranges) for pose, ranges in block if ranges is not None]
+    trials = failures = 0
+    while block := list(itertools.islice(draws, block_size)):
+        trials += len(block)
+        solvable = [(truth, data) for truth, data in block if data is not None]
         failures += len(block) - len(solvable)
-        estimates = rbl_two_stage_batch(anchors, [r for _, r in solvable], conf,
-                                        weighted=weighted)
-        for (pose, _), est in zip(solvable, estimates):
+        for (truth, _), est in zip(solvable, solve([d for _, d in solvable])):
             if isinstance(est, ValueError):
                 failures += 1
                 continue
-            t_err, r_err = pose_errors(est.pose, pose)
+            t_err, r_err = errors(est, truth)
             t_sq.append(t_err)
             r_sq.append(r_err)
-    return t_sq, r_sq, failures
+    t_rmse, t_se = rmse_and_se(t_sq)
+    r_rmse, r_se = rmse_and_se(r_sq)
+    return PlacementEvaluation(t_rmse, r_rmse, t_se, r_se, failures, trials)
+
+
+def one_at_a_time(solve):
+    """Block solver for ``error_statistics`` from a one-trial solver whose
+    ``ValueError`` marks that trial as failed."""
+    def solve_block(items):
+        estimates = []
+        for item in items:
+            try:
+                estimates.append(solve(item))
+            except ValueError as err:
+                estimates.append(err)
+        return estimates
+    return solve_block
+
+
+def two_stage_statistics(anchors: AnchorSet, conf: Conformation, draws,
+                         weighted: bool = True) -> PlacementEvaluation:
+    """Error statistics of the two-stage estimator over (true pose, ranges)
+    draws, solved in blocks of at most ``BLOCK_NODE_FIXES`` node fixes."""
+    return error_statistics(
+        draws, lambda ranges: rbl_two_stage_batch(anchors, ranges, conf,
+                                                  weighted=weighted),
+        block_size=max(1, BLOCK_NODE_FIXES // conf.num_nodes))
 
 
 def rmse_and_se(squared_errors) -> tuple[float, float]:

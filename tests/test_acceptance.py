@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from rigidloc import placement
 from rigidloc.completion import complete_edm, edm_to_points
 from rigidloc.estimators import (
     estimate_motion,
@@ -294,12 +295,14 @@ def test_criterion_7_frame_potential(capsys):
            f"{ev_clustered.translation_rmse:.3f} m")
 
 
-def test_criterion_8_thread_determinism(capsys, monkeypatch, tmp_path):
+def test_criterion_8_block_size_determinism(capsys, monkeypatch, tmp_path):
+    """Trials are solved in blocks of node fixes; a block of 16 and one
+    larger than any sweep point (500 trials x 14 nodes) give the same file."""
     cfg = fig_sens_config()
-    monkeypatch.setenv("RBL_THREADS", "1")
-    serial = emit_results(run_experiment(cfg), "csv", tmp_path / "serial")
-    monkeypatch.setenv("RBL_THREADS", "8")
-    threaded = emit_results(run_experiment(cfg), "csv", tmp_path / "threaded")
-    identical = serial[0].read_bytes() == threaded[0].read_bytes()
-    report(capsys, "criterion 8 determinism across threads", identical,
-           f"csv bytes identical with 1 and 8 threads: {identical}")
+    monkeypatch.setattr(placement, "BLOCK_NODE_FIXES", 16)
+    small = emit_results(run_experiment(cfg), "csv", tmp_path / "small")
+    monkeypatch.setattr(placement, "BLOCK_NODE_FIXES", 10**6)
+    whole = emit_results(run_experiment(cfg), "csv", tmp_path / "whole")
+    identical = small[0].read_bytes() == whole[0].read_bytes()
+    report(capsys, "criterion 8 determinism across block sizes", identical,
+           f"csv bytes identical with blocks of 16 and 10^6 node fixes: {identical}")

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from rigidloc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from rigidloc.measurement import PartialEdm
+from rigidloc.geometry import Conformation
+from rigidloc.measurement import AnchorSet, PartialEdm
+from rigidloc.placement import evaluate_placement
 
 
 @pytest.fixture
@@ -117,6 +119,30 @@ class TestPlacement:
         lines = (out / "placement_eval.csv").read_text().strip().split("\n")
         assert lines[0].startswith("sigma,translation_rmse")
         assert len(lines) == 2
+
+    def test_scores_the_configured_conformation(self, tmp_path, capsys):
+        body = Conformation([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+                             [0.0, 0.0, 1.0], [3.0, 2.0, 1.0]])
+        (tmp_path / "body.json").write_text(body.to_json())
+        cfg = tmp_path / "place.json"
+        cfg.write_text(json.dumps({
+            "scenario": "placement_study",
+            "conformation": f"file:{tmp_path / 'body.json'}",
+            "sigma_list": [0.05, 0.1],
+            "sensor_counts": [4],
+            "trials": 10,
+            "master_seed": 2,
+        }))
+        out = tmp_path / "out"
+        assert main(["placement", str(cfg), "--out-dir", str(out)]) == EXIT_OK
+        placement = json.loads((out / "placement.json").read_text())
+        anchors = AnchorSet(np.array(placement["positions"]))
+        lines = (out / "placement_eval.csv").read_text().strip().split("\n")
+        for idx, sigma in enumerate((0.05, 0.1)):
+            ev = evaluate_placement(anchors, Conformation(body.coords[:4]), sigma,
+                                    10, seed=(2, idx))
+            assert lines[1 + idx].split(",")[1:3] == [
+                repr(ev.translation_rmse), repr(ev.rotation_rmse)]
 
 
 class TestComplete:

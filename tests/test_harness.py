@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from rigidloc import placement
 from rigidloc.geometry import Conformation
 from rigidloc.harness import (
     ConfigError,
@@ -159,20 +160,24 @@ class TestRunExperiment:
         ratio = rmse[0.1] / rmse[0.05]
         assert 1.6 <= ratio <= 2.4
 
-    def test_thread_count_does_not_change_results(self, monkeypatch, tmp_path):
-        cfg = tiny_config(sigma_list=[0.1], trials=12, master_seed=9)
-        monkeypatch.setenv("RBL_THREADS", "1")
-        serial = run_experiment(cfg)
-        monkeypatch.setenv("RBL_THREADS", "8")
-        threaded = run_experiment(cfg)
-        a = emit_results(serial, "csv", tmp_path / "a")
-        b = emit_results(threaded, "csv", tmp_path / "b")
-        assert a[0].read_bytes() == b[0].read_bytes()
-
-    def test_bad_thread_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("RBL_THREADS", "zero")
-        with pytest.raises(ConfigError):
-            run_experiment(tiny_config(trials=1))
+    @pytest.mark.parametrize("cfg", [
+        tiny_config(sigma_list=[0.1], trials=12, master_seed=9),
+        tiny_config(scenario="rmse_vs_noise", sigma_list=[0.05, 0.2],
+                    sensor_counts=[4, 8], missing_fraction=[0.3], trials=40,
+                    master_seed=7),
+        tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
+                    sensor_counts=[6], missing_fraction=[0.1, 0.3], trials=20,
+                    master_seed=3),
+    ], ids=["sensors", "noise_missing", "completion"])
+    def test_block_size_does_not_change_results(self, cfg, monkeypatch, tmp_path):
+        """Blocks of 16 node fixes and one block per sweep point give
+        byte-identical CSVs."""
+        outputs = []
+        for block in (16, 10**6):
+            monkeypatch.setattr(placement, "BLOCK_NODE_FIXES", block)
+            path, = emit_results(run_experiment(cfg), "csv", tmp_path / str(block))
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_completion_benchmark(self):
         cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.0],
