@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .geometry import (
     BodyMotion,
@@ -173,15 +172,17 @@ class AngleMeasurements:
 
 
 class HullOcclusion:
-    """Visibility model where the convex hull of each body blocks the path."""
+    """Visibility model where the convex hull of each body blocks the path.
+
+    Each body's hull facets are computed once, here, and shared by every
+    anchor-to-node segment tested against it.
+    """
 
     def __init__(self, *bodies: PlacedBody):
         if not bodies:
             raise ValueError("at least one occluding body is required")
         self.bodies = tuple(bodies)
-
-    def blocked(self, p, q) -> bool:
-        return any(line_of_sight_blocked(p, q, body) for body in self.bodies)
+        self.equations = tuple(_hull_equations(body.positions) for body in self.bodies)
 
 
 def _hull_equations(points: np.ndarray) -> np.ndarray:
@@ -190,6 +191,10 @@ def _hull_equations(points: np.ndarray) -> np.ndarray:
     A flat point set is inflated into a thin slab (thickness 1e-6 m) along
     its missing directions so grazing rays are still handled sensibly.
     """
+    # scipy.spatial takes most of the package's import time and only
+    # occlusion needs it.
+    from scipy.spatial import ConvexHull, QhullError
+
     try:
         return ConvexHull(points).equations
     except QhullError:
@@ -203,45 +208,68 @@ def _hull_equations(points: np.ndarray) -> np.ndarray:
     return ConvexHull(np.vstack(inflated)).equations
 
 
+def _facet_values(normals, offsets, points) -> np.ndarray:
+    """a.x + b for every point (rows) and facet (columns).
+
+    One matrix-vector product per point, the way ``normals @ point`` is
+    computed, so a point's values do not depend on how many points share
+    the call.
+    """
+    return (normals @ points[:, :, None])[:, :, 0] + offsets
+
+
+def _segments_blocked(starts: np.ndarray, ends: np.ndarray,
+                      equations: np.ndarray) -> np.ndarray:
+    """(M, K) mask: True where the open segment from ``starts[m]`` to
+    ``ends[k]`` (float arrays, M x D and K x D) passes through the interior
+    of the hull ``equations``.
+
+    Liang-Barsky clipping of every segment against every facet half-space
+    at once. Touching the hull boundary (including segment endpoints that
+    are hull vertices) does not count as blockage.
+    """
+    dim = equations.shape[1] - 1
+    if starts.shape[1:] != (dim,) or ends.shape[1:] != (dim,):
+        raise ValueError("endpoint dimensions must match the occluder")
+    if not (np.all(np.isfinite(starts)) and np.all(np.isfinite(ends))):
+        raise ValueError("segment endpoints must be finite")
+    if np.any((starts[:, None, :] == ends[None, :, :]).all(axis=2)):
+        raise ValueError("segment endpoints coincide")
+
+    normals, offsets = equations[:, :-1], equations[:, -1]
+    fp = _facet_values(normals, offsets, starts)[:, None, :]   # (M, 1, F)
+    fq = _facet_values(normals, offsets, ends)[None, :, :]     # (1, K, F)
+    delta = fq - fp
+    with np.errstate(divide="ignore", invalid="ignore"):
+        crossing = -fp / delta
+    # Clip the parameter interval [0, 1] against every facet: entering
+    # facets raise its start, leaving facets lower its end. An empty
+    # interval (lo >= hi), or one no longer than 1e-12, misses the hull.
+    lo = np.where(delta < 0.0, crossing, 0.0).max(axis=2)
+    hi = np.where(delta > 0.0, crossing, 1.0).min(axis=2)
+    candidate = hi - lo > 1e-12
+
+    # The clipped interval must have a midpoint strictly inside the hull.
+    # This also rejects a segment parallel to a facet (delta == 0) that
+    # lies outside it: that facet leaves the interval alone, but its value
+    # at the midpoint is its value at the start, > 0.
+    m, k = np.nonzero(candidate)
+    t = 0.5 * (lo[m, k] + hi[m, k])
+    mid = starts[m] + t[:, None] * (ends[k] - starts[m])
+    blocked = np.zeros(candidate.shape, dtype=bool)
+    blocked[m, k] = _facet_values(normals, offsets, mid).max(axis=1) < -1e-9
+    return blocked
+
+
 def line_of_sight_blocked(p, q, occluder: PlacedBody) -> bool:
     """True when the open segment (p, q) passes through the hull interior.
 
     Touching the hull boundary (including segment endpoints that are hull
     vertices) does not count as blockage.
     """
-    p = np.asarray(p, dtype=float).reshape(-1)
-    q = np.asarray(q, dtype=float).reshape(-1)
-    if p.shape != q.shape or p.shape[0] != occluder.dim:
-        raise ValueError("endpoint dimensions must match the occluder")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-        raise ValueError("segment endpoints must be finite")
-    if np.array_equal(p, q):
-        raise ValueError("segment endpoints coincide")
-
-    equations = _hull_equations(occluder.positions)
-    normals, offsets = equations[:, :-1], equations[:, -1]
-    fp = normals @ p + offsets
-    fq = normals @ q + offsets
-
-    # Clip the segment parameter interval against every facet half-space.
-    lo, hi = 0.0, 1.0
-    for a, b in zip(fp, fq):
-        delta = b - a
-        if delta == 0.0:
-            if a > 0.0:
-                return False
-            continue
-        crossing = -a / delta
-        if delta > 0.0:
-            hi = min(hi, crossing)
-        else:
-            lo = max(lo, crossing)
-        if lo >= hi:
-            return False
-    if hi - lo <= 1e-12:
-        return False
-    mid = p + 0.5 * (lo + hi) * (q - p)
-    return bool((normals @ mid + offsets).max() < -1e-9)
+    p = np.asarray(p, dtype=float).reshape(1, -1)
+    q = np.asarray(q, dtype=float).reshape(1, -1)
+    return bool(_segments_blocked(p, q, _hull_equations(occluder.positions))[0, 0])
 
 
 def _pair_distances(anchors: AnchorSet, body: PlacedBody) -> np.ndarray:
@@ -250,14 +278,11 @@ def _pair_distances(anchors: AnchorSet, body: PlacedBody) -> np.ndarray:
 
 
 def _visibility_mask(anchors: AnchorSet, body: PlacedBody, visibility) -> np.ndarray:
-    mask = np.ones((anchors.num_anchors, body.num_nodes), dtype=bool)
-    if visibility is None:
-        return mask
-    for n, a in enumerate(anchors.positions):
-        for m, s in enumerate(body.positions):
-            if visibility.blocked(a, s):
-                mask[n, m] = False
-    return mask
+    blocked = np.zeros((anchors.num_anchors, body.num_nodes), dtype=bool)
+    if visibility is not None:
+        for equations in visibility.equations:
+            blocked |= _segments_blocked(anchors.positions, body.positions, equations)
+    return ~blocked
 
 
 def simulate_ranges(anchors: AnchorSet, body: PlacedBody, sigma: float,

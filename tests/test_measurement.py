@@ -1,12 +1,17 @@
 """Tests for measurement simulation, occlusion and matrix assembly."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 from scipy.spatial import ConvexHull
 
+from rigidloc import measurement
 from rigidloc.geometry import (
     BodyMotion,
     Conformation,
@@ -36,6 +41,47 @@ CUBE = np.array([(x, y, z) for x in (-0.5, 0.5)
 
 def euclidean(a, b):
     return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+
+def sampled_outside(p, q, hull_points):
+    """1001 points along (p, q) and how far outside the hull each lies
+    (its largest facet value; < 0 inside)."""
+    equations = ConvexHull(hull_points).equations
+    samples = p + np.linspace(0.0, 1.0, 1001)[:, None] * (q - p)
+    return samples, (samples @ equations[:, :-1].T + equations[:, -1]).max(axis=1)
+
+
+def flat_oracle(p, q, points):
+    """Blocked (True), clear (False) or too close to call (None) for the
+    segment (p, q) against a flat point set of rank dim - 1, from where it
+    crosses the set's hyperplane."""
+    center = points.mean(axis=0)
+    _, _, vt = np.linalg.svd(points - center)
+    inplane, normal = vt[:-1], vt[-1]
+    sp, sq = (p - center) @ normal, (q - center) @ normal
+    if min(abs(sp), abs(sq)) < 1e-4:
+        return None
+    if sp * sq > 0:
+        return False
+    u = (p + sp / (sp - sq) * (q - p) - center) @ inplane.T
+    flat = (points - center) @ inplane.T
+    if len(u) == 1:
+        margin = min(u[0] - flat.min(), flat.max() - u[0])
+    else:
+        equations = ConvexHull(flat).equations
+        margin = -(equations[:, :-1] @ u + equations[:, -1]).max()
+    return None if abs(margin) < 1e-4 else bool(margin > 0)
+
+
+def rod_oracle(p, q, points):
+    """Clear (False) when (p, q) passes at least 1 mm from a collinear point
+    set in 3D, else too close to call (None): a segment meets a rod's thin
+    slab only on a set of measure zero."""
+    a, b = points[np.argmin(points[:, 0])], points[np.argmax(points[:, 0])]
+    samples = p + np.linspace(0.0, 1.0, 1001)[:, None] * (q - p)
+    t = np.clip((samples - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
+    gap = np.sqrt(((samples - a - t[:, None] * (b - a)) ** 2).sum(axis=1)).min()
+    return False if gap > 1e-3 else None
 
 
 class TestWrapAngle:
@@ -166,6 +212,8 @@ class TestLineOfSight:
     def test_tangent_face_not_blocked(self):
         body = PlacedBody(CUBE)
         assert not line_of_sight_blocked([-3.0, 0.5, 0.0], [3.0, 0.5, 0.0], body)
+        # parallel to that face and outside it
+        assert not line_of_sight_blocked([-3.0, 0.7, 0.0], [3.0, 0.7, 0.0], body)
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):
@@ -192,18 +240,153 @@ class TestLineOfSight:
         for _ in range(120):
             pts = rng.uniform(-1, 1, (8, dim))
             body = PlacedBody(pts)
-            hull = ConvexHull(pts)
-            normals, offsets = hull.equations[:, :-1], hull.equations[:, -1]
             p = rng.uniform(-3, 3, dim)
             q = rng.uniform(-3, 3, dim)
-            samples = p + np.linspace(0.0, 1.0, 1001)[:, None] * (q - p)
-            margins = -(samples @ normals.T + offsets).max(axis=1)
-            penetration = margins.max()  # >0 once any sample is inside
+            penetration = -sampled_outside(p, q, pts)[1].min()  # >0 once inside
             if abs(penetration) < 1e-4:
                 continue  # grazing: too close to the boundary to call
             checked += 1
             assert line_of_sight_blocked(p, q, body) == (penetration > 0)
         assert checked > 60
+
+
+def occlusion_mask(anchors, body, *occluders):
+    return simulate_ranges(anchors, body, 0.0, HullOcclusion(*occluders)).mask
+
+
+def assert_matches_pairwise(mask, anchors, body, *occluders):
+    """The mask bit of every anchor-node pair equals the one-segment test
+    against each occluder."""
+    for m, a in enumerate(anchors.positions):
+        for k, s in enumerate(body.positions):
+            blocked = any(line_of_sight_blocked(a, s, occ) for occ in occluders)
+            assert mask[m, k] == (not blocked), (m, k)
+
+
+def flat_points(rng, dim, rank, num=10):
+    """``num`` random points spanning a random affine subspace of ``rank``."""
+    basis = np.linalg.qr(rng.normal(size=(dim, dim)))[0][:rank]
+    return rng.uniform(-1.5, 1.5, (num, rank)) @ basis + rng.uniform(-0.5, 0.5, dim)
+
+
+class TestOcclusionMask:
+    """The simulated visibility mask against the one-segment function and
+    against oracles that share no code with the clip."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_self_occlusion_full_rank(self, dim):
+        """Nodes as segment endpoints: hull vertices, and nodes inside the
+        hull, which every anchor sees through the body."""
+        rng = np.random.default_rng(505 + dim)
+        checked, blocked = 0, 0
+        for _ in range(30):
+            body = PlacedBody(rng.uniform(-1, 1, (10, dim)))
+            anchors = AnchorSet(rng.uniform(-4, 4, (6, dim)))
+            mask = occlusion_mask(anchors, body, body)
+            assert_matches_pairwise(mask, anchors, body, body)
+            for m, a in enumerate(anchors.positions):
+                for k, s in enumerate(body.positions):
+                    samples, outside = sampled_outside(a, s, body.positions)
+                    # a node on the hull is clear when every sample before it
+                    # lies outside in proportion to its distance from the node
+                    slope = outside[:-1] / np.linalg.norm(samples[:-1] - s, axis=1)
+                    if -outside.min() > 1e-4:
+                        expected = True
+                    elif slope.min() > 1e-2:
+                        expected = False
+                    else:
+                        continue  # grazing: too close to the boundary to call
+                    checked += 1
+                    blocked += expected
+                    assert mask[m, k] == (not expected), (m, k)
+        assert checked > 1000
+        assert 200 < blocked < checked - 200
+
+    @pytest.mark.parametrize("dim,rank", [(2, 1), (3, 2), (3, 1)])
+    def test_flat_occluder(self, dim, rank):
+        """Planar and collinear bodies block through their thin slab; the
+        target's own nodes are segment endpoints in the slab bodies too."""
+        rng = np.random.default_rng(606 + 10 * dim + rank)
+        oracle = rod_oracle if rank < dim - 1 else flat_oracle
+        checked, blocked = 0, 0
+        for _ in range(30):
+            flat = PlacedBody(flat_points(rng, dim, rank))
+            target = PlacedBody(rng.uniform(-0.3, 0.3, (5, dim))
+                                + rng.uniform(-3, 3, dim))
+            anchors = AnchorSet(rng.uniform(-4, 4, (6, dim)))
+            assert_matches_pairwise(occlusion_mask(anchors, flat, flat),
+                                    anchors, flat, flat)
+            mask = occlusion_mask(anchors, target, flat)
+            assert_matches_pairwise(mask, anchors, target, flat)
+            for m, a in enumerate(anchors.positions):
+                for k, s in enumerate(target.positions):
+                    expected = oracle(a, s, flat.positions)
+                    if expected is None:
+                        continue
+                    checked += 1
+                    blocked += expected
+                    assert mask[m, k] == (not expected), (m, k)
+        assert checked > 500
+        if rank == dim - 1:
+            assert 50 < blocked < checked - 50
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_two_bodies_or(self, dim):
+        """A pair is visible only when neither body blocks it."""
+        rng = np.random.default_rng(707 + dim)
+        for _ in range(30):
+            body = PlacedBody(rng.uniform(-1, 1, (10, dim)))
+            other = PlacedBody(rng.uniform(-1, 1, (8, dim)) + rng.uniform(-2, 2, dim))
+            anchors = AnchorSet(rng.uniform(-4, 4, (6, dim)))
+            both = occlusion_mask(anchors, body, body, other)
+            assert np.array_equal(both, occlusion_mask(anchors, body, body)
+                                  & occlusion_mask(anchors, body, other))
+            assert_matches_pairwise(both, anchors, body, body, other)
+
+    def test_one_hull_per_body(self, monkeypatch):
+        calls = []
+        hull_equations = measurement._hull_equations
+
+        def counted(points):
+            calls.append(len(points))
+            return hull_equations(points)
+
+        monkeypatch.setattr(measurement, "_hull_equations", counted)
+        rng = np.random.default_rng(808)
+        conf = Conformation(rng.uniform(-1, 1, (14, 3)))
+        pose = Pose(random_rotation(rng, 3), np.zeros(3))
+        body = apply_pose(conf, pose)
+        other = PlacedBody(rng.uniform(-1, 1, (6, 3)) + [3.0, 0.0, 0.0])
+        anchors = AnchorSet(rng.uniform(-6, 6, (8, 3)))
+        occlusion = HullOcclusion(body, other)
+        simulate_ranges(anchors, body, 0.1, occlusion, rng)
+        motion = BodyMotion([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        simulate_range_rates(anchors, conf, pose, motion, 0.05, occlusion, rng)
+        assert calls == [14, 6]
+
+    def test_errors(self):
+        body = PlacedBody(CUBE)
+        anchors = AnchorSet([[5.0, 0.0, 0.0], [0.5, 0.5, 0.5]])  # one on a node
+        with pytest.raises(ValueError, match="segment endpoints coincide"):
+            simulate_ranges(anchors, body, 0.0, HullOcclusion(body))
+        assert simulate_ranges(anchors, body, 0.0).values[1, 7] == 0.0
+        flat = HullOcclusion(PlacedBody([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="endpoint dimensions must match"):
+            simulate_ranges(AnchorSet([[5.0, 0.0, 0.0]]), body, 0.0, flat)
+        with pytest.raises(ValueError, match="endpoint dimensions must match"):
+            line_of_sight_blocked([5.0, 0.0], [1.0, 0.0, 0.0], body)
+        with pytest.raises(ValueError, match="segment endpoints must be finite"):
+            line_of_sight_blocked([np.inf, 0.0, 0.0], [1.0, 0.0, 0.0], body)
+
+    def test_import_leaves_scipy_spatial_out(self):
+        """Only occlusion needs scipy.spatial, so importing the package
+        does not load it."""
+        src = str(Path(measurement.__file__).resolve().parents[1])
+        code = "import sys, rigidloc; print('scipy.spatial' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
 
 class TestSimulateAoa:
