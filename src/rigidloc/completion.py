@@ -16,11 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Conformation, random_rotation, rotation_2d
+from .geometry import Conformation, random_rotation, rotation_2d, squared_distances
+from .geometry import _linearized_fix, _weighted_kabsch
 from .measurement import PartialEdm
 
 COMPLETION_TOL = 1e-10
 COMPLETION_MAX_ITER = 500
+COMPLETION_STALL_THRESHOLD = 1e-6
 
 # Rank of a squared EDM generated by D-dimensional points is <= D + 2.
 EDM_RANK_SURPLUS = 2
@@ -77,25 +79,6 @@ def _rank_truncate(matrix: np.ndarray, rank: int) -> np.ndarray:
     return (evecs[:, keep] * evals[keep]) @ evecs[:, keep].T
 
 
-def _kabsch(source: np.ndarray, target: np.ndarray):
-    """Proper rotation and translation mapping source onto target."""
-    sc, tc = source.mean(axis=0), target.mean(axis=0)
-    h = (source - sc).T @ (target - tc)
-    u, _, vt = np.linalg.svd(h)
-    signs = np.ones(h.shape[0])
-    signs[-1] = np.sign(np.linalg.det(vt.T @ u.T)) or 1.0
-    rot = (vt.T * signs) @ u.T
-    return rot, tc - rot @ sc
-
-
-def _linear_trilaterate(anchors: np.ndarray, dists: np.ndarray):
-    """Closed-form point fix (exact for noiseless ranges), or None when the
-    anchors leave the linearized system rank-deficient."""
-    from .estimators import _linearized_fix  # estimators imports this module
-    fix, rank = _linearized_fix(anchors, dists)
-    return fix[0] if rank == anchors.shape[1] else None
-
-
 def _congruent_fill(partial: PartialEdm):
     """Geometric starting guess for the unknown cross entries.
 
@@ -133,15 +116,14 @@ def _congruent_fill(partial: PartialEdm):
             if j in pins:
                 continue
             rows = np.flatnonzero(cross_mask[:, j])
-            refs = [anchors[rows]] + [pins[p][None, :] for p in pins]
-            dists = [cross_d[rows, j]] + [body_d[p, j:j + 1] for p in pins]
-            refs = np.vstack(refs)
-            dists = np.concatenate(dists)
-            if refs.shape[0] < dim + 1:
+            if rows.size + len(pins) < dim + 1:
                 continue
-            fix = _linear_trilaterate(refs, dists)
-            if fix is not None:
-                pins[j] = fix
+            refs = np.vstack([anchors[rows]] + [pins[p][None, :] for p in pins])
+            dists = np.concatenate([cross_d[rows, j]]
+                                   + [body_d[p, j:j + 1] for p in pins])
+            fix, rank = _linearized_fix(refs, dists)
+            if rank == dim:
+                pins[j] = fix[0]
                 progress = True
     if len(pins) < dim:
         return None
@@ -156,10 +138,10 @@ def _congruent_fill(partial: PartialEdm):
         for chirality in (1.0, -1.0):
             emb = body.copy()
             emb[:, -1] *= chirality
-            rot, shift = _kabsch(emb[order], pin_pts)
-            cand = emb @ rot.T + shift
-            diff = anchors[:, None, :] - cand[None, :, :]
-            fit = np.sqrt((diff**2).sum(axis=2)) - cross_d
+            rot, shift, _ = _weighted_kabsch(emb[order], pin_pts[None],
+                                             np.ones((1, len(order))))
+            cand = emb @ rot[0].T + shift[0]
+            fit = np.sqrt(squared_distances(anchors, cand)) - cross_d
             score = float((fit[cross_mask] ** 2).sum())
             if best is None or score < best[0]:
                 best = (score, cand)
@@ -167,26 +149,23 @@ def _congruent_fill(partial: PartialEdm):
         placed[order] = pin_pts
 
     points = np.vstack([anchors, placed])
-    diff = points[:, None, :] - points[None, :, :]
-    return (diff**2).sum(axis=2)
+    return squared_distances(points, points)
 
 
 def complete_edm(partial: PartialEdm, rank_slack: int = 0,
-                 max_iter: int = COMPLETION_MAX_ITER,
-                 tol: float = COMPLETION_TOL,
-                 hard_constraints: bool = True,
-                 stall_threshold: float = 1e-6) -> CompletionResult:
+                 hard_constraints: bool = True) -> CompletionResult:
     """Fill the missing entries of a partial squared EDM.
 
     Alternates a rank-(dim+2+rank_slack) eigentruncation with restoring the
     known entries and projecting onto hollow symmetric non-negative
-    matrices, until the relative Frobenius change drops below ``tol`` or
-    ``max_iter`` is reached. ``rank_slack`` loosens the rank cap for noisy
-    data. With ``hard_constraints`` disabled the returned matrix is the
-    final low-rank iterate itself, so known entries may deviate by up to
-    ``final_objective`` relative. ``converged`` requires both a stalled
-    iteration and a final objective at or below ``stall_threshold``;
-    inconsistent known entries leave the objective stuck above it.
+    matrices, until the relative Frobenius change drops below
+    COMPLETION_TOL or COMPLETION_MAX_ITER is reached. ``rank_slack``
+    loosens the rank cap for noisy data. With ``hard_constraints`` disabled
+    the returned matrix is the final low-rank iterate itself, so known
+    entries may deviate by up to ``final_objective`` relative.
+    ``converged`` requires both a stalled iteration and a final objective
+    at or below COMPLETION_STALL_THRESHOLD; inconsistent known entries
+    leave the objective stuck above it.
     """
     known = partial.mask.copy()
     target = np.where(known, partial.values_sq, 0.0)
@@ -220,7 +199,7 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0,
     iterations = 0
     stalled = False
     low_rank = current
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, COMPLETION_MAX_ITER + 1):
         low_rank = _rank_truncate(current, rank)
         step = np.where(known, target, low_rank)
         step = 0.5 * (step + step.T)
@@ -228,7 +207,7 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0,
         np.fill_diagonal(step, 0.0)
         change = np.linalg.norm(step - current) / max(np.linalg.norm(current), 1e-300)
         current = step
-        if change < tol:
+        if change < COMPLETION_TOL:
             stalled = True
             break
     objective = float(np.linalg.norm((low_rank - target)[known]) / known_norm)
@@ -239,7 +218,7 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0,
         current = 0.5 * (low_rank + low_rank.T)
         current = np.maximum(current, 0.0)
         np.fill_diagonal(current, 0.0)
-    converged = stalled and objective <= stall_threshold
+    converged = stalled and objective <= COMPLETION_STALL_THRESHOLD
     return CompletionResult(current, known, iterations, objective, converged)
 
 
@@ -321,8 +300,7 @@ def build_distance_alphabet(conf1: Conformation, conf2: Conformation,
     seen = []
     for rot in rotations:
         placed = c2 @ rot.T + offset
-        sq = ((c1[:, None, :] - placed[None, :, :]) ** 2).sum(axis=2)
-        seen.append(sq.reshape(-1))
+        seen.append(squared_distances(c1, placed).reshape(-1))
     quantized = np.round(np.concatenate(seen) / quantization_step) * quantization_step
     return DistanceAlphabet(np.unique(quantized), quantization_step,
                             num_rotation_samples)

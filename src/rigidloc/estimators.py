@@ -21,7 +21,9 @@ from .geometry import (
     Pose,
     affine_basis,
     apply_pose,
+    squared_distances,
 )
+from .geometry import _linearized_fix, _ordered_sum, _weighted_kabsch
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
 
 GN_STEP_TOL = 1e-10
@@ -122,26 +124,6 @@ def _observed(values, mask):
     else:
         mask = np.asarray(mask, dtype=bool).reshape(-1) & np.isfinite(values)
     return values, mask
-
-
-def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along ``axis`` term by term from the first.
-
-    Batched kernels sum over anchors and nodes this way so that a
-    problem's result never depends on which other problems share its
-    batch; numpy's pairwise reduction does not promise that.
-    """
-    lead = (slice(None),) * (axis % terms.ndim)
-    total = terms[lead + (0,)].copy()
-    for i in range(1, terms.shape[axis]):
-        total += terms[lead + (i,)]
-    return total
-
-
-def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked product of D x D (or K x D by D x D) matrices, D <= 3,
-    summed elementwise so the result is the same in any batch."""
-    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
 
 
 def _pattern_groups(obs: np.ndarray):
@@ -255,25 +237,6 @@ def _gauss_newton_ranges(x, anchors, dists, obs):
     return x, rms, iterations, converged
 
 
-def _linearized_fix(anchors, dists):
-    """Closed-form start points: subtracting the first range equation from
-    the rest leaves a linear system in the unknown position, solved in the
-    least-squares (minimum-norm) sense.
-
-    ``dists`` is B x M, one problem per row, all from the same anchors, so
-    the problems share one pseudo-inverse. Returns the B x D solutions and
-    the rank of the linear system, with the cutoff ``lstsq`` applies.
-    """
-    dists = np.atleast_2d(dists)
-    lhs = 2.0 * (anchors[1:] - anchors[0])
-    u, svals, vt = np.linalg.svd(lhs, full_matrices=False)
-    keep = svals > np.finfo(float).eps * max(lhs.shape) * svals.max()
-    pinv = (vt[keep].T / svals[keep]) @ u[:, keep].T
-    rhs = (anchors[1:] ** 2).sum(axis=1) - (anchors[0] ** 2).sum() \
-        - dists[:, 1:] ** 2 + dists[:, :1] ** 2
-    return _ordered_sum(pinv * rhs[:, None, :]), int(keep.sum())
-
-
 def _fix_columns(anchors, dists, obs, guess) -> PointFix:
     """Batched core of ``multilaterate``: one problem per row of the B x M
     ``dists``; returns the matrix form of ``PointFix``."""
@@ -329,7 +292,7 @@ def _fix_columns(anchors, dists, obs, guess) -> PointFix:
             in_plane = axes[:rank]
             plane_pts = (pts - pts[0]) @ in_plane.T
             y = _linearized_fix(plane_pts, d_obs)[0]
-            off = ((y[:, None, :] - plane_pts) ** 2).sum(axis=2)
+            off = squared_distances(y, plane_pts)
             z = np.sqrt(np.maximum(_ordered_sum(d_obs**2 - off) / pts.shape[0],
                                    0.0))[:, None]
             base = pts[0] + (y[:, :, None] * in_plane).sum(axis=1)
@@ -402,35 +365,6 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None,
     return PointFix(fix.position[0], float(fix.residual_rms[0]), fix.iterations,
                     fix.converged, ambiguous,
                     tuple(fix.candidates[0]) if ambiguous else ())
-
-
-def _weighted_kabsch(source: np.ndarray, target: np.ndarray, weights):
-    """Proper rotations + translations minimizing the weighted alignment
-    error from source points onto target points, for a batch.
-
-    ``target`` is T x K x D, ``weights`` T x K and ``source`` K x D (shared)
-    or T x K x D. Zero-weight points drop out exactly. Returns T rotations,
-    T translations and T weighted residual RMS values.
-    """
-    w = np.asarray(weights, dtype=float)
-    total = _ordered_sum(w)
-    src_bar = _ordered_sum(w[..., None] * source, axis=-2) / total[:, None]
-    dst_bar = _ordered_sum(w[..., None] * target, axis=-2) / total[:, None]
-    src_c = source - src_bar[:, None, :]
-    dst_c = target - dst_bar[:, None, :]
-    cov = _ordered_sum((src_c * w[..., None])[..., :, None] * dst_c[..., None, :],
-                       axis=-3)
-    u, _, vt = np.linalg.svd(cov)
-    v = np.swapaxes(vt, -1, -2)
-    u_t = np.swapaxes(u, -1, -2)
-    signs = np.ones(src_bar.shape)
-    det_sign = np.sign(np.linalg.det(_small_matmul(v, u_t)))
-    signs[:, -1] = np.where(det_sign == 0.0, 1.0, det_sign)
-    rot = _small_matmul(v * signs[:, None, :], u_t)
-    trans = dst_bar - (rot * src_bar[:, None, :]).sum(axis=-1)
-    resid = dst_c - _small_matmul(src_c, np.swapaxes(rot, -1, -2))
-    rms = np.sqrt(_ordered_sum(w * (resid**2).sum(axis=-1)) / total)
-    return rot, trans, rms
 
 
 def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
@@ -595,13 +529,15 @@ def _polar_point(anchor, dist, azimuth, elevation=None):
 
 def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
                           elevations=None, sigma_range: float = 1.0,
-                          sigma_angle: float = 1.0,
-                          initial_guess=None) -> PointFix:
+                          sigma_angle: float = 1.0) -> PointFix:
     """Locate one point from any mix of ranges and angles of arrival.
 
     All measurement vectors have length M with NaN marking unobserved
     entries. Residuals are stacked with 1/sigma weighting and solved by
-    Gauss-Newton (step tolerance 1e-10, at most 100 iterations). Angles
+    Gauss-Newton (step tolerance 1e-10, at most 100 iterations) from the
+    best-fitting closed-form start: a range+angle polar fix, the
+    linearized range fix, a 2D bearing intersection or the anchor
+    centroid. Angles
     resolve ambiguities ranges alone cannot, e.g. a single anchor with one
     range and one azimuth already fixes a 2D point.
     """
@@ -652,12 +588,10 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
             rows_j.append(w_angle * grad)
         return np.array(rows_r), np.array(rows_j)
 
-    # Candidate start points: caller guess, polar fixes from anchors with a
-    # full range+angle pair, a linearized multilateration fix, and a nudged
+    # Candidate start points: polar fixes from anchors with a full
+    # range+angle pair, a linearized multilateration fix, and a nudged
     # anchor centroid as a fallback.
     candidates = []
-    if initial_guess is not None:
-        candidates.append(np.asarray(initial_guess, dtype=float))
     pair = r_obs & a_obs & (e_obs if dim == 3 else True)
     for n in np.flatnonzero(pair):
         candidates.append(_polar_point(anchors.positions[n], r_vals[n], a_vals[n],
@@ -760,8 +694,7 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
         rot, trans, align_rms = _weighted_kabsch(pts[:k1], conf1.coords[None],
                                                  np.ones((1, k1)))
         body2 = pts[k1:] @ rot[0].T + trans[0]
-        pred = np.sqrt(((conf1.coords[:, None, :] - body2[None, :, :]) ** 2)
-                       .sum(axis=2))
+        pred = np.sqrt(squared_distances(conf1.coords, body2))
         cross_rms = float(np.sqrt(np.mean((pred - cross.values) ** 2)))
         options.append((float(align_rms[0]), cross_rms, body2))
 

@@ -1,4 +1,4 @@
-"""Rigid bodies, poses and velocities.
+"""Rigid bodies, poses, velocities and shared point-set kernels.
 
 A body is a fixed *conformation* of sensor nodes given in its own frame.
 A pose (rotation + translation) places the conformation in the world frame,
@@ -43,6 +43,80 @@ def affine_basis(points: np.ndarray, tol: float = 1e-9):
     return center, vt, int(np.sum(svals > tol * scale))
 
 
+def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distance from every row of ``a`` to every row of
+    ``b`` (shape len(a) x len(b))."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+
+
+def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum along ``axis`` term by term from the first.
+
+    Batched kernels sum over anchors and nodes this way so that a
+    problem's result never depends on which other problems share its
+    batch; numpy's pairwise reduction does not promise that.
+    """
+    lead = (slice(None),) * (axis % terms.ndim)
+    total = terms[lead + (0,)].copy()
+    for i in range(1, terms.shape[axis]):
+        total += terms[lead + (i,)]
+    return total
+
+
+def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked product of D x D (or K x D by D x D) matrices, D <= 3,
+    summed elementwise so the result is the same in any batch."""
+    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
+
+
+def _weighted_kabsch(source: np.ndarray, target: np.ndarray, weights):
+    """Proper rotations + translations minimizing the weighted alignment
+    error from source points onto target points, for a batch.
+
+    ``target`` is T x K x D, ``weights`` T x K and ``source`` K x D (shared)
+    or T x K x D. Zero-weight points drop out exactly. Returns T rotations,
+    T translations and T weighted residual RMS values.
+    """
+    w = np.asarray(weights, dtype=float)
+    total = _ordered_sum(w)
+    src_bar = _ordered_sum(w[..., None] * source, axis=-2) / total[:, None]
+    dst_bar = _ordered_sum(w[..., None] * target, axis=-2) / total[:, None]
+    src_c = source - src_bar[:, None, :]
+    dst_c = target - dst_bar[:, None, :]
+    cov = _ordered_sum((src_c * w[..., None])[..., :, None] * dst_c[..., None, :],
+                       axis=-3)
+    u, _, vt = np.linalg.svd(cov)
+    v = np.swapaxes(vt, -1, -2)
+    u_t = np.swapaxes(u, -1, -2)
+    signs = np.ones(src_bar.shape)
+    det_sign = np.sign(np.linalg.det(_small_matmul(v, u_t)))
+    signs[:, -1] = np.where(det_sign == 0.0, 1.0, det_sign)
+    rot = _small_matmul(v * signs[:, None, :], u_t)
+    trans = dst_bar - (rot * src_bar[:, None, :]).sum(axis=-1)
+    resid = dst_c - _small_matmul(src_c, np.swapaxes(rot, -1, -2))
+    rms = np.sqrt(_ordered_sum(w * (resid**2).sum(axis=-1)) / total)
+    return rot, trans, rms
+
+
+def _linearized_fix(anchors, dists):
+    """Closed-form point fixes, exact for noiseless ranges: subtracting
+    the first range equation from the rest leaves a linear system in the
+    unknown position, solved in the least-squares (minimum-norm) sense.
+
+    ``dists`` is B x M, one problem per row, all from the same anchors, so
+    the problems share one pseudo-inverse. Returns the B x D solutions and
+    the rank of the linear system, with the cutoff ``lstsq`` applies.
+    """
+    dists = np.atleast_2d(dists)
+    lhs = 2.0 * (anchors[1:] - anchors[0])
+    u, svals, vt = np.linalg.svd(lhs, full_matrices=False)
+    keep = svals > np.finfo(float).eps * max(lhs.shape) * svals.max()
+    pinv = (vt[keep].T / svals[keep]) @ u[:, keep].T
+    rhs = (anchors[1:] ** 2).sum(axis=1) - (anchors[0] ** 2).sum() \
+        - dists[:, 1:] ** 2 + dists[:, :1] ** 2
+    return _ordered_sum(pinv * rhs[:, None, :]), int(keep.sum())
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -82,16 +156,16 @@ class Conformation:
 
     def pairwise_distances(self) -> np.ndarray:
         """K x K matrix of internode distances (fixed for a rigid body)."""
-        diff = self.coords[:, None, :] - self.coords[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
+        return np.sqrt(squared_distances(self.coords, self.coords))
 
-    def affine_rank(self, tol: float = 1e-9) -> int:
-        """Rank of the centered coordinates.
+    def affine_rank(self) -> int:
+        """Rank of the centered coordinates, by ``affine_basis`` at its
+        default tolerance.
 
         Equals ``dim`` when the nodes affinely span the full space, which is
         what the pose estimators need for a unique rotation.
         """
-        return affine_basis(self.coords, tol)[2]
+        return affine_basis(self.coords)[2]
 
     def spans_space(self) -> bool:
         return self.affine_rank() == self.dim
@@ -192,8 +266,7 @@ class PlacedBody:
         return self.positions.shape[0]
 
     def pairwise_distances(self) -> np.ndarray:
-        diff = self.positions[:, None, :] - self.positions[None, :, :]
-        return np.sqrt((diff**2).sum(axis=2))
+        return np.sqrt(squared_distances(self.positions, self.positions))
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .geometry import (
     Pose,
     apply_pose,
     random_rotation,
+    squared_distances,
 )
 from .measurement import (
     AnchorSet,
@@ -119,10 +120,10 @@ def _cube_edge_midpoints_3d() -> np.ndarray:
     ], dtype=float)
 
 
-def cube_anchor_layout(num_anchors: int, dim: int = 3, span: float = 60.0,
-                       center=None) -> AnchorSet:
+def cube_anchor_layout(num_anchors: int, dim: int = 3,
+                       span: float = 60.0) -> AnchorSet:
     """Default anchor geometry: vertices of a cube (square in 2D) of side
-    ``span`` around the scene, then edge midpoints for larger counts."""
+    ``span`` centered on the origin, then edge midpoints for larger counts."""
     if span <= 0:
         raise ValueError("span must be positive")
     if dim == 3:
@@ -134,10 +135,7 @@ def cube_anchor_layout(num_anchors: int, dim: int = 3, span: float = 60.0,
         raise ValueError("dim must be 2 or 3")
     if not 1 <= num_anchors <= pts.shape[0]:
         raise ValueError(f"cube layout supports 1..{pts.shape[0]} anchors in {dim}D")
-    positions = pts[:num_anchors] * (span / 2.0)
-    if center is not None:
-        positions = positions + np.asarray(center, dtype=float)
-    return AnchorSet(positions)
+    return AnchorSet(pts[:num_anchors] * (span / 2.0))
 
 
 @dataclass(frozen=True)
@@ -194,6 +192,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown estimator options: {sorted(unknown)}")
         options = {"weighted": bool(self.estimator.get("weighted", True))}
         object.__setattr__(self, "estimator", options)
+        # built-in layouts are checked here so an oversized count fails early
+        try:
+            if self.conformation == "box-vehicle":
+                box_vehicle_conformation(max(counts), self.dim)
+            if self.anchors == "cube" or self.scenario == "placement_study":
+                cube_anchor_layout(self.anchor_count, self.dim, self.anchor_span)
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -462,8 +468,7 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
             direction /= np.linalg.norm(direction)
             pose = Pose(rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction)
             body2 = apply_pose(conf, pose)
-            diff = conf.coords[:, None, :] - body2.positions[None, :, :]
-            dists = np.sqrt((diff**2).sum(axis=2))
+            dists = np.sqrt(squared_distances(conf.coords, body2.positions))
             if sigma > 0:
                 dists = np.maximum(dists + rng.normal(0.0, sigma, dists.shape), 0.0)
             yield pose, dists

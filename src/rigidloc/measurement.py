@@ -21,6 +21,7 @@ from .geometry import (
     affine_basis,
     apply_pose,
     body_velocities,
+    squared_distances,
 )
 
 # Minimum anchor separation: coincident anchors carry no extra information
@@ -48,8 +49,7 @@ class AnchorSet:
             raise ValueError("positions must be an M x D array, D in {2, 3}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("anchor positions must be finite")
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
+        dist = np.sqrt(squared_distances(pos, pos))
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= MIN_ANCHOR_SEPARATION:
             raise ValueError("anchors closer than the minimum separation")
@@ -92,6 +92,29 @@ def _masked_values(values, mask, name: str, nonnegative: bool):
     return values, mask
 
 
+def _masked_to_json(values: np.ndarray, mask: np.ndarray) -> str:
+    vals = [[None if np.isnan(v) else v for v in row] for row in values]
+    return json.dumps({"values": vals, "mask": mask.astype(int).tolist()})
+
+
+def _masked_from_json(text: str):
+    obj = json.loads(text)
+    values = np.array([[np.nan if v is None else v for v in row]
+                       for row in obj["values"]], dtype=float)
+    return values, np.array(obj["mask"], dtype=bool)
+
+
+def _masked_to_csv(values: np.ndarray, mask: np.ndarray, values_path, mask_path):
+    np.savetxt(values_path, values, delimiter=",")
+    np.savetxt(mask_path, mask.astype(int), delimiter=",", fmt="%d")
+
+
+def _masked_from_csv(values_path, mask_path):
+    values = np.loadtxt(values_path, delimiter=",", ndmin=2)
+    mask = np.loadtxt(mask_path, delimiter=",", ndmin=2).astype(bool)
+    return values, mask
+
+
 @dataclass(frozen=True)
 class MaskedRangeMatrix:
     """Anchor-to-node distances (M x K, meters) with an observation mask.
@@ -119,25 +142,18 @@ class MaskedRangeMatrix:
         return self.mask.sum(axis=0)
 
     def to_json(self) -> str:
-        vals = [[None if np.isnan(v) else v for v in row] for row in self.values]
-        return json.dumps({"values": vals, "mask": self.mask.astype(int).tolist()})
+        return _masked_to_json(self.values, self.mask)
 
     @classmethod
     def from_json(cls, text: str) -> "MaskedRangeMatrix":
-        obj = json.loads(text)
-        values = np.array([[np.nan if v is None else v for v in row]
-                           for row in obj["values"]], dtype=float)
-        return cls(values, np.array(obj["mask"], dtype=bool))
+        return cls(*_masked_from_json(text))
 
     def to_csv(self, values_path, mask_path):
-        np.savetxt(values_path, self.values, delimiter=",")
-        np.savetxt(mask_path, self.mask.astype(int), delimiter=",", fmt="%d")
+        _masked_to_csv(self.values, self.mask, values_path, mask_path)
 
     @classmethod
     def from_csv(cls, values_path, mask_path):
-        values = np.loadtxt(values_path, delimiter=",", ndmin=2)
-        mask = np.loadtxt(mask_path, delimiter=",", ndmin=2).astype(bool)
-        return cls(values, mask)
+        return cls(*_masked_from_csv(values_path, mask_path))
 
 
 @dataclass(frozen=True)
@@ -272,11 +288,6 @@ def line_of_sight_blocked(p, q, occluder: PlacedBody) -> bool:
     return bool(_segments_blocked(p, q, _hull_equations(occluder.positions))[0, 0])
 
 
-def _pair_distances(anchors: AnchorSet, body: PlacedBody) -> np.ndarray:
-    diff = anchors.positions[:, None, :] - body.positions[None, :, :]
-    return np.sqrt((diff**2).sum(axis=2))
-
-
 def _visibility_mask(anchors: AnchorSet, body: PlacedBody, visibility) -> np.ndarray:
     blocked = np.zeros((anchors.num_anchors, body.num_nodes), dtype=bool)
     if visibility is not None:
@@ -297,7 +308,7 @@ def simulate_ranges(anchors: AnchorSet, body: PlacedBody, sigma: float,
         raise ValueError("anchor and body dimensions differ")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    values = _pair_distances(anchors, body)
+    values = np.sqrt(squared_distances(anchors.positions, body.positions))
     if sigma > 0:
         if rng is None:
             rng = np.random.default_rng()
@@ -422,26 +433,19 @@ class PartialEdm:
         return np.sqrt(self.values_sq)
 
     def to_json(self) -> str:
-        vals = [[None if np.isnan(v) else v for v in row] for row in self.values_sq]
-        return json.dumps({"values": vals, "mask": self.mask.astype(int).tolist()})
+        return _masked_to_json(self.values_sq, self.mask)
 
     @classmethod
     def from_json(cls, text: str, dim: int = 3, num_anchors=None) -> "PartialEdm":
-        obj = json.loads(text)
-        values = np.array([[np.nan if v is None else v for v in row]
-                           for row in obj["values"]], dtype=float)
-        return cls(values, np.array(obj["mask"], dtype=bool), dim, num_anchors)
+        return cls(*_masked_from_json(text), dim, num_anchors)
 
     def to_csv(self, values_path, mask_path):
-        np.savetxt(values_path, self.values_sq, delimiter=",")
-        np.savetxt(mask_path, self.mask.astype(int), delimiter=",", fmt="%d")
+        _masked_to_csv(self.values_sq, self.mask, values_path, mask_path)
 
     @classmethod
     def from_csv(cls, values_path, mask_path, dim: int = 3, num_anchors=None
                  ) -> "PartialEdm":
-        values = np.loadtxt(values_path, delimiter=",", ndmin=2)
-        mask = np.loadtxt(mask_path, delimiter=",", ndmin=2).astype(bool)
-        return cls(values, mask, dim, num_anchors)
+        return cls(*_masked_from_csv(values_path, mask_path), dim, num_anchors)
 
 
 def assemble_partial_edm(anchors: AnchorSet, conf: Conformation,
@@ -461,8 +465,7 @@ def assemble_partial_edm(anchors: AnchorSet, conf: Conformation,
     n = m + k
     values = np.zeros((n, n))
     mask = np.ones((n, n), dtype=bool)
-    a_diff = anchors.positions[:, None, :] - anchors.positions[None, :, :]
-    values[:m, :m] = (a_diff**2).sum(axis=2)
+    values[:m, :m] = squared_distances(anchors.positions, anchors.positions)
     values[m:, m:] = conf.pairwise_distances() ** 2
     values[:m, m:] = cross.values**2
     values[m:, :m] = values[:m, m:].T

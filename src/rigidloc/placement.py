@@ -27,6 +27,13 @@ from .geometry import (
 from .measurement import AnchorSet, simulate_ranges
 
 UNIT_NORM_TOL = 1e-9
+EVALUATION_POSE_SPREAD = 1.0  # meters; see ``evaluate_placement``
+
+# Restarts of the frame-potential descent, the iteration cap of each, and
+# the decrease a step must make to be taken.
+PLACEMENT_RESTARTS = 20
+DESCENT_MAX_ITER = 2000
+DESCENT_TOL = 1e-15
 
 # Monte-Carlo trials are drawn and solved in blocks of at most this many
 # node fixes (trials x nodes), which bounds the memory of a long run. The
@@ -104,12 +111,12 @@ def _normalize_rows(u: np.ndarray) -> np.ndarray:
     return u / np.sqrt((u**2).sum(axis=1))[:, None]
 
 
-def _descend(u: np.ndarray, max_iter: int, tol: float):
+def _descend(u: np.ndarray):
     """Projected gradient descent on the product of spheres, halving the
     step whenever it fails to decrease the potential."""
     fp = frame_potential(u)
     step = 0.25
-    for _ in range(max_iter):
+    for _ in range(DESCENT_MAX_ITER):
         grad = 4.0 * (u @ u.T) @ u
         moved = u - step * grad
         norms = np.sqrt((moved**2).sum(axis=1))
@@ -120,7 +127,7 @@ def _descend(u: np.ndarray, max_iter: int, tol: float):
             continue
         trial = moved / norms[:, None]
         trial_fp = frame_potential(trial)
-        if trial_fp < fp - tol:
+        if trial_fp < fp - DESCENT_TOL:
             u, fp = trial, trial_fp
             step *= 1.5
         else:
@@ -130,24 +137,24 @@ def _descend(u: np.ndarray, max_iter: int, tol: float):
     return u, fp
 
 
-def optimize_placement(problem: PlacementProblem, restarts: int = 20,
-                       max_iter: int = 2000, tol: float = 1e-15) -> PlacementResult:
+def optimize_placement(problem: PlacementProblem) -> PlacementResult:
     """Minimize the frame potential of the anchor directions.
 
-    Runs seeded random restarts of projected gradient descent and keeps the
-    best layout; anchors are placed on a sphere of ``anchor_radius`` around
-    the target center along the optimized directions.
+    Runs ``PLACEMENT_RESTARTS`` random restarts of projected gradient
+    descent, seeded by ``problem.seed``, and keeps the best layout; anchors
+    are placed on a sphere of ``anchor_radius`` around the target center
+    along the optimized directions.
     """
     rng = np.random.default_rng(problem.seed)
     m, dim = problem.num_anchors, problem.dim
     best_u, best_fp = None, np.inf
-    for _ in range(restarts):
+    for _ in range(PLACEMENT_RESTARTS):
         u = rng.normal(size=(m, dim))
         norms = np.sqrt((u**2).sum(axis=1))
         while np.any(norms < 1e-12):
             u = rng.normal(size=(m, dim))
             norms = np.sqrt((u**2).sum(axis=1))
-        u, fp = _descend(_normalize_rows(u), max_iter, tol)
+        u, fp = _descend(_normalize_rows(u))
         if fp < best_fp:
             best_u, best_fp = u, fp
     positions = problem.target_center + problem.anchor_radius * best_u
@@ -155,16 +162,15 @@ def optimize_placement(problem: PlacementProblem, restarts: int = 20,
 
 
 def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,
-                       trials: int, seed=0,
-                       pose_spread: float = 1.0) -> PlacementEvaluation:
+                       trials: int, seed=0) -> PlacementEvaluation:
     """Monte-Carlo localization error of a body under an anchor layout.
 
     Each trial places the body at a random rotation and a translation
-    drawn uniformly within ``pose_spread`` meters of the anchor centroid,
-    simulates ranges at noise ``sigma`` and runs the two-stage estimator.
-    Per-trial generators are derived from (seed, trial index), so results
-    do not depend on scheduling. Estimator failures are counted and
-    excluded from the error statistics.
+    drawn uniformly within ``EVALUATION_POSE_SPREAD`` meters per axis of
+    the anchor centroid, simulates ranges at noise ``sigma`` and runs the
+    two-stage estimator. Per-trial generators are derived from (seed,
+    trial index), so results do not depend on scheduling. Estimator
+    failures are counted and excluded from the error statistics.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -175,7 +181,8 @@ def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,
         for trial in range(trials):
             rng = np.random.default_rng((*entropy, trial))
             pose = Pose(random_rotation(rng, anchors.dim),
-                        center + rng.uniform(-pose_spread, pose_spread, anchors.dim))
+                        center + rng.uniform(-EVALUATION_POSE_SPREAD,
+                                             EVALUATION_POSE_SPREAD, anchors.dim))
             yield pose, simulate_ranges(anchors, apply_pose(conf, pose), sigma,
                                         None, rng)
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from rigidloc import estimators
-from rigidloc.completion import _linear_trilaterate
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
@@ -14,7 +13,7 @@ from rigidloc.estimators import (
     rbl_two_stage,
     rbl_two_stage_batch,
 )
-from rigidloc.geometry import Pose, apply_pose, random_rotation
+from rigidloc.geometry import Pose, _linearized_fix, apply_pose, random_rotation
 from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
 from rigidloc.measurement import AnchorSet, MaskedRangeMatrix, simulate_ranges
 
@@ -248,9 +247,10 @@ def test_motion_design_matches_explicit_rows(dim):
 def test_linear_trilaterate_rejects_rank_deficient_rows():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [1.0, 1.0, 0.0]])
-    assert _linear_trilaterate(flat, np.ones(4)) is None
+    assert _linearized_fix(flat, np.ones(4))[1] < 3
     anchors = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0],
                         [0.0, 0.0, 4.0]])
     target = np.array([1.0, 2.0, 0.5])
-    fix = _linear_trilaterate(anchors, np.linalg.norm(anchors - target, axis=1))
-    assert np.allclose(fix, target, atol=1e-12)
+    fix, rank = _linearized_fix(anchors, np.linalg.norm(anchors - target, axis=1))
+    assert rank == 3
+    assert np.allclose(fix[0], target, atol=1e-12)

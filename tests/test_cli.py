@@ -100,6 +100,21 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"sensor_counts": [4, 25]}, "box-vehicle supports 1..20 nodes in 3D"),
+        ({"anchor_count": 30}, "cube layout supports 1..20 anchors in 3D"),
+    ], ids=["sensor_counts", "anchor_count"])
+    def test_built_in_layout_too_small(self, tmp_path, capsys, entries, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": "rmse_vs_sensors", "trials": 2,
+                                   **entries}))
+        assert main(["validate", str(bad)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestPlacement:
     def test_outputs(self, tmp_path, capsys):

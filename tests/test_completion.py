@@ -6,6 +6,7 @@ import pytest
 from rigidloc.completion import (
     DistanceAlphabet,
     NonEuclideanMatrixError,
+    _congruent_fill,
     build_distance_alphabet,
     complete_edm,
     edm_to_points,
@@ -121,6 +122,45 @@ class TestCompleteEdm:
         res = complete_edm(partial)
         assert not res.converged
         assert res.final_objective > 1e-6
+
+
+class TestCongruentFill:
+    @staticmethod
+    def mirrored(points, pins):
+        """Reflection of points through the hyperplane of ``dim`` pins."""
+        base = pins[0]
+        if pins.shape[1] == 3:
+            normal = np.cross(pins[1] - base, pins[2] - base)
+        else:
+            edge = pins[1] - base
+            normal = np.array([-edge[1], edge[0]])
+        normal /= np.linalg.norm(normal)
+        return points - 2.0 * ((points - base) @ normal)[:, None] * normal
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_partial_pins_place_the_rest(self, dim):
+        """Only the first ``dim`` body nodes have cross ranges, so they are
+        the only pins and the other nodes are placed by aligning the body
+        embedding onto them: up to a mirror through the pins' hyperplane."""
+        rng = np.random.default_rng(40 + dim)
+        m, k = dim + 2, 6
+        anchors = rng.uniform(-20, 20, (m, dim))
+        body = rng.uniform(-3, 3, (k, dim))
+        pts = np.vstack([anchors, body])
+        unpinned = [(a, m + j) for a in range(m) for j in range(dim, k)]
+        partial, sq = masked_partial(pts, unpinned, dim, num_anchors=m)
+
+        fill = _congruent_fill(partial)
+        assert fill is not None
+        scale = sq.max()
+        pinned = list(range(m + dim))
+        assert np.abs(fill[np.ix_(pinned, pinned)]
+                      - sq[np.ix_(pinned, pinned)]).max() <= 1e-9 * scale
+        mirror = squared_edm(np.vstack([anchors,
+                                        self.mirrored(body, body[:dim])]))
+        assert np.abs(mirror - sq).max() > 1.0
+        assert min(np.abs(fill - sq).max(),
+                   np.abs(fill - mirror).max()) <= 1e-9 * scale
 
 
 class TestEdmToPoints:
