@@ -19,6 +19,7 @@ import numpy as np
 from .completion import complete_edm
 from .harness import (
     ConfigError,
+    check_sources,
     emit_results,
     load_config,
     placement_problem,
@@ -95,6 +96,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = load_config(args.config)
+    check_sources(config)
     print(f"ok: {config.scenario} scenario, {config.trials} trials")
     return EXIT_OK
 

@@ -152,17 +152,15 @@ def _congruent_fill(partial: PartialEdm):
     return squared_distances(points, points)
 
 
-def complete_edm(partial: PartialEdm, rank_slack: int = 0,
-                 hard_constraints: bool = True) -> CompletionResult:
+def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
     """Fill the missing entries of a partial squared EDM.
 
     Alternates a rank-(dim+2+rank_slack) eigentruncation with restoring the
     known entries and projecting onto hollow symmetric non-negative
     matrices, until the relative Frobenius change drops below
     COMPLETION_TOL or COMPLETION_MAX_ITER is reached. ``rank_slack``
-    loosens the rank cap for noisy data. With ``hard_constraints`` disabled
-    the returned matrix is the final low-rank iterate itself, so known
-    entries may deviate by up to ``final_objective`` relative.
+    loosens the rank cap for noisy data. Known entries are returned
+    bit-exact.
     ``converged`` requires both a stalled iteration and a final objective
     at or below COMPLETION_STALL_THRESHOLD; inconsistent known entries
     leave the objective stuck above it.
@@ -211,13 +209,8 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0,
             stalled = True
             break
     objective = float(np.linalg.norm((low_rank - target)[known]) / known_norm)
-    if hard_constraints:
-        # re-imposing the constraints last keeps known entries bit-exact
-        current = np.where(known, target, current)
-    else:
-        current = 0.5 * (low_rank + low_rank.T)
-        current = np.maximum(current, 0.0)
-        np.fill_diagonal(current, 0.0)
+    # re-imposing the constraints last keeps known entries bit-exact
+    current = np.where(known, target, current)
     converged = stalled and objective <= COMPLETION_STALL_THRESHOLD
     return CompletionResult(current, known, iterations, objective, converged)
 

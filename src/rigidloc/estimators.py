@@ -9,7 +9,6 @@ cross distances, and linear velocity estimation from range-rates.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,14 +86,6 @@ class PoseEstimate:
     ambiguous_nodes: tuple = ()
     unconverged_nodes: int = 0
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "R": self.pose.rotation.tolist(),
-            "t": self.pose.translation.tolist(),
-            "residuals": {"stage1_rms": self.stage1_rms,
-                          "stage2_rms": self.stage2_rms},
-        })
-
 
 @dataclass
 class RelativePoseEstimate:
@@ -142,8 +133,8 @@ def _range_residuals(x, anchors, dists, obs):
     return np.where(obs, np.sqrt(sq) - dists, 0.0)
 
 
-def _objective(x, anchors, dists, obs):
-    return _ordered_sum(_range_residuals(x, anchors, dists, obs) ** 2)
+def _objective(residuals, x, rows):
+    return _ordered_sum(residuals(x, rows) ** 2)
 
 
 def _normal_step(jtj, rhs, jac, resid):
@@ -163,10 +154,10 @@ def _normal_step(jtj, rhs, jac, resid):
     return step
 
 
-def _backtrack(x, step, anchors, dists, obs, obj):
+def _backtrack(x, step, residuals, rows, obj):
     """Per-problem step scale: the first of 1, 1/2, ..., 2**-29 at which
-    the objective does not increase, else 2**-30, so badly conditioned
-    geometry cannot launch an iterate off to overflow.
+    the objective of problems ``rows`` does not increase, else 2**-30, so
+    badly conditioned geometry cannot launch an iterate off to overflow.
 
     A scale at which the step drops below GN_STEP_TOL is taken without a
     test: that step ends the iteration whatever it does to the objective,
@@ -174,7 +165,7 @@ def _backtrack(x, step, anchors, dists, obs, obj):
     problem may need are tested in one batched evaluation.
     """
     scale = np.ones(x.shape[0])
-    rejected = np.flatnonzero(~(_objective(x + step, anchors, dists, obs) <= obj))
+    rejected = np.flatnonzero(~(_objective(residuals, x + step, rows) <= obj))
     if rejected.size == 0:
         return scale
     halvings = 0.5 ** np.arange(1, 31)
@@ -184,60 +175,76 @@ def _backtrack(x, step, anchors, dists, obs, obj):
     count = np.where(accept.any(axis=1), accept.argmax(axis=1), 29)
     owner = np.repeat(np.arange(rejected.size), count)
     k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    rows = rejected[owner]
-    ok = _objective(x[rows] + halvings[k, None] * step[rows], anchors,
-                    dists[rows], obs[rows]) <= obj[rows]
+    tried = rejected[owner]
+    ok = _objective(residuals, x[tried] + halvings[k, None] * step[tried],
+                    rows[tried]) <= obj[tried]
     accept[owner[ok], k[ok]] = True
     accept[:, -1] = True
     scale[rejected] = halvings[accept.argmax(axis=1)]
     return scale
 
 
-def _gauss_newton_ranges(x, anchors, dists, obs):
-    """Gauss-Newton range fits for a batch of problems.
+def _gauss_newton(x, residuals, linearize):
+    """Gauss-Newton least-squares fits for a batch of problems.
 
-    Row b fits the point x[b] to the ranges dists[b] from the shared
-    anchors; unobserved entries (False in ``obs``) are zero-weight rows.
-    Each problem backtracks on its own and stops once its step norm drops
-    below GN_STEP_TOL or after GN_MAX_ITER iterations. Returns positions,
-    residual RMS, iteration counts and convergence flags, one per problem.
+    Problem b starts from the point x[b]. ``residuals(x, rows)`` returns
+    the residual vectors of problems ``rows`` (an index array) at the
+    points ``x``, one row per point; ``linearize(x, rows)`` returns those
+    residuals with their Jacobians (points x residuals x D). An unobserved
+    measurement is a residual that is zero with a zero Jacobian row. Each
+    problem backtracks on its own and stops once its step norm drops below
+    GN_STEP_TOL or after GN_MAX_ITER iterations. Returns positions, final
+    sums of squared residuals, iteration counts and convergence flags, one
+    per problem.
     """
     x = np.array(x, dtype=float)
-    dists = np.where(obs, dists, 0.0)
     iterations = np.zeros(x.shape[0], dtype=int)
     converged = np.zeros(x.shape[0], dtype=bool)
-    obj = _objective(x, anchors, dists, obs)
     live = np.arange(x.shape[0])
+    obj = _objective(residuals, x, live)
     for iteration in range(1, GN_MAX_ITER + 1):
         if live.size == 0:
             break
-        x_live, d_live, o_live = x[live], dists[live], obs[live]
-        jac = x_live[:, None, :] - anchors
-        norm = np.maximum(np.sqrt((jac**2).sum(axis=2)), 1e-300)
-        resid = np.where(o_live, norm - d_live, 0.0)
-        jac /= norm[..., None]
-        jac[~o_live] = 0.0
-        # normal equations, accumulated anchor by anchor
+        x_live = x[live]
+        resid, jac = linearize(x_live, live)
+        # normal equations, accumulated residual by residual
         jtj = jac[:, 0, :, None] * jac[:, 0, None, :]
         rhs = -(jac[:, 0] * resid[:, :1])
-        for m in range(1, anchors.shape[0]):
+        for m in range(1, resid.shape[1]):
             jtj += jac[:, m, :, None] * jac[:, m, None, :]
             rhs -= jac[:, m] * resid[:, m:m + 1]
         step = _normal_step(jtj, rhs, jac, resid)
-        moved = _backtrack(x_live, step, anchors, d_live, o_live,
-                           obj[live])[:, None] * step
+        moved = _backtrack(x_live, step, residuals, live, obj[live])[:, None] * step
         x_live = x_live + moved
         x[live] = x_live
-        obj[live] = _objective(x_live, anchors, d_live, o_live)
+        obj[live] = _objective(residuals, x_live, live)
         iterations[live] = iteration
         done = np.sqrt((moved**2).sum(axis=1)) < GN_STEP_TOL
         converged[live[done]] = True
         live = live[~done]
-    rms = np.sqrt(_objective(x, anchors, dists, obs) / obs.sum(axis=1))
-    return x, rms, iterations, converged
+    return x, obj, iterations, converged
 
 
-def _fix_columns(anchors, dists, obs, guess) -> PointFix:
+def _range_model(anchors, dists, obs):
+    """``(residuals, linearize)`` of the range fits ``_gauss_newton`` runs:
+    problem b fits a point to the ranges dists[b] from the shared anchors,
+    where obs[b] is True (B x M)."""
+    def residuals(x, rows):
+        return _range_residuals(x, anchors, dists[rows], obs[rows])
+
+    def linearize(x, rows):
+        observed = obs[rows]
+        jac = x[:, None, :] - anchors
+        norm = np.maximum(np.sqrt((jac**2).sum(axis=2)), 1e-300)
+        resid = np.where(observed, norm - dists[rows], 0.0)
+        jac /= norm[..., None]
+        jac[~observed] = 0.0
+        return resid, jac
+
+    return residuals, linearize
+
+
+def _fix_columns(anchors, dists, obs) -> PointFix:
     """Batched core of ``multilaterate``: one problem per row of the B x M
     ``dists``; returns the matrix form of ``PointFix``."""
     b, dim = dists.shape[0], anchors.shape[1]
@@ -262,8 +269,8 @@ def _fix_columns(anchors, dists, obs, guess) -> PointFix:
     hits = obs & (dists == 0.0) & live[:, None]
     exact = np.flatnonzero(hits.any(axis=1))
     position[exact] = anchors[hits[exact].argmax(axis=1)]
-    rms[exact] = np.sqrt(_objective(position[exact], anchors, dists[exact],
-                                    obs[exact]) / n_obs[exact])
+    rms[exact] = np.sqrt(_ordered_sum(_range_residuals(
+        position[exact], anchors, dists[exact], obs[exact]) ** 2) / n_obs[exact])
     converged[exact] = True
     live[exact] = False
 
@@ -280,8 +287,7 @@ def _fix_columns(anchors, dists, obs, guess) -> PointFix:
         if rank == dim:
             owner.append(cols)
             second.append(np.zeros(cols.size, dtype=bool))
-            start.append(guess[cols] if guess is not None
-                         else _linearized_fix(pts, d_obs)[0])
+            start.append(_linearized_fix(pts, d_obs)[0])
         elif rank == dim - 1:
             normal = axes[rank]
             flip = np.flatnonzero(np.abs(normal) > 1e-12)
@@ -307,8 +313,9 @@ def _fix_columns(anchors, dists, obs, guess) -> PointFix:
 
     if owner:
         owner, second = np.concatenate(owner), np.concatenate(second)
-        x, fit_rms, fit_iters, fit_conv = _gauss_newton_ranges(
-            np.concatenate(start), anchors, dists[owner], obs[owner])
+        x, fit_obj, fit_iters, fit_conv = _gauss_newton(
+            np.concatenate(start), *_range_model(anchors, dists[owner], obs[owner]))
+        fit_rms = np.sqrt(fit_obj / n_obs[owner])
         first, cols = ~second, owner[~second]
         position[cols] = x[first]
         rms[cols] = fit_rms[first]
@@ -327,8 +334,7 @@ def _fix_columns(anchors, dists, obs, guess) -> PointFix:
                     iterations, converged, tuple(errors))
 
 
-def multilaterate(anchors: AnchorSet, ranges, mask=None,
-                  initial_guess=None) -> PointFix:
+def multilaterate(anchors: AnchorSet, ranges, mask=None) -> PointFix:
     """Locate points from their distances to known anchors.
 
     ``ranges`` is a length-M vector aligned with the anchor set, or an
@@ -340,8 +346,7 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None,
     and flagged. All columns are solved together in one batched
     iteration; a vector is the one-column case. A vector whose point
     cannot be fixed raises; for a matrix the error is returned per column
-    (see ``PointFix``). ``initial_guess`` (a point, or B x D) replaces the
-    linearized start of full-rank problems.
+    (see ``PointFix``).
     """
     values = np.asarray(ranges, dtype=float)
     single = values.ndim == 1
@@ -352,11 +357,7 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None,
         obs &= np.asarray(mask, dtype=bool).reshape(values.shape)
     columns = values.reshape(anchors.num_anchors, -1).T
     obs = obs.reshape(anchors.num_anchors, -1).T
-    guess = None
-    if initial_guess is not None:
-        guess = np.asarray(initial_guess, dtype=float).reshape(columns.shape[0],
-                                                               anchors.dim)
-    fix = _fix_columns(anchors.positions, columns, obs, guess)
+    fix = _fix_columns(anchors.positions, columns, obs)
     if not single:
         return fix
     if fix.errors[0] is not None:
@@ -533,13 +534,13 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
     """Locate one point from any mix of ranges and angles of arrival.
 
     All measurement vectors have length M with NaN marking unobserved
-    entries. Residuals are stacked with 1/sigma weighting and solved by
-    Gauss-Newton (step tolerance 1e-10, at most 100 iterations) from the
-    best-fitting closed-form start: a range+angle polar fix, the
+    entries. Range, azimuth and (3D) elevation residuals are stacked with
+    1/sigma weighting and solved by the Gauss-Newton kernel that
+    ``multilaterate`` runs (step tolerance 1e-10, at most 100 iterations)
+    from the best-fitting closed-form start: a range+angle polar fix, the
     linearized range fix, a 2D bearing intersection or the anchor
-    centroid. Angles
-    resolve ambiguities ranges alone cannot, e.g. a single anchor with one
-    range and one azimuth already fixes a 2D point.
+    centroid. Angles resolve ambiguities ranges alone cannot, e.g. a
+    single anchor with one range and one azimuth already fixes a 2D point.
     """
     dim = anchors.dim
     m = anchors.num_anchors
@@ -558,35 +559,34 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
             f"{n_total} observations cannot fix a point in {dim}D")
     w_range = 1.0 / sigma_range if sigma_range > 0 else 1.0
     w_angle = 1.0 / sigma_angle if sigma_angle > 0 else 1.0
+    # one weighted row per anchor and kind, zero where unobserved
+    weights = np.concatenate([w_range * r_obs, w_angle * a_obs]
+                             + ([w_angle * e_obs] if dim == 3 else []))
 
-    def residual_jacobian(x):
-        rows_r, rows_j = [], []
-        for n in np.flatnonzero(r_obs):
-            diff = x - anchors.positions[n]
-            dist = max(np.linalg.norm(diff), 1e-300)
-            rows_r.append(w_range * (dist - r_vals[n]))
-            rows_j.append(w_range * diff / dist)
-        for n in np.flatnonzero(a_obs):
-            diff = x - anchors.positions[n]
-            rho_sq = diff[0] ** 2 + diff[1] ** 2
-            rho_sq = max(rho_sq, 1e-300)
-            pred = np.arctan2(diff[1], diff[0])
-            rows_r.append(w_angle * wrap_angle(pred - a_vals[n]))
-            grad = np.zeros(dim)
-            grad[0] = -diff[1] / rho_sq
-            grad[1] = diff[0] / rho_sq
-            rows_j.append(w_angle * grad)
-        for n in np.flatnonzero(e_obs):
-            diff = x - anchors.positions[n]
-            rho = max(np.hypot(diff[0], diff[1]), 1e-300)
-            r_sq = max((diff**2).sum(), 1e-300)
-            pred = np.arctan2(diff[2], rho)
-            rows_r.append(w_angle * (pred - e_vals[n]))
-            grad = np.array([-diff[0] * diff[2] / (r_sq * rho),
-                             -diff[1] * diff[2] / (r_sq * rho),
-                             rho / r_sq])
-            rows_j.append(w_angle * grad)
-        return np.array(rows_r), np.array(rows_j)
+    def linearize(x, rows):
+        # every problem shares the one measurement set, so ``rows`` is unused
+        diff = x[:, None, :] - anchors.positions
+        sq = (diff**2).sum(axis=2)
+        dist = np.maximum(np.sqrt(sq), 1e-300)
+        rho_sq = np.maximum(diff[..., 0] ** 2 + diff[..., 1] ** 2, 1e-300)
+        d_azimuth = np.zeros_like(diff)
+        d_azimuth[..., 0] = -diff[..., 1] / rho_sq
+        d_azimuth[..., 1] = diff[..., 0] / rho_sq
+        resid = [np.where(r_obs, dist - r_vals, 0.0),
+                 np.where(a_obs, wrap_angle(np.arctan2(diff[..., 1], diff[..., 0])
+                                            - a_vals), 0.0)]
+        jac = [diff / dist[..., None], d_azimuth]
+        if dim == 3:
+            rho = np.sqrt(rho_sq)
+            resid.append(np.where(e_obs, np.arctan2(diff[..., 2], rho) - e_vals, 0.0))
+            jac.append(np.stack([-diff[..., 0] * diff[..., 2],
+                                 -diff[..., 1] * diff[..., 2], rho_sq], axis=-1)
+                       / (np.maximum(sq, 1e-300) * rho)[..., None])
+        return (np.concatenate(resid, axis=1) * weights,
+                np.concatenate(jac, axis=1) * weights[:, None])
+
+    def residuals(x, rows):
+        return linearize(x, rows)[0]
 
     # Candidate start points: polar fixes from anchors with a full
     # range+angle pair, a linearized multilateration fix, and a nudged
@@ -609,43 +609,14 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
             s = np.linalg.solve(system, anchors.positions[j] - anchors.positions[i])
             candidates.append(anchors.positions[i] + s[0] * d_i)
     candidates.append(anchors.positions.mean(axis=0) + 0.37)
+    candidates = np.array(candidates)
+    start = candidates[np.argmin(_objective(residuals, candidates, None)), None]
 
-    best, best_obj = None, np.inf
-    for cand in candidates:
-        obj = float((residual_jacobian(cand)[0] ** 2).sum())
-        if obj < best_obj:
-            best, best_obj = cand, obj
-
-    x = best
-    resid, jac = residual_jacobian(x)
-    if np.linalg.matrix_rank(jac) < dim:
+    if np.linalg.matrix_rank(linearize(start, None)[1][0]) < dim:
         raise DegenerateGeometryError("measurements do not pin down the point")
-    converged = False
-    iterations = 0
-    obj = float((resid**2).sum())
-    for iterations in range(1, GN_MAX_ITER + 1):
-        resid, jac = residual_jacobian(x)
-        try:
-            step = np.linalg.solve(jac.T @ jac, -jac.T @ resid)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(jac, -resid, rcond=None)[0]
-        # backtrack: a full Gauss-Newton step can overshoot when angle
-        # residuals flatten out far from the anchors
-        scale = 1.0
-        for _ in range(30):
-            trial = x + scale * step
-            trial_obj = float((residual_jacobian(trial)[0] ** 2).sum())
-            if trial_obj <= obj:
-                break
-            scale *= 0.5
-        x = x + scale * step
-        obj = float((residual_jacobian(x)[0] ** 2).sum())
-        if np.linalg.norm(scale * step) < GN_STEP_TOL:
-            converged = True
-            break
-    resid, _ = residual_jacobian(x)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    return PointFix(x, rms, iterations, converged)
+    x, obj, iterations, converged = _gauss_newton(start, residuals, linearize)
+    return PointFix(x[0], float(np.sqrt(obj[0] / n_total)), int(iterations[0]),
+                    bool(converged[0]))
 
 
 def _relative_residual(a: float, b: float) -> float:

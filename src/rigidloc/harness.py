@@ -429,7 +429,7 @@ def _range_draws(config, anchors, conf, sweep_idx, sigma, fraction):
         if fraction > 0:
             mask = mask & (rng.random(mask.shape) >= fraction)
             values = np.where(mask, values, np.nan)
-        yield pose, MaskedRangeMatrix(values, mask, sigma)
+        yield pose, MaskedRangeMatrix(values, mask)
 
 
 def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
@@ -448,7 +448,7 @@ def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
         try:
             partial = assemble_partial_edm(anchors, conf, ranges)
             result = complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
-            return MaskedRangeMatrix(result.distances()[:m, m:], noise_sigma=sigma)
+            return MaskedRangeMatrix(result.distances()[:m, m:])
         except ValueError:
             return None
 
@@ -475,7 +475,7 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
 
     return error_statistics(draws(), one_at_a_time(
         lambda dists: relative_pose_anchorless(
-            conf, conf, MaskedRangeMatrix(dists, noise_sigma=sigma))))
+            conf, conf, MaskedRangeMatrix(dists))))
 
 
 def _motion_errors(est, motion: BodyMotion):
@@ -566,6 +566,18 @@ _SWEEPS = {
                               "_point_placement", _placement_layouts),
 }
 SCENARIOS = tuple(_SWEEPS)
+
+
+def check_sources(config: ExperimentConfig) -> None:
+    """Read the anchor and conformation sources a run of ``config`` reads,
+    raising what the run would raise: a missing file, or a file body with
+    fewer nodes than the largest sensor count the sweep uses."""
+    sweep = _SWEEPS[config.scenario]
+    if sweep.shared is _resolve_anchors:
+        _resolve_anchors(config)
+    counts = config.sensor_counts if "sensors" in sweep.loops \
+        else config.sensor_counts[:1]
+    _resolve_conformation(config, max(counts))
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:

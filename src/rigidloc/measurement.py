@@ -125,13 +125,11 @@ class MaskedRangeMatrix:
 
     values: np.ndarray
     mask: np.ndarray = None
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         values, mask = _masked_values(self.values, self.mask, "values", nonnegative=True)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
     @property
     def shape(self):
@@ -163,7 +161,6 @@ class AngleMeasurements:
     azimuth: np.ndarray
     elevation: np.ndarray = None
     mask: np.ndarray = None
-    noise_sigma: float = 0.0
 
     def __post_init__(self):
         azimuth, mask = _masked_values(self.azimuth, self.mask, "azimuth",
@@ -180,7 +177,6 @@ class AngleMeasurements:
             if obs.size and (obs.min() < -np.pi / 2 or obs.max() > np.pi / 2):
                 raise ValueError("elevation must lie in [-pi/2, pi/2]")
             object.__setattr__(self, "elevation", elevation)
-        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
 
     @property
     def shape(self):
@@ -315,7 +311,7 @@ def simulate_ranges(anchors: AnchorSet, body: PlacedBody, sigma: float,
         values = np.maximum(values + rng.normal(0.0, sigma, size=values.shape), 0.0)
     mask = _visibility_mask(anchors, body, visibility)
     values = np.where(mask, values, np.nan)
-    return MaskedRangeMatrix(values, mask, noise_sigma=sigma)
+    return MaskedRangeMatrix(values, mask)
 
 
 def simulate_aoa(anchors: AnchorSet, body: PlacedBody, sigma_rad: float,
@@ -351,7 +347,7 @@ def simulate_aoa(anchors: AnchorSet, body: PlacedBody, sigma_rad: float,
     azimuth = np.where(mask, azimuth, np.nan)
     if elevation is not None:
         elevation = np.where(mask, elevation, np.nan)
-    return AngleMeasurements(azimuth, elevation, mask, noise_sigma=sigma_rad)
+    return AngleMeasurements(azimuth, elevation, mask)
 
 
 def simulate_range_rates(anchors: AnchorSet, conf: Conformation, pose: Pose,

@@ -166,7 +166,7 @@ class TestBatchTwoStage:
                 mask[[2, 3, 4, 5]] = False  # only the x = +30 face: mirrors
             elif i % 5 == 3:
                 mask[3:] = False  # no usable node
-            out.append(MaskedRangeMatrix(np.where(mask, values, np.nan), mask, 0.1))
+            out.append(MaskedRangeMatrix(np.where(mask, values, np.nan), mask))
         return anchors, conf, out
 
     @pytest.mark.parametrize("weighted", [True, False])

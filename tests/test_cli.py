@@ -115,6 +115,35 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("body, message", [
+        ("four_nodes.json", "conformation file has 4 nodes; cannot take 6"),
+        ("absent.json", "absent.json"),
+    ], ids=["too_few_nodes", "missing_file"])
+    def test_conformation_file_checked(self, tmp_path, capsys, body, message):
+        (tmp_path / "four_nodes.json").write_text(Conformation(
+            [[0.0, 0.0, 0.0], [3.0, 0.0, 0.0], [0.0, 2.0, 0.0],
+             [0.0, 0.0, 1.0]]).to_json())
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": "rmse_vs_sensors", "trials": 2,
+                                   "conformation": f"file:{tmp_path / body}",
+                                   "sensor_counts": [4, 6]}))
+        assert main(["validate", str(bad)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unread_anchor_file_not_checked(self, tmp_path):
+        # the anchorless scenario reads no anchors, so neither command does
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenario": "anchorless_two_body",
+                                   "trials": 2, "sensor_counts": [4],
+                                   "sigma_list": [0.0],
+                                   "anchors": f"file:{tmp_path / 'absent.json'}"}))
+        assert main(["validate", str(cfg)]) == EXIT_OK
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+
 
 class TestPlacement:
     def test_outputs(self, tmp_path, capsys):

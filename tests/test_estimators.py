@@ -107,12 +107,6 @@ class TestMultilaterate:
         assert np.linalg.norm(fix.position - target) < 0.05
         assert fix.residual_rms < 0.03
 
-    def test_initial_guess_honored(self):
-        anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
-        fix = multilaterate(anchors, ranges_to(anchors, [1.0, 1.0]),
-                            initial_guess=[50.0, -80.0])
-        assert np.allclose(fix.position, [1.0, 1.0], atol=1e-7)
-
 
 class TestProcrustes:
     def test_generate_recover(self):

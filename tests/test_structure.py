@@ -1,6 +1,7 @@
-"""Import structure of the package: intra-package imports sit at module
+"""Structure of the package: intra-package imports sit at module
 level and form no cycle, and the only import inside a function is the lazy
-``scipy.spatial`` one that keeps scipy out of ``import rigidloc``."""
+``scipy.spatial`` one that keeps scipy out of ``import rigidloc``; and the
+Gauss-Newton settings are read by one solver loop only."""
 
 import ast
 from pathlib import Path
@@ -72,3 +73,35 @@ def test_module_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def readers(tree, name):
+    """Names of the functions that read the module-level ``name``, with
+    ``<module>`` for a read outside any function."""
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Name) and child.id == name
+                    and isinstance(child.ctx, ast.Load)):
+                found.add(owner)
+            walk(child, owner)
+
+    walk(tree, "<module>")
+    return found
+
+
+def test_one_gauss_newton_loop():
+    """Every point fix runs on one Gauss-Newton kernel: only it reads the
+    iteration cap, and only it and its backtracking read the step
+    tolerance."""
+    modules = parse_modules()
+    iter_cap = {f"{m}.{f}" for m, tree in modules.items()
+                for f in readers(tree, "GN_MAX_ITER")}
+    step_tol = {f"{m}.{f}" for m, tree in modules.items()
+                for f in readers(tree, "GN_STEP_TOL")}
+    assert iter_cap == {"estimators._gauss_newton"}
+    assert step_tol == {"estimators._gauss_newton", "estimators._backtrack"}
