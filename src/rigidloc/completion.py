@@ -36,10 +36,10 @@ class NonEuclideanMatrixError(ValueError):
 class CompletionResult:
     """Completed squared EDM plus diagnostics.
 
-    ``completed`` is hollow, symmetric and non-negative with the originally
-    known entries (marked in ``known_mask``) reproduced exactly in hard
-    constraint mode. ``final_objective`` is the relative mismatch between
-    the final low-rank iterate and the known entries.
+    ``completed`` is hollow, symmetric and non-negative, and holds the
+    originally known entries (marked in ``known_mask``) bit-exact.
+    ``final_objective`` is the relative mismatch between the final
+    low-rank iterate and the known entries.
     """
 
     completed: np.ndarray

@@ -2,14 +2,15 @@
 
 The main pipeline localizes each body node from its anchor ranges
 (Gauss-Newton multilateration) and then fits the rigid pose to the node
-fixes with a weighted orthogonal Procrustes alignment. Companions cover
+fixes with a weighted orthogonal Procrustes alignment; a third stage can
+refine that pose by Gauss-Newton over all observed ranges. Companions cover
 hybrid range+angle point fixes, anchorless body-to-body relative pose from
 cross distances, and linear velocity estimation from range-rates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .geometry import (
     apply_pose,
     squared_distances,
 )
-from .geometry import _linearized_fix, _ordered_sum, _weighted_kabsch
+from .geometry import _linearized_fix, _ordered_sum, _small_matmul, _weighted_kabsch
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
 
 GN_STEP_TOL = 1e-10
@@ -76,6 +77,8 @@ class PoseEstimate:
 
     ``unconverged_nodes`` counts the stage-1 node fixes whose Gauss-Newton
     iteration hit the iteration cap before its step fell below tolerance.
+    ``stage3_converged`` is None until ``refine_poses`` refines the pose,
+    then whether its Gauss-Newton step fell below tolerance.
     """
 
     pose: Pose
@@ -85,6 +88,7 @@ class PoseEstimate:
     rotation_unique: bool = True
     ambiguous_nodes: tuple = ()
     unconverged_nodes: int = 0
+    stage3_converged: bool | None = None
 
 
 @dataclass
@@ -517,6 +521,113 @@ def rbl_two_stage(anchors: AnchorSet, ranges: MaskedRangeMatrix,
     if isinstance(result, ValueError):
         raise result
     return result
+
+
+def _local_rotations(params):
+    """Rotations of the B x 1 (2D) or B x 3 (3D) local parameters: the
+    angle's planar rotation, or exp([ω]×) by the Rodrigues formula."""
+    if params.shape[1] == 1:
+        c, s = np.cos(params[:, 0]), np.sin(params[:, 0])
+        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
+    w0, w1, w2 = params.T
+    zero = np.zeros_like(w0)
+    skew = np.stack([np.stack([zero, -w2, w1], axis=-1),
+                     np.stack([w2, zero, -w0], axis=-1),
+                     np.stack([-w1, w0, zero], axis=-1)], axis=1)
+    angle = np.sqrt(w0**2 + w1**2 + w2**2)
+    # sin(θ)/θ and (1 - cos θ)/θ², both finite at θ = 0
+    first = np.sinc(angle / np.pi)[:, None, None]
+    second = 0.5 * np.sinc(angle / (2.0 * np.pi))[:, None, None] ** 2
+    return np.eye(3) + first * skew + second * _small_matmul(skew, skew)
+
+
+def _pose_model(anchors, coords, rot0, dists, obs):
+    """``(residuals, linearize)`` of the pose refinements ``_gauss_newton``
+    runs: problem b fits x = (ω, t), the body at rotation R(ω)·rot0[b] and
+    translation t, to the ranges dists[b] (B x M x K) where obs[b] is True.
+    A residual's Jacobian row is [q x u, u] in 3D and [u . (J2 q), u] in
+    2D, with q = R c_k and u the unit anchor-to-node vector. In 3D that
+    row is the derivative for a rotation applied on top of the current
+    one; it equals the derivative in ω at ω = 0 and differs from it by the
+    left Jacobian of SO(3), invertible for |ω| < 2π, so both vanish at the
+    same fits."""
+    dim = coords.shape[1]
+    count = obs.shape[1] * obs.shape[2]
+
+    def place(x, rows):
+        rot = _small_matmul(_local_rotations(x[:, :-dim]), rot0[rows])
+        rotated = _small_matmul(coords, np.swapaxes(rot, -1, -2))
+        diff = (rotated + x[:, None, -dim:])[:, None] - anchors[:, None]
+        sq = diff[..., 0] ** 2
+        for k in range(1, dim):
+            sq += diff[..., k] ** 2
+        return rotated, diff, np.maximum(np.sqrt(sq), 1e-300)
+
+    def residuals(x, rows):
+        dist = place(x, rows)[2]
+        return np.where(obs[rows], dist - dists[rows], 0.0).reshape(-1, count)
+
+    def linearize(x, rows):
+        rotated, diff, dist = place(x, rows)
+        observed = obs[rows]
+        resid = np.where(observed, dist - dists[rows], 0.0)
+        u = diff / dist[..., None]
+        q = rotated[:, None]
+        if dim == 2:
+            spin = (u[..., 1] * q[..., 0] - u[..., 0] * q[..., 1])[..., None]
+        else:
+            spin = np.cross(q, u)
+        jac = np.concatenate([spin, u], axis=-1)
+        jac[~observed] = 0.0
+        return resid.reshape(-1, count), jac.reshape(-1, count, jac.shape[-1])
+
+    return residuals, linearize
+
+
+def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
+                 estimates) -> list:
+    """Stage 3: maximum-likelihood refinement of two-stage pose estimates.
+
+    Runs Gauss-Newton on SE(n) over every observed range of each trial,
+    following Chepuri, Leus & van der Veen, "Rigid Body Localization Using
+    Sensor Networks" (IEEE TSP 2014). ``ranges`` (M x K
+    ``MaskedRangeMatrix`` per trial) and ``estimates`` are aligned per
+    trial; the estimates are what ``rbl_two_stage_batch`` returns, and the
+    ranges need not be the ones it was given. Each pose starts from its
+    stage-2 rotation R0 and translation and moves as R = exp([ω]×)·R0 in
+    3D or rot(θ)·R0 in 2D. All trials are solved together by the kernel
+    every point fix runs on, so a trial's result does not depend on the
+    others. Estimation errors, and estimates whose rotation is not unique,
+    come back unchanged; every other estimate comes back with the refined
+    pose, its stage-3 iterations added to ``iterations`` and
+    ``stage3_converged`` set.
+    """
+    if anchors.dim != conf.dim:
+        raise ValueError("anchor and conformation dimensions differ")
+    if len(ranges) != len(estimates):
+        raise ValueError("one range matrix per estimate required")
+    if any(r.shape != (anchors.num_anchors, conf.num_nodes) for r in ranges):
+        raise ValueError("range matrix shape must be (num_anchors, num_nodes)")
+    results = list(estimates)
+    todo = [t for t, est in enumerate(estimates)
+            if isinstance(est, PoseEstimate) and est.rotation_unique]
+    if not todo:
+        return results
+    dim = conf.dim
+    rot0 = np.stack([estimates[t].pose.rotation for t in todo])
+    start = np.hstack([np.zeros((len(todo), 1 if dim == 2 else 3)),
+                       np.stack([estimates[t].pose.translation for t in todo])])
+    mask = np.stack([ranges[t].mask for t in todo])
+    dists = np.where(mask, np.stack([ranges[t].values for t in todo]), 0.0)
+    x, _, iterations, converged = _gauss_newton(
+        start, *_pose_model(anchors.positions, conf.coords, rot0, dists, mask))
+    rot = _small_matmul(_local_rotations(x[:, :-dim]), rot0)
+    for i, t in enumerate(todo):
+        est = estimates[t]
+        results[t] = replace(est, pose=Pose(rot[i], x[i, -dim:]),
+                             iterations=est.iterations + int(iterations[i]),
+                             stage3_converged=bool(converged[i]))
+    return results
 
 
 def _polar_point(anchor, dist, azimuth, elevation=None):

@@ -19,8 +19,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .completion import complete_edm
-from .estimators import estimate_motion, relative_pose_anchorless
+from .completion import NonEuclideanMatrixError, complete_edm
+from .completion import _congruent_fill
+from .estimators import (
+    DegenerateGeometryError,
+    InsufficientMeasurementsError,
+    estimate_motion,
+    rbl_two_stage_batch,
+    refine_poses,
+    relative_pose_anchorless,
+)
 from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
 from .geometry import (
     BodyMotion,
@@ -43,6 +51,7 @@ from .placement import (
     evaluate_placement,
     one_at_a_time,
     optimize_placement,
+    trials_per_block,
     two_stage_statistics,
 )
 
@@ -440,21 +449,37 @@ def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
 
 
 def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
+    """Each trial fills its missing ranges from the congruent start of its
+    partial EDM (or, when that start cannot be built, from
+    ``complete_edm``), runs the two-stage estimator on the filled block
+    and refines the pose on the ranges it observed."""
     conf = _resolve_conformation(config, sensors)
     m = anchors.num_anchors
 
-    def complete(ranges):
-        # a completion failure is an estimation failure of that trial
+    def fill(ranges):
         try:
             partial = assemble_partial_edm(anchors, conf, ranges)
-            result = complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
-            return MaskedRangeMatrix(result.distances()[:m, m:])
-        except ValueError:
+            filled = _congruent_fill(partial)
+            if filled is None:
+                filled = complete_edm(partial, rank_slack=1 if sigma > 0 else 0).completed
+        except (InsufficientMeasurementsError, DegenerateGeometryError,
+                NonEuclideanMatrixError):
             return None
+        return MaskedRangeMatrix(np.where(ranges.mask, ranges.values,
+                                          np.sqrt(filled[:m, m:])))
 
-    draws = ((pose, complete(ranges)) for pose, ranges in
-             _range_draws(config, anchors, conf, sweep_idx, sigma, fraction))
-    return two_stage_statistics(anchors, conf, draws, config.estimator["weighted"])
+    def draws():
+        for pose, ranges in _range_draws(config, anchors, conf, sweep_idx, sigma,
+                                         fraction):
+            filled = fill(ranges)
+            yield pose, None if filled is None else (filled, ranges)
+
+    def solve(items):
+        estimates = rbl_two_stage_batch(anchors, [f for f, _ in items], conf,
+                                        config.estimator["weighted"])
+        return refine_poses(anchors, [r for _, r in items], conf, estimates)
+
+    return error_statistics(draws(), solve, block_size=trials_per_block(conf))
 
 
 def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):

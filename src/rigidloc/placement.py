@@ -242,14 +242,20 @@ def one_at_a_time(solve):
     return solve_block
 
 
+def trials_per_block(conf: Conformation) -> int:
+    """Trials of a body solved together: at most ``BLOCK_NODE_FIXES`` node
+    fixes, and at least one trial."""
+    return max(1, BLOCK_NODE_FIXES // conf.num_nodes)
+
+
 def two_stage_statistics(anchors: AnchorSet, conf: Conformation, draws,
                          weighted: bool = True) -> PlacementEvaluation:
     """Error statistics of the two-stage estimator over (true pose, ranges)
-    draws, solved in blocks of at most ``BLOCK_NODE_FIXES`` node fixes."""
+    draws, solved in blocks of ``trials_per_block`` trials."""
     return error_statistics(
         draws, lambda ranges: rbl_two_stage_batch(anchors, ranges, conf,
                                                   weighted=weighted),
-        block_size=max(1, BLOCK_NODE_FIXES // conf.num_nodes))
+        block_size=trials_per_block(conf))
 
 
 def rmse_and_se(squared_errors) -> tuple[float, float]:

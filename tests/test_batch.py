@@ -1,5 +1,8 @@
 """Batched estimation: ``multilaterate`` on range matrices, the batched
-two-stage estimator, and their agreement with one-at-a-time calls."""
+two-stage estimator, the stage-3 pose refinement, and their agreement
+with one-at-a-time calls."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +15,17 @@ from rigidloc.estimators import (
     multilaterate,
     rbl_two_stage,
     rbl_two_stage_batch,
+    refine_poses,
 )
-from rigidloc.geometry import Pose, _linearized_fix, apply_pose, random_rotation
+from rigidloc.geometry import (
+    Pose,
+    _linearized_fix,
+    apply_pose,
+    random_rotation,
+    rotation_2d,
+    rotation_about_axis,
+    rotation_geodesic_error,
+)
 from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
 from rigidloc.measurement import AnchorSet, MaskedRangeMatrix, simulate_ranges
 
@@ -215,6 +227,87 @@ class TestBatchTwoStage:
         exact = rbl_two_stage(anchors, simulate_ranges(anchors, body, 0.0), conf)
         assert noisy.unconverged_nodes > 0
         assert exact.unconverged_nodes == 0
+
+
+class TestRefinePoses:
+    def scene(self, dim, count, sigma, seed=31):
+        """Anchors, body, true poses and ranges with about 30% missing."""
+        anchors = cube_anchor_layout(8, dim=dim, span=60.0)
+        conf = box_vehicle_conformation(8, dim=dim)
+        rng = np.random.default_rng((seed, dim))
+        poses, ranges = [], []
+        for _ in range(count):
+            pose = Pose(random_rotation(rng, dim), rng.uniform(-5, 5, dim))
+            full = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
+            mask = rng.random(full.shape) >= 0.3
+            poses.append(pose)
+            ranges.append(MaskedRangeMatrix(np.where(mask, full.values, np.nan), mask))
+        return anchors, conf, poses, ranges
+
+    @staticmethod
+    def pose_error(est, pose):
+        return max(float(np.linalg.norm(est.pose.translation - pose.translation)),
+                   rotation_geodesic_error(est.pose.rotation, pose.rotation))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_noiseless_refinement_is_exact(self, dim):
+        anchors, conf, poses, ranges = self.scene(dim, 10, 0.0)
+        full = [simulate_ranges(anchors, apply_pose(conf, p), 0.0) for p in poses]
+        start = rbl_two_stage_batch(anchors, full, conf)
+        refined = refine_poses(anchors, ranges, conf, start)
+        for est, first, pose in zip(refined, start, poses):
+            assert self.pose_error(est, pose) < 1e-9
+            assert est.stage3_converged is True
+            assert est.iterations > first.iterations
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_perturbed_start_converges(self, dim):
+        anchors, conf, poses, ranges = self.scene(dim, 10, 0.0)
+        rng = np.random.default_rng(dim)
+        angle = np.deg2rad(5.0)
+        start = []
+        for pose in poses:
+            turn = rotation_2d(angle) if dim == 2 \
+                else rotation_about_axis(rng.normal(size=3), angle)
+            shift = rng.normal(size=dim)
+            shift *= 0.3 / np.linalg.norm(shift)
+            start.append(estimators.PoseEstimate(
+                Pose(turn @ pose.rotation, pose.translation + shift), 0.0, 0.0, 0))
+        for est, pose in zip(refine_poses(anchors, ranges, conf, start), poses):
+            assert self.pose_error(est, pose) < 1e-9
+            assert est.stage3_converged is True
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bit_identical_alone_and_inside_a_batch(self, dim):
+        anchors, conf, _, ranges = self.scene(dim, 40, 0.1)
+        start = rbl_two_stage_batch(anchors, ranges, conf)
+        batch = refine_poses(anchors, ranges, conf, start)
+        for r, first, got in zip(ranges, start, batch):
+            alone = refine_poses(anchors, [r], conf, [first])[0]
+            assert type(alone) is type(got)
+            if isinstance(got, ValueError):
+                continue
+            assert np.array_equal(alone.pose.rotation, got.pose.rotation)
+            assert np.array_equal(alone.pose.translation, got.pose.translation)
+            assert (alone.iterations, alone.stage3_converged) == \
+                (got.iterations, got.stage3_converged)
+
+    def test_errors_and_non_unique_rotations_pass_through(self):
+        anchors, conf, _, ranges = self.scene(3, 3, 0.1)
+        start = rbl_two_stage_batch(anchors, ranges, conf)
+        start[0] = InsufficientMeasurementsError("no node has enough observed ranges")
+        start[1] = replace(start[1], rotation_unique=False)
+        refined = refine_poses(anchors, ranges, conf, start)
+        assert refined[0] is start[0]
+        assert refined[1] is start[1]
+        assert refined[1].stage3_converged is None
+        assert refined[2].stage3_converged is not None
+
+    def test_misaligned_inputs_raise(self):
+        anchors, conf, _, ranges = self.scene(3, 2, 0.1)
+        start = rbl_two_stage_batch(anchors, ranges, conf)
+        with pytest.raises(ValueError, match="one range matrix per estimate"):
+            refine_poses(anchors, ranges[:1], conf, start)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

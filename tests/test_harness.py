@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from rigidloc import placement
+from rigidloc import harness, placement
+from rigidloc.completion import NonEuclideanMatrixError
+from rigidloc.estimators import (
+    DegenerateGeometryError,
+    InsufficientMeasurementsError,
+    PoseEstimate,
+)
 from rigidloc.geometry import Conformation
 from rigidloc.harness import (
     ConfigError,
@@ -188,6 +194,71 @@ class TestRunExperiment:
         for row in table.rows:
             assert row.params["missing_fraction"] in (0.0, 0.2)
             assert row.translation_rmse < 1e-5
+
+    def test_completion_accuracy(self):
+        """M=8 cube, K=8 box, sigma 0.1, 30% missing: the congruent start
+        with the stage-3 refinement keeps the translation RMSE near the
+        full-data level (the projection path read 0.079 m here)."""
+        cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
+                          sensor_counts=[8], missing_fraction=[0.3], trials=100,
+                          master_seed=2)
+        row, = run_experiment(cfg).rows
+        assert row.failures == 0
+        assert row.translation_rmse <= 0.06
+
+    def test_completion_falls_back_to_projections(self, monkeypatch):
+        """A trial whose congruent start cannot pin ``dim`` nodes is filled
+        by ``complete_edm`` and still ends in a pose or a classified
+        failure."""
+        seen = {"no_start": 0, "complete_edm": 0, "outcomes": []}
+        fill, complete, refine = (harness._congruent_fill, harness.complete_edm,
+                                  harness.refine_poses)
+
+        def counted_fill(partial):
+            guess = fill(partial)
+            seen["no_start"] += guess is None
+            return guess
+
+        def counted_complete(*args, **kwargs):
+            seen["complete_edm"] += 1
+            return complete(*args, **kwargs)
+
+        def recorded_refine(*args):
+            estimates = refine(*args)
+            seen["outcomes"] += estimates
+            return estimates
+
+        monkeypatch.setattr(harness, "_congruent_fill", counted_fill)
+        monkeypatch.setattr(harness, "complete_edm", counted_complete)
+        monkeypatch.setattr(harness, "refine_poses", recorded_refine)
+        cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
+                          sensor_counts=[8], missing_fraction=[0.7], trials=20)
+        row, = run_experiment(cfg).rows
+        assert seen["complete_edm"] == seen["no_start"] > 0
+        assert row.trials == 20 == len(seen["outcomes"])
+        assert all(isinstance(est, (PoseEstimate, InsufficientMeasurementsError,
+                                    DegenerateGeometryError))
+                   for est in seen["outcomes"])
+
+    @pytest.mark.parametrize("error", [NonEuclideanMatrixError,
+                                       DegenerateGeometryError])
+    def test_completion_counts_classified_errors(self, error, monkeypatch):
+        def fail(*args):
+            raise error("cannot complete")
+        monkeypatch.setattr(harness, "assemble_partial_edm", fail)
+        cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
+                          sensor_counts=[6], missing_fraction=[0.3], trials=4)
+        row, = run_experiment(cfg).rows
+        assert row.failures == row.trials == 4
+
+    def test_completion_raises_other_errors(self, monkeypatch):
+        def fail(*args):
+            raise ValueError("programming error")
+        monkeypatch.setattr(harness, "assemble_partial_edm", fail)
+        cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
+                          sensor_counts=[6], missing_fraction=[0.3], trials=4)
+        with pytest.raises(ValueError, match="programming error"):
+            run_experiment(cfg)
 
     def test_anchorless_scenario(self):
         cfg = tiny_config(scenario="anchorless_two_body", sigma_list=[0.0],

@@ -1,14 +1,17 @@
 """Structure of the package: intra-package imports sit at module
 level and form no cycle, and the only import inside a function is the lazy
-``scipy.spatial`` one that keeps scipy out of ``import rigidloc``; and the
-Gauss-Newton settings are read by one solver loop only."""
+``scipy.spatial`` one that keeps scipy out of ``import rigidloc``; the
+Gauss-Newton settings are read by one solver loop only; and the harness
+keeps the names the benchmark's tracer patches."""
 
 import ast
 from pathlib import Path
 
 import rigidloc
+from rigidloc import harness
 
 PACKAGE = Path(rigidloc.__file__).parent
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 LAZY_IMPORTS = {"scipy.spatial"}
 
 
@@ -105,3 +108,17 @@ def test_one_gauss_newton_loop():
                 for f in readers(tree, "GN_STEP_TOL")}
     assert iter_cap == {"estimators._gauss_newton"}
     assert step_tol == {"estimators._gauss_newton", "estimators._backtrack"}
+
+
+def test_harness_defines_the_names_the_benchmark_patches():
+    """``perfbench/workloads.py`` patches harness functions by name, as
+    ``(h, "<name>", ...)`` tuples with ``h`` the harness module; a harness
+    refactor that drops one breaks ``perfbench --trace``."""
+    patched = {node.elts[1].value
+               for node in ast.walk(ast.parse(WORKLOADS.read_text()))
+               if isinstance(node, ast.Tuple) and len(node.elts) > 1
+               and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "h"
+               and isinstance(node.elts[1], ast.Constant)}
+    assert patched >= {"_point_rmse_vs", "_point_completion", "simulate_ranges",
+                       "assemble_partial_edm", "complete_edm", "rbl_two_stage"}
+    assert {name for name in patched if not hasattr(harness, name)} == set()
