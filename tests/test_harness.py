@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from rigidloc import harness, placement
+from rigidloc import estimators, harness, placement
 from rigidloc.completion import NonEuclideanMatrixError
 from rigidloc.estimators import (
     DegenerateGeometryError,
@@ -194,6 +194,22 @@ class TestRunExperiment:
         for row in table.rows:
             assert row.params["missing_fraction"] in (0.0, 0.2)
             assert row.translation_rmse < 1e-5
+
+    def test_completion_pose_depends_only_on_observed_ranges(self, monkeypatch):
+        """Stage 3 is the fit to the observed ranges, so a 1 mm error in
+        every stage-1 fix only moves its start: noiseless poses stay exact."""
+        real = estimators.multilaterate
+
+        def shifted(*args, **kwargs):
+            fix = real(*args, **kwargs)
+            fix.position = fix.position + 1e-3
+            return fix
+        monkeypatch.setattr(estimators, "multilaterate", shifted)
+        cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.0],
+                          sensor_counts=[8], missing_fraction=[0.1, 0.3], trials=3)
+        for row in run_experiment(cfg).rows:
+            assert row.failures == 0
+            assert row.translation_rmse < 1e-9 and row.rotation_rmse < 1e-9
 
     def test_completion_accuracy(self):
         """M=8 cube, K=8 box, sigma 0.1, 30% missing: the congruent start

@@ -2,13 +2,18 @@
 level and form no cycle, and the only import inside a function is the lazy
 ``scipy.spatial`` one that keeps scipy out of ``import rigidloc``; the
 Gauss-Newton settings are read by one solver loop only; and the harness
-keeps the names the benchmark's tracer patches."""
+keeps the names the benchmark's tracer patches, and the poses its gate
+checks."""
 
 import ast
+import importlib
+from dataclasses import replace
 from pathlib import Path
 
 import rigidloc
 from rigidloc import harness
+from rigidloc.estimators import PoseEstimate
+from rigidloc.geometry import Pose
 
 PACKAGE = Path(rigidloc.__file__).parent
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -122,3 +127,20 @@ def test_harness_defines_the_names_the_benchmark_patches():
     assert patched >= {"_point_rmse_vs", "_point_completion", "simulate_ranges",
                        "assemble_partial_edm", "complete_edm", "rbl_two_stage"}
     assert {name for name in patched if not hasattr(harness, name)} == set()
+
+
+def test_benchmark_gate_catches_a_wrong_completion_pose(monkeypatch):
+    """The noiseless gate of the benchmark's ``mc_completion`` workload
+    flags a 1 mm error in the poses the completion path returns. (Stage 3
+    absorbs a stage-1 error, so that is where a broken estimator shows.)"""
+    monkeypatch.syspath_prepend(str(WORKLOADS.parent))
+    workloads = importlib.import_module("workloads")
+    gate = workloads.build("mc_completion", 3, workloads.SMOKE)
+    assert gate.spot_check() == []
+    real = harness.refine_poses
+
+    def shifted(*args):
+        return [replace(est, pose=Pose(est.pose.rotation, est.pose.translation + 1e-3))
+                if isinstance(est, PoseEstimate) else est for est in real(*args)]
+    monkeypatch.setattr(harness, "refine_poses", shifted)
+    assert any("pose error" in problem for problem in gate.spot_check())
