@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Conformation, random_rotation, rotation_2d, squared_distances
-from .geometry import _linearized_fix, _weighted_kabsch
+from .geometry import _linearized_fix, _ordered_sum, _small_matmul, _weighted_kabsch
 from .measurement import PartialEdm
 
 COMPLETION_TOL = 1e-10
@@ -79,76 +79,116 @@ def _rank_truncate(matrix: np.ndarray, rank: int) -> np.ndarray:
     return (evecs[:, keep] * evals[keep]) @ evecs[:, keep].T
 
 
+def _congruent_fill_batch(anchors, body, cross_d, mask):
+    """Congruent starts for a block of partial EDMs whose anchor and body
+    blocks are the same.
+
+    ``anchors`` (M x D) and ``body`` (K x D) are coordinates, each in a
+    frame of its own, that realize the two fully known blocks; ``cross_d``
+    and ``mask`` (B x M x K) hold each trial's anchor-to-node distances,
+    observed where ``mask`` is True (the other entries are ignored).
+
+    Each trial pins its nodes by trilateration in the anchor frame, pass
+    by pass in node order: a node's references are its observed anchors,
+    then the nodes pinned before it, in pin order, whose distances the body
+    block supplies. A pin counts when the linearized system has rank D. A
+    trial stops at the first pass in which it pins nothing. The body is
+    then aligned onto the pins, in the chirality whose reconstruction fits
+    the observed distances better (the first on a tie), to place the rest.
+    The trials run in lockstep: per pass and node, those with the same
+    reference count share one stacked solve, and every sum runs in a fixed
+    order, so a trial's result does not depend on the rest of the block.
+
+    Returns B x K x D node positions in the anchor frame and, per trial,
+    whether it pinned at least D nodes; the positions of a trial that did
+    not are NaN.
+    """
+    b, m, k = mask.shape
+    dim = anchors.shape[1]
+    body_d = np.sqrt(squared_distances(body, body))
+    n_obs = mask.sum(axis=1)
+    # reference slots: the M anchors, then the pins in pin order
+    refs = np.concatenate([np.broadcast_to(anchors, (b, m, dim)),
+                           np.zeros((b, k, dim))], axis=1)
+    pin_node = np.zeros((b, k), dtype=int)
+    n_pins = np.zeros(b, dtype=int)
+    pinned = np.zeros((b, k), dtype=bool)
+    placed = np.zeros((b, k, dim))
+    active = np.ones(b, dtype=bool)
+    slots = np.arange(k)
+    while active.any():
+        progress = np.zeros(b, dtype=bool)
+        for j in range(k):
+            count = n_obs[:, j] + n_pins
+            todo = np.flatnonzero(active & ~pinned[:, j] & (count >= dim + 1))
+            if not todo.size:
+                continue
+            usable = np.concatenate([mask[todo, :, j], slots < n_pins[todo, None]],
+                                    axis=1)
+            order = np.argsort(~usable, axis=1, kind="stable")
+            dists = np.concatenate([cross_d[todo, :, j], body_d[pin_node[todo], j]],
+                                   axis=1)
+            count = count[todo]
+            for c in sorted(set(count.tolist())):
+                group = count == c
+                pick = order[group, :c]
+                fix, rank = _linearized_fix(
+                    np.take_along_axis(refs[todo[group]], pick[..., None], axis=1),
+                    np.take_along_axis(dists[group], pick, axis=1))
+                new = todo[group][rank == dim]
+                placed[new, j] = refs[new, m + n_pins[new]] = fix[rank == dim]
+                pinned[new, j] = progress[new] = True
+                pin_node[new, n_pins[new]] = j
+                n_pins[new] += 1
+        active &= progress & (n_pins < k)
+
+    ok = n_pins >= dim
+    align = np.flatnonzero(ok & (n_pins < k))
+    if align.size:
+        best = best_score = None
+        for chirality in (1.0, -1.0):
+            emb = body.copy()
+            emb[:, -1] *= chirality
+            rot, shift, _ = _weighted_kabsch(emb, placed[align], pinned[align])
+            cand = _small_matmul(emb, np.swapaxes(rot, -1, -2)) + shift[:, None, :]
+            fit = np.sqrt(((anchors[:, None, :] - cand[:, None, :, :]) ** 2)
+                          .sum(axis=-1)) - cross_d[align]
+            score = _ordered_sum(np.where(mask[align], fit**2, 0.0).reshape(
+                align.size, -1))
+            if best is None:
+                best, best_score = cand, score
+            else:
+                best[score < best_score] = cand[score < best_score]
+        placed[align] = np.where(pinned[align, :, None], placed[align], best)
+    placed[~ok] = np.nan
+    return placed, ok
+
+
 def _congruent_fill(partial: PartialEdm):
     """Geometric starting guess for the unknown cross entries.
 
-    Embeds the fully observed anchor and body blocks separately, pins body
-    nodes with enough observed cross distances by trilateration in the
-    anchor frame, aligns the body embedding onto those pins (trying both
-    chiralities) and reads the missing entries off the reconstruction.
-    Returns None when the block structure is missing or too degenerate,
-    in which case the caller falls back to a constant fill.
+    Embeds the fully observed anchor and body blocks separately and runs
+    the one-trial case of ``_congruent_fill_batch`` on them; returns the
+    squared EDM of the reconstruction. Returns None when the block
+    structure is missing or too degenerate, in which case the caller falls
+    back to a constant fill.
     """
     m = partial.num_anchors
     dim = partial.dim
     n = partial.size
-    if m is None or m < dim + 1 or n - m < 1:
+    if m is None or m < dim + 1 or n - m < dim:
         return None
-    k = n - m
     try:
         anchors = edm_to_points(partial.values_sq[:m, :m], dim)
-        body = (edm_to_points(partial.values_sq[m:, m:], dim)
-                if k > 1 else np.zeros((1, dim)))
+        body = edm_to_points(partial.values_sq[m:, m:], dim)
     except (NonEuclideanMatrixError, ValueError):
         return None
-
     cross_mask = partial.mask[:m, m:]
     cross_d = np.sqrt(np.where(cross_mask, partial.values_sq[:m, m:], 0.0))
-    body_d = np.sqrt(partial.values_sq[m:, m:])
-
-    # Pin nodes one by one; a pinned node becomes a reference for the rest
-    # because the body block supplies its distances to every other node.
-    pins: dict[int, np.ndarray] = {}
-    progress = True
-    while progress:
-        progress = False
-        for j in range(k):
-            if j in pins:
-                continue
-            rows = np.flatnonzero(cross_mask[:, j])
-            if rows.size + len(pins) < dim + 1:
-                continue
-            refs = np.vstack([anchors[rows]] + [pins[p][None, :] for p in pins])
-            dists = np.concatenate([cross_d[rows, j]]
-                                   + [body_d[p, j:j + 1] for p in pins])
-            fix, rank = _linearized_fix(refs, dists)
-            if rank == dim:
-                pins[j] = fix[0]
-                progress = True
-    if len(pins) < dim:
+    placed, ok = _congruent_fill_batch(anchors, body, cross_d[None], cross_mask[None])
+    if not ok[0]:
         return None
-
-    order = sorted(pins)
-    pin_pts = np.asarray([pins[j] for j in order])
-    if len(pins) == k:
-        placed = pin_pts
-    else:
-        # align the body embedding onto the pins to place the rest
-        best = None
-        for chirality in (1.0, -1.0):
-            emb = body.copy()
-            emb[:, -1] *= chirality
-            rot, shift, _ = _weighted_kabsch(emb[order], pin_pts[None],
-                                             np.ones((1, len(order))))
-            cand = emb @ rot[0].T + shift[0]
-            fit = np.sqrt(squared_distances(anchors, cand)) - cross_d
-            score = float((fit[cross_mask] ** 2).sum())
-            if best is None or score < best[0]:
-                best = (score, cand)
-        placed = best[1]
-        placed[order] = pin_pts
-
-    points = np.vstack([anchors, placed])
+    points = np.vstack([anchors, placed[0]])
     return squared_distances(points, points)
 
 

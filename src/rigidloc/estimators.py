@@ -814,7 +814,7 @@ def _motion_design(anchors: AnchorSet, pose: Pose, conf: Conformation,
     diff = apply_pose(conf, pose).positions[m] - anchors.positions[n]
     dist = np.sqrt((diff**2).sum(axis=1))
     if np.any(dist <= 0):
-        raise ValueError("node coincides with an anchor; rate undefined")
+        raise DegenerateGeometryError("node coincides with an anchor; rate undefined")
     u = diff / dist[:, None]
     if conf.dim == 2:
         spin = u[:, 1] * rotated[:, 0] - u[:, 0] * rotated[:, 1]

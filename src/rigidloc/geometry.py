@@ -103,18 +103,29 @@ def _linearized_fix(anchors, dists):
     the first range equation from the rest leaves a linear system in the
     unknown position, solved in the least-squares (minimum-norm) sense.
 
-    ``dists`` is B x M, one problem per row, all from the same anchors, so
-    the problems share one pseudo-inverse. Returns the B x D solutions and
-    the rank of the linear system, with the cutoff ``lstsq`` applies.
+    ``dists`` is B x M, one problem per row. With M x D ``anchors`` the
+    problems share them and one pseudo-inverse, and the rank is one int.
+    With B x M x D ``anchors`` each problem has its own: one stacked SVD
+    solves them all, the rank is one per problem, and a problem's result
+    does not depend on the others in the stack. Returns the B x D
+    solutions and the rank of the linear system, with the cutoff
+    ``lstsq`` applies.
     """
     dists = np.atleast_2d(dists)
-    lhs = 2.0 * (anchors[1:] - anchors[0])
+    first, rest = anchors[..., :1, :], anchors[..., 1:, :]
+    lhs = 2.0 * (rest - first)
     u, svals, vt = np.linalg.svd(lhs, full_matrices=False)
-    keep = svals > np.finfo(float).eps * max(lhs.shape) * svals.max()
-    pinv = (vt[keep].T / svals[keep]) @ u[:, keep].T
-    rhs = (anchors[1:] ** 2).sum(axis=1) - (anchors[0] ** 2).sum() \
+    keep = svals > (np.finfo(float).eps * max(lhs.shape[-2:])
+                    * svals.max(axis=-1, keepdims=True))
+    rhs = (rest**2).sum(axis=-1) - (first**2).sum(axis=-1) \
         - dists[:, 1:] ** 2 + dists[:, :1] ** 2
-    return _ordered_sum(pinv * rhs[:, None, :]), int(keep.sum())
+    if anchors.ndim == 2:
+        pinv = (vt[keep].T / svals[keep]) @ u[:, keep].T
+        return _ordered_sum(pinv * rhs[:, None, :]), int(keep.sum())
+    # V diag(1/s) U^T rhs over the kept singular values, problem by problem
+    coef = _ordered_sum(u * rhs[..., None], axis=-2) / np.where(keep, svals, 1.0)
+    return (_ordered_sum(vt * np.where(keep, coef, 0.0)[..., None], axis=-2),
+            keep.sum(axis=-1))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:

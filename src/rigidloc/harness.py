@@ -19,11 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .completion import NonEuclideanMatrixError, complete_edm
-from .completion import _congruent_fill
+from .completion import _congruent_fill_batch, complete_edm
 from .estimators import (
-    DegenerateGeometryError,
-    InsufficientMeasurementsError,
     estimate_motion,
     rbl_two_stage_batch,
     refine_poses,
@@ -46,6 +43,7 @@ from .measurement import (
     simulate_ranges,
 )
 from .placement import (
+    TRIAL_FAILURES,
     PlacementProblem,
     error_statistics,
     evaluate_placement,
@@ -449,37 +447,42 @@ def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
 
 
 def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
-    """Each trial fills its missing ranges from the congruent start of its
-    partial EDM (or, when that start cannot be built, from
-    ``complete_edm``), runs the two-stage estimator on the filled block
-    and refines the pose on the ranges it observed."""
+    """Each block of trials fills its missing ranges from one batched
+    congruent start (``_congruent_fill_batch`` on the known anchor and body
+    coordinates); a trial it cannot start is filled by ``complete_edm``.
+    Then the block runs the two-stage estimator on the filled ranges and
+    refines each pose on the ranges it observed."""
     conf = _resolve_conformation(config, sensors)
     m = anchors.num_anchors
 
-    def fill(ranges):
+    def fallback(ranges):
         try:
             partial = assemble_partial_edm(anchors, conf, ranges)
-            filled = _congruent_fill(partial)
-            if filled is None:
-                filled = complete_edm(partial, rank_slack=1 if sigma > 0 else 0).completed
-        except (InsufficientMeasurementsError, DegenerateGeometryError,
-                NonEuclideanMatrixError):
-            return None
-        return MaskedRangeMatrix(np.where(ranges.mask, ranges.values,
-                                          np.sqrt(filled[:m, m:])))
-
-    def draws():
-        for pose, ranges in _range_draws(config, anchors, conf, sweep_idx, sigma,
-                                         fraction):
-            filled = fill(ranges)
-            yield pose, None if filled is None else (filled, ranges)
+            filled = complete_edm(partial, rank_slack=1 if sigma > 0 else 0).completed
+        except TRIAL_FAILURES as err:
+            return err
+        return np.sqrt(filled[:m, m:])
 
     def solve(items):
-        estimates = rbl_two_stage_batch(anchors, [f for f, _ in items], conf,
-                                        config.estimator["weighted"])
-        return refine_poses(anchors, [r for _, r in items], conf, estimates)
+        placed, started = _congruent_fill_batch(
+            anchors.positions, conf.coords, np.stack([r.values for r in items]),
+            np.stack([r.mask for r in items]))
+        fills = np.sqrt(((anchors.positions[:, None, :] - placed[:, None, :, :]) ** 2)
+                        .sum(axis=-1))
+        results = [fill if ok else fallback(ranges)
+                   for ranges, ok, fill in zip(items, started, fills)]
+        good = [t for t, fill in enumerate(results) if not isinstance(fill, ValueError)]
+        observed = [items[t] for t in good]
+        estimates = rbl_two_stage_batch(
+            anchors, [MaskedRangeMatrix(np.where(r.mask, r.values, results[t]))
+                      for t, r in zip(good, observed)],
+            conf, config.estimator["weighted"])
+        for t, est in zip(good, refine_poses(anchors, observed, conf, estimates)):
+            results[t] = est
+        return results
 
-    return error_statistics(draws(), solve, block_size=trials_per_block(conf))
+    draws = _range_draws(config, anchors, conf, sweep_idx, sigma, fraction)
+    return error_statistics(draws, solve, block_size=trials_per_block(conf))
 
 
 def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):

@@ -28,9 +28,6 @@ from .geometry import (
 # and break direction computations.
 MIN_ANCHOR_SEPARATION = 1e-9
 
-# Slab thickness used when an occluder's hull is flat (rank-deficient).
-DEGENERATE_HULL_THICKNESS = 1e-6
-
 
 def wrap_angle(angle):
     """Wrap angles into (-pi, pi]."""
@@ -186,7 +183,7 @@ class AngleMeasurements:
 class HullOcclusion:
     """Visibility model where the convex hull of each body blocks the path.
 
-    Each body's hull facets are computed once, here, and shared by every
+    Each body's hull is computed once, here, and shared by every
     anchor-to-node segment tested against it.
     """
 
@@ -194,30 +191,39 @@ class HullOcclusion:
         if not bodies:
             raise ValueError("at least one occluding body is required")
         self.bodies = tuple(bodies)
-        self.equations = tuple(_hull_equations(body.positions) for body in self.bodies)
+        self.hulls = tuple(_hull_equations(body.positions) for body in self.bodies)
 
 
-def _hull_equations(points: np.ndarray) -> np.ndarray:
-    """Facet equations [a | b] with a.x + b <= 0 inside the hull.
+def _hull_equations(points: np.ndarray):
+    """(facets, flat) of a point set's convex hull.
 
-    A flat point set is inflated into a thin slab (thickness 1e-6 m) along
-    its missing directions so grazing rays are still handled sensibly.
+    ``facets`` are the equations [a | b], a.x + b <= 0 inside the hull.
+    ``flat`` is None unless the set has rank r < dim (a plate, a rod, a
+    point): such a hull has no interior, so ``flat`` holds dim - r
+    equations [n | c] whose values n.x + c are the coordinates of x off
+    the set's affine hull, and ``facets`` bound the set within that hull,
+    their normals in it (none for a point).
     """
     # scipy.spatial takes most of the package's import time and only
     # occlusion needs it.
     from scipy.spatial import ConvexHull, QhullError
 
     try:
-        return ConvexHull(points).equations
+        return ConvexHull(points).equations, None
     except QhullError:
         pass
-    _, directions, rank = affine_basis(points, tol=1e-12)
-    thin = directions[rank:]
-    inflated = [points]
-    for direction in thin:
-        offset = 0.5 * DEGENERATE_HULL_THICKNESS * direction
-        inflated = [pts + offset for pts in inflated] + [pts - offset for pts in inflated]
-    return ConvexHull(np.vstack(inflated)).equations
+    center, directions, rank = affine_basis(points, tol=1e-12)
+    inside, outside = directions[:rank], directions[rank:]
+    coords = (points - center) @ inside.T
+    if rank > 1:
+        equations = ConvexHull(coords).equations
+    elif rank == 1:
+        equations = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+    else:
+        equations = np.zeros((0, 1))
+    normals = equations[:, :-1] @ inside
+    facets = np.column_stack([normals, equations[:, -1] - normals @ center])
+    return facets, np.column_stack([outside, -outside @ center])
 
 
 def _facet_values(normals, offsets, points) -> np.ndarray:
@@ -230,16 +236,19 @@ def _facet_values(normals, offsets, points) -> np.ndarray:
     return (normals @ points[:, :, None])[:, :, 0] + offsets
 
 
-def _segments_blocked(starts: np.ndarray, ends: np.ndarray,
-                      equations: np.ndarray) -> np.ndarray:
+def _segments_blocked(starts: np.ndarray, ends: np.ndarray, hull) -> np.ndarray:
     """(M, K) mask: True where the open segment from ``starts[m]`` to
     ``ends[k]`` (float arrays, M x D and K x D) passes through the interior
-    of the hull ``equations``.
+    of the hull ``(facets, flat)`` that ``_hull_equations`` returns.
 
     Liang-Barsky clipping of every segment against every facet half-space
     at once. Touching the hull boundary (including segment endpoints that
-    are hull vertices) does not count as blockage.
+    are hull vertices) does not count as blockage. A flat hull has no
+    interior: it blocks a segment that passes through its affine hull
+    (within 1e-9 m), both endpoints more than 1e-9 m off it, at a point
+    strictly inside the set.
     """
+    equations, flat = hull
     dim = equations.shape[1] - 1
     if starts.shape[1:] != (dim,) or ends.shape[1:] != (dim,):
         raise ValueError("endpoint dimensions must match the occluder")
@@ -249,6 +258,23 @@ def _segments_blocked(starts: np.ndarray, ends: np.ndarray,
         raise ValueError("segment endpoints coincide")
 
     normals, offsets = equations[:, :-1], equations[:, -1]
+    blocked = np.zeros((len(starts), len(ends)), dtype=bool)
+    if flat is not None:
+        # where each segment passes closest to the flat set's affine hull
+        a = _facet_values(flat[:, :-1], flat[:, -1], starts)[:, None, :]
+        b = _facet_values(flat[:, :-1], flat[:, -1], ends)[None, :, :]
+        step = b - a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -(a * step).sum(axis=2) / (step**2).sum(axis=2)
+        miss = np.sqrt(((a + t[:, :, None] * step) ** 2).sum(axis=2))
+        off = ((np.sqrt((a**2).sum(axis=2)) > 1e-9)
+               & (np.sqrt((b**2).sum(axis=2)) > 1e-9))
+        m, k = np.nonzero(off & (t > 0.0) & (t < 1.0) & (miss <= 1e-9))
+        hit = starts[m] + t[m, k, None] * (ends[k] - starts[m])
+        blocked[m, k] = _facet_values(normals, offsets, hit).max(
+            axis=1, initial=-np.inf) < -1e-9
+        return blocked
+
     fp = _facet_values(normals, offsets, starts)[:, None, :]   # (M, 1, F)
     fq = _facet_values(normals, offsets, ends)[None, :, :]     # (1, K, F)
     delta = fq - fp
@@ -268,7 +294,6 @@ def _segments_blocked(starts: np.ndarray, ends: np.ndarray,
     m, k = np.nonzero(candidate)
     t = 0.5 * (lo[m, k] + hi[m, k])
     mid = starts[m] + t[:, None] * (ends[k] - starts[m])
-    blocked = np.zeros(candidate.shape, dtype=bool)
     blocked[m, k] = _facet_values(normals, offsets, mid).max(axis=1) < -1e-9
     return blocked
 
@@ -287,8 +312,8 @@ def line_of_sight_blocked(p, q, occluder: PlacedBody) -> bool:
 def _visibility_mask(anchors: AnchorSet, body: PlacedBody, visibility) -> np.ndarray:
     blocked = np.zeros((anchors.num_anchors, body.num_nodes), dtype=bool)
     if visibility is not None:
-        for equations in visibility.equations:
-            blocked |= _segments_blocked(anchors.positions, body.positions, equations)
+        for hull in visibility.hulls:
+            blocked |= _segments_blocked(anchors.positions, body.positions, hull)
     return ~blocked
 
 

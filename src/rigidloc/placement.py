@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import rbl_two_stage_batch
+from .completion import NonEuclideanMatrixError
+from .estimators import (
+    DegenerateGeometryError,
+    InsufficientMeasurementsError,
+    rbl_two_stage_batch,
+)
 from .geometry import (
     Conformation,
     Pose,
@@ -40,6 +45,11 @@ DESCENT_TOL = 1e-15
 # value kept the peak RSS of a harness sweep within 5% of solving trial by
 # trial (see README, "Batched estimation").
 BLOCK_NODE_FIXES = 256
+
+# The estimation errors that fail a Monte-Carlo trial; any other error is a
+# fault of the program and propagates.
+TRIAL_FAILURES = (InsufficientMeasurementsError, DegenerateGeometryError,
+                  NonEuclideanMatrixError)
 
 
 @dataclass(frozen=True)
@@ -200,13 +210,13 @@ def error_statistics(draws, solve, errors=None,
                      block_size: int = 1) -> PlacementEvaluation:
     """Error statistics of an estimator over Monte-Carlo draws.
 
-    ``draws`` yields (truth, data) per trial; data of None marks a trial
-    that already failed while its data was prepared. Draws are taken
+    ``draws`` yields (truth, data) per trial. Draws are taken
     ``block_size`` at a time and ``solve`` maps the block's data list to
     one estimate, or one estimation ``ValueError``, per item.
     ``errors(estimate, truth)`` gives the squared translation and rotation
     errors of a success (default: ``pose_errors`` of ``estimate.pose``).
-    Failed trials are counted and excluded from the RMSE.
+    Trials failed by one of ``TRIAL_FAILURES`` are counted and excluded
+    from the RMSE; any other returned ``ValueError`` is raised.
     """
     errors = errors or (lambda est, pose: pose_errors(est.pose, pose))
     draws = iter(draws)
@@ -214,12 +224,12 @@ def error_statistics(draws, solve, errors=None,
     trials = failures = 0
     while block := list(itertools.islice(draws, block_size)):
         trials += len(block)
-        solvable = [(truth, data) for truth, data in block if data is not None]
-        failures += len(block) - len(solvable)
-        for (truth, _), est in zip(solvable, solve([d for _, d in solvable])):
-            if isinstance(est, ValueError):
+        for (truth, _), est in zip(block, solve([data for _, data in block])):
+            if isinstance(est, TRIAL_FAILURES):
                 failures += 1
                 continue
+            if isinstance(est, ValueError):
+                raise est
             t_err, r_err = errors(est, truth)
             t_sq.append(t_err)
             r_sq.append(r_err)
@@ -230,13 +240,13 @@ def error_statistics(draws, solve, errors=None,
 
 def one_at_a_time(solve):
     """Block solver for ``error_statistics`` from a one-trial solver whose
-    ``ValueError`` marks that trial as failed."""
+    ``TRIAL_FAILURES`` mark that trial as failed."""
     def solve_block(items):
         estimates = []
         for item in items:
             try:
                 estimates.append(solve(item))
-            except ValueError as err:
+            except TRIAL_FAILURES as err:
                 estimates.append(err)
         return estimates
     return solve_block

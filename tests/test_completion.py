@@ -7,18 +7,34 @@ from rigidloc.completion import (
     DistanceAlphabet,
     NonEuclideanMatrixError,
     _congruent_fill,
+    _congruent_fill_batch,
     build_distance_alphabet,
     complete_edm,
     edm_to_points,
     snap_to_alphabet,
 )
-from rigidloc.geometry import Conformation, rotation_2d
-from rigidloc.measurement import PartialEdm
+from rigidloc.geometry import (
+    Conformation,
+    _linearized_fix,
+    _weighted_kabsch,
+    random_rotation,
+    rotation_2d,
+)
+from rigidloc.measurement import (
+    AnchorSet,
+    MaskedRangeMatrix,
+    PartialEdm,
+    assemble_partial_edm,
+)
 
 
 def squared_edm(points):
     diff = points[:, None, :] - points[None, :, :]
     return (diff**2).sum(axis=2)
+
+
+def cross_distances(anchors, nodes):
+    return np.sqrt(((anchors[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2))
 
 
 def masked_partial(points, pairs, dim, num_anchors=None):
@@ -153,6 +169,119 @@ class TestCongruentFill:
         assert np.abs(mirror - sq).max() > 1.0
         assert min(np.abs(fill - sq).max(),
                    np.abs(fill - mirror).max()) <= 1e-9 * scale
+
+
+def reference_fill(anchors, body, cross_d, mask):
+    """The congruent start trial by trial, one node fix at a time: the
+    squared EDMs it may return (both mirrors when they fit the observed
+    distances equally well) and the nodes it pinned, or None with fewer
+    than ``dim`` pins."""
+    dim, k = anchors.shape[1], body.shape[0]
+    body_d = np.sqrt(squared_edm(body))
+    pins = {}
+    progress = True
+    while progress:
+        progress = False
+        for j in range(k):
+            rows = np.flatnonzero(mask[:, j])
+            if j in pins or rows.size + len(pins) < dim + 1:
+                continue
+            refs = np.vstack([anchors[rows]] + [pins[p][None, :] for p in pins])
+            dists = np.concatenate([cross_d[rows, j]]
+                                   + [body_d[p, j:j + 1] for p in pins])
+            fix, rank = _linearized_fix(refs, dists)
+            if rank == dim:
+                pins[j] = fix[0]
+                progress = True
+    if len(pins) < dim:
+        return None
+    order = sorted(pins)
+    pin_pts = np.asarray([pins[j] for j in order])
+    fits = []
+    for chirality in (1.0, -1.0):
+        emb = body.copy()
+        emb[:, -1] *= chirality
+        rot, shift, _ = _weighted_kabsch(emb[order], pin_pts[None],
+                                         np.ones((1, len(order))))
+        placed = emb @ rot[0].T + shift[0]
+        placed[order] = pin_pts
+        misfit = cross_distances(anchors, placed) - cross_d
+        fits.append((float((misfit[mask] ** 2).sum()),
+                     squared_edm(np.vstack([anchors, placed]))))
+    scale = squared_edm(anchors).max()
+    if len(pins) == k or abs(fits[0][0] - fits[1][0]) <= 1e-9 * scale:
+        return [fit for _, fit in fits[:1 if len(pins) == k else 2]], set(pins)
+    return [min(fits, key=lambda fit: fit[0])[1]], set(pins)
+
+
+def random_block(rng, dim, size, sigma):
+    """Anchor and body coordinates and ``size`` trials of masked cross
+    distances (missing fractions from 0 to 0.85). One block in four has
+    its anchors in a hyperplane, so anchors alone pin no node."""
+    anchors = rng.uniform(-20, 20, (int(rng.integers(dim + 1, 9)), dim))
+    if rng.random() < 0.25:
+        anchors[:, -1] = 0.0
+    body = rng.uniform(-2, 2, (int(rng.integers(2, 9)), dim))
+    cross, masks = [], []
+    for _ in range(size):
+        placed = body @ random_rotation(rng, dim).T + rng.uniform(-5, 5, dim)
+        d = cross_distances(anchors, placed)
+        masks.append(rng.random(d.shape) >= rng.uniform(0.0, 0.85))
+        d = np.abs(d + rng.normal(0, sigma, d.shape))
+        cross.append(np.where(masks[-1], d, np.nan))
+    return anchors, body, np.array(cross), np.array(masks)
+
+
+class TestCongruentFillBatch:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_node_by_node_reference(self, dim):
+        """The batched core, on coordinates, and ``_congruent_fill``, on the
+        partial EDM, agree with the one-fix-at-a-time loop to 1e-9 of the
+        scale on noisy distances, None included. (``_congruent_fill`` is
+        left out on anchors in a hyperplane: their MDS embedding is off it
+        by rounding, which the rank cutoff can take for full rank.)"""
+        rng = np.random.default_rng(90 + dim)
+        seen = {"none": 0, "via_pins": 0, "filled": 0, "flat_anchors": 0}
+        for _ in range(40):
+            anchors, body, cross, masks = random_block(rng, dim, 10, sigma=0.05)
+            flat = not anchors[:, -1].any()
+            seen["flat_anchors"] += flat
+            placed, ok = _congruent_fill_batch(anchors, body, cross, masks)
+            scale = squared_edm(np.vstack([anchors, anchors[:1] + body])).max()
+            for t in range(len(cross)):
+                ref = reference_fill(anchors, body, np.nan_to_num(cross[t]), masks[t])
+                fills = [squared_edm(np.vstack([anchors, placed[t]]))]
+                if not flat:
+                    fills.append(_congruent_fill(assemble_partial_edm(
+                        AnchorSet(anchors), Conformation(body),
+                        MaskedRangeMatrix(cross[t], masks[t]))))
+                    assert (fills[-1] is not None) == ok[t]
+                assert ok[t] == (ref is not None)
+                if ref is None:
+                    assert np.isnan(placed[t]).all()
+                    seen["none"] += 1
+                    continue
+                expected, pinned = ref
+                seen["filled"] += 1
+                seen["via_pins"] += any(masks[t][:, j].sum() < dim + 1 for j in pinned)
+                for fill in fills:
+                    assert min(np.abs(fill - e).max() for e in expected) <= 1e-9 * scale
+        assert min(seen.values()) >= 5 and seen["none"] + seen["filled"] == 400
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_bit_identical_alone_and_inside_a_block(self, dim):
+        rng = np.random.default_rng(95 + dim)
+        started = 0
+        for _ in range(4):
+            anchors, body, cross, masks = random_block(rng, dim, 50, sigma=0.1)
+            placed, ok = _congruent_fill_batch(anchors, body, cross, masks)
+            started += ok.sum()
+            for t in range(len(cross)):
+                alone, alone_ok = _congruent_fill_batch(anchors, body, cross[t:t + 1],
+                                                        masks[t:t + 1])
+                assert alone_ok[0] == ok[t]
+                assert np.array_equal(alone[0], placed[t], equal_nan=True)
+        assert 50 < started < 150
 
 
 class TestEdmToPoints:

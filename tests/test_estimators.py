@@ -461,3 +461,12 @@ class TestMotion:
         rates = simulate_range_rates(anchors, conf, pose, motion)
         with pytest.raises(DegenerateGeometryError):
             estimate_motion(anchors, pose, conf, rates)
+
+    def test_node_on_an_anchor_is_degenerate(self):
+        """A node at an anchor has no direction: a classified failure."""
+        conf = Conformation([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        anchors = AnchorSet([[0.0, 0.0, 0.0], [9.0, 0.0, 0.0], [0.0, 9.0, 0.0],
+                             [0.0, 0.0, 9.0]])
+        rates = np.zeros((4, 3))
+        with pytest.raises(DegenerateGeometryError, match="coincides"):
+            estimate_motion(anchors, Pose.identity(3), conf, rates)

@@ -27,6 +27,16 @@ from rigidloc.harness import (
 )
 
 
+def without_congruent_start(monkeypatch):
+    """Send every completion trial to the ``complete_edm`` fallback."""
+    start = harness._congruent_fill_batch
+
+    def no_start(*args):
+        placed, started = start(*args)
+        return placed, np.zeros_like(started)
+    monkeypatch.setattr(harness, "_congruent_fill_batch", no_start)
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     body = {"scenario": "rmse_vs_sensors"}
     body.update(overrides)
@@ -172,7 +182,7 @@ class TestRunExperiment:
                     sensor_counts=[4, 8], missing_fraction=[0.3], trials=40,
                     master_seed=7),
         tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
-                    sensor_counts=[6], missing_fraction=[0.1, 0.3], trials=20,
+                    sensor_counts=[6], missing_fraction=[0.1, 0.3, 0.5], trials=20,
                     master_seed=3),
     ], ids=["sensors", "noise_missing", "completion"])
     def test_block_size_does_not_change_results(self, cfg, monkeypatch, tmp_path):
@@ -227,13 +237,13 @@ class TestRunExperiment:
         by ``complete_edm`` and still ends in a pose or a classified
         failure."""
         seen = {"no_start": 0, "complete_edm": 0, "outcomes": []}
-        fill, complete, refine = (harness._congruent_fill, harness.complete_edm,
+        fill, complete, refine = (harness._congruent_fill_batch, harness.complete_edm,
                                   harness.refine_poses)
 
-        def counted_fill(partial):
-            guess = fill(partial)
-            seen["no_start"] += guess is None
-            return guess
+        def counted_fill(*args):
+            placed, started = fill(*args)
+            seen["no_start"] += int((~started).sum())
+            return placed, started
 
         def counted_complete(*args, **kwargs):
             seen["complete_edm"] += 1
@@ -244,7 +254,7 @@ class TestRunExperiment:
             seen["outcomes"] += estimates
             return estimates
 
-        monkeypatch.setattr(harness, "_congruent_fill", counted_fill)
+        monkeypatch.setattr(harness, "_congruent_fill_batch", counted_fill)
         monkeypatch.setattr(harness, "complete_edm", counted_complete)
         monkeypatch.setattr(harness, "refine_poses", recorded_refine)
         cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
@@ -261,6 +271,7 @@ class TestRunExperiment:
     def test_completion_counts_classified_errors(self, error, monkeypatch):
         def fail(*args):
             raise error("cannot complete")
+        without_congruent_start(monkeypatch)
         monkeypatch.setattr(harness, "assemble_partial_edm", fail)
         cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
                           sensor_counts=[6], missing_fraction=[0.3], trials=4)
@@ -270,11 +281,21 @@ class TestRunExperiment:
     def test_completion_raises_other_errors(self, monkeypatch):
         def fail(*args):
             raise ValueError("programming error")
+        without_congruent_start(monkeypatch)
         monkeypatch.setattr(harness, "assemble_partial_edm", fail)
         cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
                           sensor_counts=[6], missing_fraction=[0.3], trials=4)
         with pytest.raises(ValueError, match="programming error"):
             run_experiment(cfg)
+
+    def test_unclassified_block_errors_raise(self, monkeypatch):
+        """A bare ValueError a block solver returns is a fault, not a
+        failed trial."""
+        def broken(anchors, ranges, *args, **kwargs):
+            return [ValueError("programming error")] * len(ranges)
+        monkeypatch.setattr(placement, "rbl_two_stage_batch", broken)
+        with pytest.raises(ValueError, match="programming error"):
+            run_experiment(tiny_config(sigma_list=[0.1], trials=4))
 
     def test_anchorless_scenario(self):
         cfg = tiny_config(scenario="anchorless_two_body", sigma_list=[0.0],

@@ -75,8 +75,8 @@ def flat_oracle(p, q, points):
 
 def rod_oracle(p, q, points):
     """Clear (False) when (p, q) passes at least 1 mm from a collinear point
-    set in 3D, else too close to call (None): a segment meets a rod's thin
-    slab only on a set of measure zero."""
+    set in 3D, else too close to call (None): a segment meets a rod only
+    on a set of measure zero."""
     a, b = points[np.argmin(points[:, 0])], points[np.argmax(points[:, 0])]
     samples = p + np.linspace(0.0, 1.0, 1001)[:, None] * (q - p)
     t = np.clip((samples - a) @ (b - a) / ((b - a) @ (b - a)), 0.0, 1.0)
@@ -226,6 +226,26 @@ class TestLineOfSight:
         assert not line_of_sight_blocked([0.5, 0.5, 0.5], [0.5, 0.5, 2.0], square)
         assert not line_of_sight_blocked([2.0, 2.0, -1.0], [2.0, 2.0, 1.0], square)
 
+    def test_flat_body_sees_its_own_nodes(self):
+        """A plate, a bar and a rod hide none of their own nodes, grazing
+        anchor included, and still block a segment through them."""
+        plate = PlacedBody([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0], [2.0, 2.0, 0.0],
+                            [0.0, 2.0, 0.0], [1.0, 0.0, 0.0], [1.0, 2.0, 0.0]])
+        anchors = AnchorSet([[1.0, 1.0, 5.0], [1.0, 1.0, -5.0],
+                             [30.0, 30.0, 30.0], [-30.0, 1.0, 0.5]])
+        assert simulate_ranges(anchors, plate, 0.0, HullOcclusion(plate)).mask.all()
+        assert line_of_sight_blocked([1.0, 1.0, 5.0], [1.0, 1.0, -5.0], plate)
+        assert not line_of_sight_blocked([1.0, 1.0, 5.0], [3.0, 3.0, -5.0], plate)
+        bar = PlacedBody([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]])
+        assert simulate_ranges(AnchorSet([[1.5, 4.0], [2.0, -3.0], [-9.0, 0.1]]),
+                               bar, 0.0, HullOcclusion(bar)).mask.all()
+        assert line_of_sight_blocked([2.0, 1.0], [2.0, -1.0], bar)
+        rod = PlacedBody([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        assert simulate_ranges(AnchorSet([[1.0, 5.0, 0.0], [9.0, 0.1, 0.0],
+                                          [-5.0, -5.0, -5.0]]),
+                               rod, 0.0, HullOcclusion(rod)).mask.all()
+        assert line_of_sight_blocked([1.0, -1.0, 0.0], [1.0, 1.0, 0.0], rod)
+
     def test_collinear_body_slab(self):
         rod = PlacedBody([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
         assert line_of_sight_blocked([1.0, -1.0, 0.0], [1.0, 1.0, 0.0], rod)
@@ -304,8 +324,9 @@ class TestOcclusionMask:
 
     @pytest.mark.parametrize("dim,rank", [(2, 1), (3, 2), (3, 1)])
     def test_flat_occluder(self, dim, rank):
-        """Planar and collinear bodies block through their thin slab; the
-        target's own nodes are segment endpoints in the slab bodies too."""
+        """Planar and collinear bodies block where a segment passes
+        through them; their own nodes are segment endpoints too, and no
+        anchor loses sight of one."""
         rng = np.random.default_rng(606 + 10 * dim + rank)
         oracle = rod_oracle if rank < dim - 1 else flat_oracle
         checked, blocked = 0, 0
@@ -314,8 +335,9 @@ class TestOcclusionMask:
             target = PlacedBody(rng.uniform(-0.3, 0.3, (5, dim))
                                 + rng.uniform(-3, 3, dim))
             anchors = AnchorSet(rng.uniform(-4, 4, (6, dim)))
-            assert_matches_pairwise(occlusion_mask(anchors, flat, flat),
-                                    anchors, flat, flat)
+            own = occlusion_mask(anchors, flat, flat)
+            assert_matches_pairwise(own, anchors, flat, flat)
+            assert own.all()
             mask = occlusion_mask(anchors, target, flat)
             assert_matches_pairwise(mask, anchors, target, flat)
             for m, a in enumerate(anchors.positions):

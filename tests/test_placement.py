@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+from rigidloc.completion import NonEuclideanMatrixError
+from rigidloc.estimators import DegenerateGeometryError, InsufficientMeasurementsError
 from rigidloc.geometry import Conformation, random_rotation
 from rigidloc.measurement import AnchorSet
 from rigidloc.placement import (
     PlacementProblem,
+    error_statistics,
     evaluate_placement,
     frame_potential,
+    one_at_a_time,
     optimize_placement,
 )
 
@@ -150,3 +154,38 @@ class TestEvaluatePlacement:
         ev = evaluate_placement(anchors, self.body(), 0.01, trials=10, seed=5)
         assert ev.failures == 10
         assert np.isnan(ev.translation_rmse)
+
+
+CLASSIFIED = [InsufficientMeasurementsError, DegenerateGeometryError,
+              NonEuclideanMatrixError]
+
+
+class TestTrialFailures:
+    """Only the classified estimation errors fail a trial; any other
+    ``ValueError`` is a fault and propagates."""
+
+    @staticmethod
+    def draws(n=4):
+        return [(None, i) for i in range(n)]
+
+    @pytest.mark.parametrize("error", CLASSIFIED)
+    def test_classified_errors_are_counted(self, error):
+        def fail(item):
+            raise error("no fix")
+
+        def fail_all(items):
+            return [error("no fix")] * len(items)
+        stats = error_statistics(self.draws(), fail_all, block_size=3)
+        assert (stats.failures, stats.trials) == (4, 4)
+        assert error_statistics(self.draws(), one_at_a_time(fail)).failures == 4
+
+    def test_other_errors_propagate(self):
+        def broken_block(items):
+            return [ValueError("bug")] * len(items)
+        with pytest.raises(ValueError, match="bug"):
+            error_statistics(self.draws(), broken_block)
+
+        def broken(item):
+            raise ValueError("bug")
+        with pytest.raises(ValueError, match="bug"):
+            error_statistics(self.draws(), one_at_a_time(broken))

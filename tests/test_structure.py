@@ -1,9 +1,9 @@
 """Structure of the package: intra-package imports sit at module
 level and form no cycle, and the only import inside a function is the lazy
 ``scipy.spatial`` one that keeps scipy out of ``import rigidloc``; the
-Gauss-Newton settings are read by one solver loop only; and the harness
-keeps the names the benchmark's tracer patches, and the poses its gate
-checks."""
+Gauss-Newton settings are read by one solver loop only; the congruent
+start has one pin loop; and the harness keeps the names the benchmark's
+tracer patches, and the poses its gate checks."""
 
 import ast
 import importlib
@@ -113,6 +113,16 @@ def test_one_gauss_newton_loop():
                 for f in readers(tree, "GN_STEP_TOL")}
     assert iter_cap == {"estimators._gauss_newton"}
     assert step_tol == {"estimators._gauss_newton", "estimators._backtrack"}
+
+
+def test_one_pin_loop():
+    """The congruent start pins nodes in one loop: in ``completion`` only
+    the batched core calls ``_linearized_fix``, and the harness starts its
+    completion trials from that core, not from the one-trial wrapper."""
+    modules = parse_modules()
+    assert readers(modules["completion"], "_linearized_fix") == {"_congruent_fill_batch"}
+    assert readers(modules["harness"], "_congruent_fill") == set()
+    assert readers(modules["harness"], "_congruent_fill_batch") != set()
 
 
 def test_harness_defines_the_names_the_benchmark_patches():
