@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Conformation, random_rotation, rotation_2d, squared_distances
-from .geometry import _linearized_fix, _ordered_sum, _small_matmul, _weighted_kabsch
+from .geometry import _linearized_fix, _small_matmul, _weighted_kabsch
 from .measurement import PartialEdm
 
 COMPLETION_TOL = 1e-10
@@ -93,11 +93,11 @@ def _congruent_fill_batch(anchors, body, cross_d, mask):
     then the nodes pinned before it, in pin order, whose distances the body
     block supplies. A pin counts when the linearized system has rank D. A
     trial stops at the first pass in which it pins nothing. The body is
-    then aligned onto the pins, in the chirality whose reconstruction fits
-    the observed distances better (the first on a tie), to place the rest.
-    The trials run in lockstep: per pass and node, those with the same
-    reference count share one stacked solve, and every sum runs in a fixed
-    order, so a trial's result does not depend on the rest of the block.
+    then aligned onto the pins by a rigid motion, without reflection, to
+    place the rest. The trials run in lockstep: per pass and node, those
+    with the same reference count share one stacked solve, and every sum
+    runs in a fixed order, so a trial's result does not depend on the rest
+    of the block.
 
     Returns B x K x D node positions in the anchor frame and, per trial,
     whether it pinned at least D nodes; the positions of a trial that did
@@ -145,21 +145,9 @@ def _congruent_fill_batch(anchors, body, cross_d, mask):
     ok = n_pins >= dim
     align = np.flatnonzero(ok & (n_pins < k))
     if align.size:
-        best = best_score = None
-        for chirality in (1.0, -1.0):
-            emb = body.copy()
-            emb[:, -1] *= chirality
-            rot, shift, _ = _weighted_kabsch(emb, placed[align], pinned[align])
-            cand = _small_matmul(emb, np.swapaxes(rot, -1, -2)) + shift[:, None, :]
-            fit = np.sqrt(((anchors[:, None, :] - cand[:, None, :, :]) ** 2)
-                          .sum(axis=-1)) - cross_d[align]
-            score = _ordered_sum(np.where(mask[align], fit**2, 0.0).reshape(
-                align.size, -1))
-            if best is None:
-                best, best_score = cand, score
-            else:
-                best[score < best_score] = cand[score < best_score]
-        placed[align] = np.where(pinned[align, :, None], placed[align], best)
+        rot, shift, _ = _weighted_kabsch(body, placed[align], pinned[align])
+        cand = _small_matmul(body, np.swapaxes(rot, -1, -2)) + shift[:, None, :]
+        placed[align] = np.where(pinned[align, :, None], placed[align], cand)
     placed[~ok] = np.nan
     return placed, ok
 
@@ -168,10 +156,12 @@ def _congruent_fill(partial: PartialEdm):
     """Geometric starting guess for the unknown cross entries.
 
     Embeds the fully observed anchor and body blocks separately and runs
-    the one-trial case of ``_congruent_fill_batch`` on them; returns the
-    squared EDM of the reconstruction. Returns None when the block
-    structure is missing or too degenerate, in which case the caller falls
-    back to a constant fill.
+    the one-trial case of ``_congruent_fill_batch`` on them. The embedding
+    leaves the body's handedness unknown, so the body and its mirror image
+    are both aligned; returns the squared EDM of the reconstruction that
+    fits the known entries better, the unmirrored one on a tie. Returns
+    None when the block structure is missing or too degenerate, in which
+    case the caller falls back to a constant fill.
     """
     m = partial.num_anchors
     dim = partial.dim
@@ -185,11 +175,17 @@ def _congruent_fill(partial: PartialEdm):
         return None
     cross_mask = partial.mask[:m, m:]
     cross_d = np.sqrt(np.where(cross_mask, partial.values_sq[:m, m:], 0.0))
-    placed, ok = _congruent_fill_batch(anchors, body, cross_d[None], cross_mask[None])
-    if not ok[0]:
-        return None
-    points = np.vstack([anchors, placed[0]])
-    return squared_distances(points, points)
+    fills, misfits = [], []
+    for mirror in (body, body * np.r_[np.ones(dim - 1), -1.0]):
+        placed, ok = _congruent_fill_batch(anchors, mirror, cross_d[None],
+                                           cross_mask[None])
+        if not ok[0]:
+            return None
+        points = np.vstack([anchors, placed[0]])
+        fills.append(squared_distances(points, points))
+        misfits.append(np.sum(np.where(partial.mask, fills[-1] - partial.values_sq,
+                                       0.0) ** 2))
+    return fills[1] if misfits[1] < misfits[0] else fills[0]
 
 
 def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
@@ -260,10 +256,11 @@ def edm_to_points(edm, dim: int) -> np.ndarray:
 
     Double-centers the matrix and takes the top ``dim`` eigenpairs. The
     result reproduces the distances up to a rigid motion plus possible
-    reflection. Mildly negative eigenvalues among the top ``dim`` are
-    clamped to zero with a warning; a strongly negative spectrum (most
-    negative eigenvalue beyond 10% of the largest positive one) raises
-    NonEuclideanMatrixError.
+    reflection. Top eigenvalues at or below the rounding floor (1e-12 of
+    n times the largest entry) are zeroed, so points in a hyperplane embed
+    exactly in it; mildly negative ones also warn. A strongly negative
+    spectrum (most negative eigenvalue beyond 10% of the largest positive
+    one) raises NonEuclideanMatrixError.
     """
     edm = np.asarray(edm, dtype=float)
     n = edm.shape[0]
@@ -292,7 +289,7 @@ def edm_to_points(edm, dim: int) -> np.ndarray:
     if top.min() < -floor:
         warnings.warn("clamping negative eigenvalues in MDS embedding; "
                       "input is slightly non-Euclidean", RuntimeWarning)
-    top = np.maximum(top, 0.0)
+    top = np.where(top > floor, top, 0.0)
     return vecs * np.sqrt(top)
 
 

@@ -3,9 +3,10 @@
 The main pipeline localizes each body node from its anchor ranges
 (Gauss-Newton multilateration) and then fits the rigid pose to the node
 fixes with a weighted orthogonal Procrustes alignment; a third stage can
-refine that pose by Gauss-Newton over all observed ranges. Companions cover
-hybrid range+angle point fixes, anchorless body-to-body relative pose from
-cross distances, and linear velocity estimation from range-rates.
+refine that pose by Gauss-Newton over all observed ranges. Anchorless
+body-to-body relative pose is the same pipeline run in one body's frame,
+with that body's nodes as the anchors. Companions cover hybrid
+range+angle point fixes and linear velocity estimation from range-rates.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .completion import edm_to_points
 from .geometry import (
     BodyMotion,
     Conformation,
@@ -96,8 +96,10 @@ class RelativePoseEstimate:
     """Pose of body 2 expressed in body 1's frame.
 
     ``center_offset`` is the vector between the two geometric centers in
-    body 1's frame. ``reflection_resolved`` is False when both embedding
-    chiralities explain the data equally well (degenerate flat bodies).
+    body 1's frame, and ``residual_rms`` the stage-2 Procrustes RMS.
+    ``reflection_resolved`` is False when some node of body 2 was fixed as
+    one of two mirror candidates (``PoseEstimate.ambiguous_nodes``), as
+    when body 1's nodes lie in a hyperplane.
     """
 
     pose: Pose
@@ -541,13 +543,24 @@ def _local_rotations(params):
     return np.eye(3) + first * skew + second * _small_matmul(skew, skew)
 
 
+def _rigid_range_rows(rotated, u):
+    """Derivative of an anchor-to-node range in the body's (ω, t): the
+    row [q x u, u] in 3D and [u . (J2 q), u] in 2D, with q the rotated
+    body-frame node offset and u the unit anchor-to-node vector; q may
+    broadcast against u."""
+    if u.shape[-1] == 2:
+        spin = (u[..., 1] * rotated[..., 0] - u[..., 0] * rotated[..., 1])[..., None]
+    else:
+        spin = np.cross(rotated, u)
+    return np.concatenate([spin, u], axis=-1)
+
+
 def _pose_model(anchors, coords, rot0, dists, obs):
     """``(residuals, linearize)`` of the pose refinements ``_gauss_newton``
     runs: problem b fits x = (ω, t), the body at rotation R(ω)·rot0[b] and
     translation t, to the ranges dists[b] (B x M x K) where obs[b] is True.
-    A residual's Jacobian row is [q x u, u] in 3D and [u . (J2 q), u] in
-    2D, with q = R c_k and u the unit anchor-to-node vector. In 3D that
-    row is the derivative for a rotation applied on top of the current
+    A residual's Jacobian row is ``_rigid_range_rows`` of q = R c_k. In 3D
+    that row is the derivative for a rotation applied on top of the current
     one; it equals the derivative in ω at ω = 0 and differs from it by the
     left Jacobian of SO(3), invertible for |ω| < 2π, so both vanish at the
     same fits."""
@@ -571,13 +584,7 @@ def _pose_model(anchors, coords, rot0, dists, obs):
         rotated, diff, dist = place(x, rows)
         observed = obs[rows]
         resid = np.where(observed, dist - dists[rows], 0.0)
-        u = diff / dist[..., None]
-        q = rotated[:, None]
-        if dim == 2:
-            spin = (u[..., 1] * q[..., 0] - u[..., 0] * q[..., 1])[..., None]
-        else:
-            spin = np.cross(q, u)
-        jac = np.concatenate([spin, u], axis=-1)
+        jac = _rigid_range_rows(rotated[:, None], diff / dist[..., None])
         jac[~observed] = 0.0
         return resid.reshape(-1, count), jac.reshape(-1, count, jac.shape[-1])
 
@@ -730,84 +737,46 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
                     bool(converged[0]))
 
 
-def _relative_residual(a: float, b: float) -> float:
-    return abs(a - b) / max(a, b, 1e-300)
-
-
 def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
                              cross: MaskedRangeMatrix) -> RelativePoseEstimate:
     """Relative pose of body 2 in body 1's frame from cross distances only.
 
-    Stacks both bodies' internal distance blocks with the measured cross
-    distances into one squared EDM, embeds it by classical MDS and aligns
-    the body-1 part back onto its conformation. Both embedding chiralities
-    are tried; the one aligning body 1 better wins, with the cross-distance
-    fit as tie-breaker. If both chiralities tie (flat bodies), the estimate
-    is returned with ``reflection_resolved`` cleared.
+    In body 1's frame its nodes are anchors at known coordinates, so this
+    is anchored rigid body localization with ``conf1``'s nodes as anchors
+    and ``cross`` (k1 x k2) as their ranges to body 2's nodes: the
+    two-stage estimate of ``rbl_two_stage_batch`` refined by
+    ``refine_poses``. Stage 1 fixes a body-2 node only when body 1 has at
+    least dim+1 nodes; when they span only a hyperplane, each fix is one of
+    two mirror candidates and ``reflection_resolved`` is cleared. Raises
+    the estimation error the two stages raise, and DegenerateGeometryError
+    when body 2's fixed nodes leave its rotation not unique.
     """
     if conf1.dim != conf2.dim:
         raise ValueError("conformation dimensions differ")
-    dim = conf1.dim
-    k1, k2 = conf1.num_nodes, conf2.num_nodes
-    if cross.shape != (k1, k2):
+    if cross.shape != (conf1.num_nodes, conf2.num_nodes):
         raise ValueError("cross matrix shape must be (k1, k2)")
     if not np.all(cross.mask):
         raise ValueError("cross distances must be fully observed; "
                          "complete the distance matrix first")
-
-    n = k1 + k2
-    edm = np.zeros((n, n))
-    edm[:k1, :k1] = conf1.pairwise_distances() ** 2
-    edm[k1:, k1:] = conf2.pairwise_distances() ** 2
-    edm[:k1, k1:] = cross.values**2
-    edm[k1:, :k1] = edm[:k1, k1:].T
-    embedded = edm_to_points(edm, dim)
-    # eigentruncation turns a zero Gram eigenvalue into sqrt(eps)-sized
-    # coordinates, so the rank test needs a matching tolerance
-    if affine_basis(embedded, tol=1e-6)[2] < dim:
+    anchors = AnchorSet(conf1.coords)
+    est = refine_poses(anchors, [cross], conf2,
+                       rbl_two_stage_batch(anchors, [cross], conf2))[0]
+    if isinstance(est, ValueError):
+        raise est
+    if not est.rotation_unique:
         raise DegenerateGeometryError(
-            "combined point set does not span the space")
-
-    scale = float(np.sqrt(np.mean(edm)))
-    options = []
-    for chirality in (1.0, -1.0):
-        pts = embedded.copy()
-        pts[:, -1] *= chirality
-        rot, trans, align_rms = _weighted_kabsch(pts[:k1], conf1.coords[None],
-                                                 np.ones((1, k1)))
-        body2 = pts[k1:] @ rot[0].T + trans[0]
-        pred = np.sqrt(squared_distances(conf1.coords, body2))
-        cross_rms = float(np.sqrt(np.mean((pred - cross.values) ** 2)))
-        options.append((float(align_rms[0]), cross_rms, body2))
-
-    atol = 1e-9 * max(scale, 1.0)
-    a0, a1 = options[0][0], options[1][0]
-    resolved = True
-    if max(a0, a1) > atol and _relative_residual(a0, a1) > 1e-6:
-        choice = options[0] if a0 <= a1 else options[1]
-    else:
-        c0, c1 = options[0][1], options[1][1]
-        if max(c0, c1) > atol and _relative_residual(c0, c1) > 1e-6:
-            choice = options[0] if c0 <= c1 else options[1]
-        else:
-            choice = options[0]
-            resolved = False
-
-    body2 = choice[2]
-    rot, trans, rms = _weighted_kabsch(conf2.coords, body2[None], np.ones((1, k2)))
-    pose = Pose.from_matrix(rot[0], trans[0], reorthonormalize=True)
-    offset = body2.mean(axis=0) - conf1.coords.mean(axis=0)
-    return RelativePoseEstimate(pose, offset, float(rms[0]), resolved)
+            "body 2's localized nodes do not pin down its rotation")
+    offset = (apply_pose(conf2, est.pose).positions.mean(axis=0)
+              - conf1.coords.mean(axis=0))
+    return RelativePoseEstimate(est.pose, offset, est.stage2_rms,
+                                not est.ambiguous_nodes)
 
 
 def _motion_design(anchors: AnchorSet, pose: Pose, conf: Conformation,
                    rates: np.ndarray, obs: np.ndarray):
     """Linear system of the range-rate model, one row per observed
-    (anchor, node) pair in row-major order.
-
-    With u the unit vector from the anchor to the node and r the rotated
-    body-frame node offset, a row reads [u . (J2 r), u] in 2D and
-    [r x u, u] in 3D against the unknowns (omega, t_dot).
+    (anchor, node) pair in row-major order: ``_rigid_range_rows`` of the
+    rotated body-frame node offsets against the unknowns (omega, t_dot).
     """
     n, m = np.nonzero(obs)
     rotated = (conf.coords @ pose.rotation.T)[m]
@@ -815,13 +784,7 @@ def _motion_design(anchors: AnchorSet, pose: Pose, conf: Conformation,
     dist = np.sqrt((diff**2).sum(axis=1))
     if np.any(dist <= 0):
         raise DegenerateGeometryError("node coincides with an anchor; rate undefined")
-    u = diff / dist[:, None]
-    if conf.dim == 2:
-        spin = u[:, 1] * rotated[:, 0] - u[:, 0] * rotated[:, 1]
-        design = np.column_stack([spin, u])
-    else:
-        design = np.hstack([np.cross(rotated, u), u])
-    return design, rates[n, m]
+    return _rigid_range_rows(rotated, diff / dist[:, None]), rates[n, m]
 
 
 def estimate_motion(anchors: AnchorSet, pose: Pose, conf: Conformation,

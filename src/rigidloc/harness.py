@@ -20,12 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .completion import _congruent_fill_batch, complete_edm
-from .estimators import (
-    estimate_motion,
-    rbl_two_stage_batch,
-    refine_poses,
-    relative_pose_anchorless,
-)
+from .estimators import estimate_motion, rbl_two_stage_batch, refine_poses
 from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
 from .geometry import (
     BodyMotion,
@@ -486,7 +481,12 @@ def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
 
 
 def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
+    """Both bodies are the configured body. Body 2's pose in body 1's frame
+    is anchored localization with body 1's nodes as the anchors, so each
+    block of trials runs the two-stage estimator and refines its poses, as
+    ``relative_pose_anchorless`` does for one trial."""
     conf = _resolve_conformation(config, sensors)
+    body1 = AnchorSet(conf.coords)
 
     def draws():
         for trial in range(config.trials):
@@ -499,11 +499,13 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
             dists = np.sqrt(squared_distances(conf.coords, body2.positions))
             if sigma > 0:
                 dists = np.maximum(dists + rng.normal(0.0, sigma, dists.shape), 0.0)
-            yield pose, dists
+            yield pose, MaskedRangeMatrix(dists)
 
-    return error_statistics(draws(), one_at_a_time(
-        lambda dists: relative_pose_anchorless(
-            conf, conf, MaskedRangeMatrix(dists))))
+    def solve(ranges):
+        return refine_poses(body1, ranges, conf, rbl_two_stage_batch(
+            body1, ranges, conf, config.estimator["weighted"]))
+
+    return error_statistics(draws(), solve, block_size=trials_per_block(conf))
 
 
 def _motion_errors(est, motion: BodyMotion):

@@ -237,25 +237,22 @@ class TestCongruentFillBatch:
     def test_matches_node_by_node_reference(self, dim):
         """The batched core, on coordinates, and ``_congruent_fill``, on the
         partial EDM, agree with the one-fix-at-a-time loop to 1e-9 of the
-        scale on noisy distances, None included. (``_congruent_fill`` is
-        left out on anchors in a hyperplane: their MDS embedding is off it
-        by rounding, which the rank cutoff can take for full rank.)"""
+        scale on noisy distances, None included, anchors in a hyperplane
+        too."""
         rng = np.random.default_rng(90 + dim)
         seen = {"none": 0, "via_pins": 0, "filled": 0, "flat_anchors": 0}
         for _ in range(40):
             anchors, body, cross, masks = random_block(rng, dim, 10, sigma=0.05)
-            flat = not anchors[:, -1].any()
-            seen["flat_anchors"] += flat
+            seen["flat_anchors"] += not anchors[:, -1].any()
             placed, ok = _congruent_fill_batch(anchors, body, cross, masks)
             scale = squared_edm(np.vstack([anchors, anchors[:1] + body])).max()
             for t in range(len(cross)):
                 ref = reference_fill(anchors, body, np.nan_to_num(cross[t]), masks[t])
-                fills = [squared_edm(np.vstack([anchors, placed[t]]))]
-                if not flat:
-                    fills.append(_congruent_fill(assemble_partial_edm(
-                        AnchorSet(anchors), Conformation(body),
-                        MaskedRangeMatrix(cross[t], masks[t]))))
-                    assert (fills[-1] is not None) == ok[t]
+                fills = [squared_edm(np.vstack([anchors, placed[t]])),
+                         _congruent_fill(assemble_partial_edm(
+                             AnchorSet(anchors), Conformation(body),
+                             MaskedRangeMatrix(cross[t], masks[t])))]
+                assert (fills[-1] is not None) == ok[t]
                 assert ok[t] == (ref is not None)
                 if ref is None:
                     assert np.isnan(placed[t]).all()
@@ -267,6 +264,23 @@ class TestCongruentFillBatch:
                 for fill in fills:
                     assert min(np.abs(fill - e).max() for e in expected) <= 1e-9 * scale
         assert min(seen.values()) >= 5 and seen["none"] + seen["filled"] == 400
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_places_the_body_not_its_mirror(self, dim):
+        """With exactly ``dim`` pins and no observed range on the other
+        nodes, the body and its mirror image fit the data equally well; the
+        batch aligns the body it is given, which no rigid motion mirrors."""
+        rng = np.random.default_rng(0)
+        anchors = rng.uniform(-20, 20, (dim + 2, dim))
+        body = rng.uniform(-2, 2, (dim + 3, dim))
+        true = body @ random_rotation(rng, dim).T + rng.uniform(-5, 5, dim)
+        mask = np.zeros((dim + 2, dim + 3), dtype=bool)
+        mask[:, :dim] = True
+        placed, ok = _congruent_fill_batch(anchors, body,
+                                           cross_distances(anchors, true)[None],
+                                           mask[None])
+        assert ok[0]
+        assert np.abs(placed[0] - true).max() < 1e-9
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_bit_identical_alone_and_inside_a_block(self, dim):

@@ -384,6 +384,12 @@ class TestAnchorless:
         with pytest.raises(DegenerateGeometryError):
             relative_pose_anchorless(conf1, conf2, MaskedRangeMatrix(cross))
 
+    def test_two_node_body_raises(self):
+        """Two nodes of body 2 leave its rotation about their axis free."""
+        conf1, conf2, _, _, cross = self.make_bodies(63, k2=2)
+        with pytest.raises(DegenerateGeometryError):
+            relative_pose_anchorless(conf1, conf2, cross)
+
     def test_planar_first_body_flags_unresolved(self):
         rng = np.random.default_rng(61)
         square = np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0],

@@ -304,6 +304,25 @@ class TestRunExperiment:
         assert table.rows[0].translation_rmse < 1e-6
         assert table.rows[0].rotation_rmse < 1e-6
 
+    def test_anchorless_planar_body_fails_every_trial(self):
+        """Three nodes of body 1 span only a plane in 3D, so no node of
+        body 2 has the dim+1 ranges stage 1 needs."""
+        cfg = tiny_config(scenario="anchorless_two_body", sigma_list=[0.0],
+                          sensor_counts=[3], trials=20)
+        row = run_experiment(cfg).rows[0]
+        assert row.failures == row.trials == 20
+        assert np.isnan(row.translation_rmse)
+
+    def test_anchorless_noisy_accuracy(self):
+        """Fixed seed, K = 8, sigma 0.1 m: the localize-and-refine estimate
+        reads about 0.175 m / 0.055 rad."""
+        cfg = tiny_config(scenario="anchorless_two_body", sigma_list=[0.1],
+                          sensor_counts=[8], trials=100, master_seed=0)
+        row = run_experiment(cfg).rows[0]
+        assert row.failures == 0
+        assert row.translation_rmse < 0.25
+        assert row.rotation_rmse < 0.07
+
     def test_motion_tracking_scenario(self):
         cfg = tiny_config(scenario="motion_tracking", sigma_list=[0.0],
                           sensor_counts=[6], trials=5)

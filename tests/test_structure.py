@@ -1,6 +1,7 @@
 """Structure of the package: intra-package imports sit at module
-level and form no cycle, and the only import inside a function is the lazy
-``scipy.spatial`` one that keeps scipy out of ``import rigidloc``; the
+level and form no cycle, the estimators import nothing from completion,
+and the only import inside a function is the lazy ``scipy.spatial`` one
+that keeps scipy out of ``import rigidloc``; the
 Gauss-Newton settings are read by one solver loop only; the congruent
 start has one pin loop; and the harness keeps the names the benchmark's
 tracer patches, and the poses its gate checks."""
@@ -81,6 +82,15 @@ def test_module_import_graph_is_acyclic():
 
     for name in sorted(graph):
         visit(name)
+
+
+def test_estimators_import_nothing_from_completion():
+    """Anchorless relative pose is anchored localization in one body's
+    frame, so the estimators need no EDM embedding."""
+    modules = parse_modules()
+    assert not any("completion" in intra_package_targets(node, modules)
+                   for node in ast.walk(modules["estimators"])
+                   if isinstance(node, (ast.Import, ast.ImportFrom)))
 
 
 def readers(tree, name):
