@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Conformation, random_rotation, rotation_2d, squared_distances
-from .geometry import _linearized_fix, _small_matmul, _weighted_kabsch
+from .geometry import _linearized_fix, _ordered_sum, _small_matmul, _weighted_kabsch
 from .measurement import PartialEdm
 
 COMPLETION_TOL = 1e-10
@@ -99,9 +99,9 @@ def _congruent_fill_batch(anchors, body, cross_d, mask):
     runs in a fixed order, so a trial's result does not depend on the rest
     of the block.
 
-    Returns B x K x D node positions in the anchor frame and, per trial,
-    whether it pinned at least D nodes; the positions of a trial that did
-    not are NaN.
+    Returns B x K x D node positions in the anchor frame, the B x K mask of
+    pinned nodes and, per trial, whether it pinned at least D nodes; the
+    positions of a trial that did not are NaN.
     """
     b, m, k = mask.shape
     dim = anchors.shape[1]
@@ -145,11 +145,17 @@ def _congruent_fill_batch(anchors, body, cross_d, mask):
     ok = n_pins >= dim
     align = np.flatnonzero(ok & (n_pins < k))
     if align.size:
-        rot, shift, _ = _weighted_kabsch(body, placed[align], pinned[align])
-        cand = _small_matmul(body, np.swapaxes(rot, -1, -2)) + shift[:, None, :]
-        placed[align] = np.where(pinned[align, :, None], placed[align], cand)
+        placed[align] = np.where(pinned[align, :, None], placed[align],
+                                 _aligned_body(body, placed[align], pinned[align]))
     placed[~ok] = np.nan
-    return placed, ok
+    return placed, pinned, ok
+
+
+def _aligned_body(body, placed, pinned):
+    """``body`` moved by the rigid motion, without reflection, that best
+    fits its pinned nodes onto their pins (B x K x D, mask B x K)."""
+    rot, shift, _ = _weighted_kabsch(body, placed, pinned)
+    return _small_matmul(body, np.swapaxes(rot, -1, -2)) + shift[:, None, :]
 
 
 def _congruent_fill(partial: PartialEdm):
@@ -158,10 +164,11 @@ def _congruent_fill(partial: PartialEdm):
     Embeds the fully observed anchor and body blocks separately and runs
     the one-trial case of ``_congruent_fill_batch`` on them. The embedding
     leaves the body's handedness unknown, so the body and its mirror image
-    are both aligned; returns the squared EDM of the reconstruction that
-    fits the known entries better, the unmirrored one on a tie. Returns
-    None when the block structure is missing or too degenerate, in which
-    case the caller falls back to a constant fill.
+    are both aligned onto the pins, and the unpinned nodes follow the one
+    whose anchor distances fit the observed cross distances better, the
+    unmirrored one on a tie; returns the squared EDM of the
+    reconstruction. Returns None when the block structure is missing or
+    too degenerate, in which case the caller falls back to a constant fill.
     """
     m = partial.num_anchors
     dim = partial.dim
@@ -175,17 +182,17 @@ def _congruent_fill(partial: PartialEdm):
         return None
     cross_mask = partial.mask[:m, m:]
     cross_d = np.sqrt(np.where(cross_mask, partial.values_sq[:m, m:], 0.0))
-    fills, misfits = [], []
-    for mirror in (body, body * np.r_[np.ones(dim - 1), -1.0]):
-        placed, ok = _congruent_fill_batch(anchors, mirror, cross_d[None],
-                                           cross_mask[None])
-        if not ok[0]:
-            return None
-        points = np.vstack([anchors, placed[0]])
-        fills.append(squared_distances(points, points))
-        misfits.append(np.sum(np.where(partial.mask, fills[-1] - partial.values_sq,
-                                       0.0) ** 2))
-    return fills[1] if misfits[1] < misfits[0] else fills[0]
+    placed, pinned, ok = _congruent_fill_batch(anchors, body, cross_d[None],
+                                               cross_mask[None])
+    if not ok[0]:
+        return None
+    cands = [_aligned_body(b, placed, pinned)[0]
+             for b in (body, body * np.r_[np.ones(dim - 1), -1.0])]
+    fits = [np.sqrt(squared_distances(anchors, c)) - cross_d for c in cands]
+    scores = [_ordered_sum(np.where(cross_mask, f**2, 0.0).reshape(-1)) for f in fits]
+    best = cands[1] if scores[1] < scores[0] else cands[0]
+    points = np.vstack([anchors, np.where(pinned[0, :, None], placed[0], best)])
+    return squared_distances(points, points)
 
 
 def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:

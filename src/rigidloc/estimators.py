@@ -392,9 +392,10 @@ def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
     if not ok.any():
         return fits
     rot, trans, rms = _weighted_kabsch(conf.coords, points[ok], weights[ok])
-    # the rotation is unique when the weighted nodes span the space
+    # the proper rotation is unique when the weighted nodes span at least a
+    # hyperplane: the one missing direction is fixed by the determinant
     patterns, which = _pattern_groups(weights[ok] > 0)
-    unique = np.array([affine_basis(conf.coords[p])[2] == conf.dim
+    unique = np.array([affine_basis(conf.coords[p])[2] >= conf.dim - 1
                        for p in patterns])[which]
     # a Kabsch rotation is a product of orthogonal SVD factors, so it is a
     # proper rotation to rounding and needs no re-orthonormalization
@@ -407,10 +408,11 @@ def fit_pose_procrustes(conf: Conformation, points, weights=None) -> PoseEstimat
     """Fit the rigid pose aligning a conformation onto estimated node
     positions (weighted orthogonal Procrustes).
 
-    Zero-weight nodes are ignored. When the effective conformation does not
-    span the space (e.g. a single node, or two nodes in 3D) the optimal
-    rotation is not unique; a valid minimizer is still returned with
-    ``rotation_unique`` cleared.
+    Zero-weight nodes are ignored. When the effective conformation spans
+    less than a hyperplane (a single node, or collinear nodes in 3D) the
+    optimal rotation is not unique; a valid minimizer is still returned
+    with ``rotation_unique`` cleared. Nodes in a hyperplane (two nodes in
+    2D, three or more coplanar ones in 3D) fix a proper rotation.
     """
     points = np.asarray(points, dtype=float)
     if points.shape != conf.coords.shape:
@@ -747,9 +749,18 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
     two-stage estimate of ``rbl_two_stage_batch`` refined by
     ``refine_poses``. Stage 1 fixes a body-2 node only when body 1 has at
     least dim+1 nodes; when they span only a hyperplane, each fix is one of
-    two mirror candidates and ``reflection_resolved`` is cleared. Raises
+    two mirror candidates, ``reflection_resolved`` is cleared and the pose
+    can be metres off. Raises
     the estimation error the two stages raise, and DegenerateGeometryError
-    when body 2's fixed nodes leave its rotation not unique.
+    when body 2's nodes span less than a hyperplane (its rotation is not
+    unique) or when both bodies lie in one hyperplane (ranges within it
+    leave each node's offset out of it unobservable).
+
+    One call is one trial of the batched kernels, about 20-35 ms for
+    4-14 nodes per body, mostly stage-3 Gauss-Newton; many pairs are
+    cheaper solved together by calling ``rbl_two_stage_batch`` and
+    ``refine_poses`` on a list of cross matrices, as the
+    ``anchorless_two_body`` sweep does.
     """
     if conf1.dim != conf2.dim:
         raise ValueError("conformation dimensions differ")
@@ -766,8 +777,11 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
     if not est.rotation_unique:
         raise DegenerateGeometryError(
             "body 2's localized nodes do not pin down its rotation")
-    offset = (apply_pose(conf2, est.pose).positions.mean(axis=0)
-              - conf1.coords.mean(axis=0))
+    body2 = apply_pose(conf2, est.pose).positions
+    # stage 1 puts a node in body 1's hyperplane to rounding, hence the cutoff
+    if affine_basis(np.vstack([conf1.coords, body2]), tol=1e-6)[2] < conf1.dim:
+        raise DegenerateGeometryError("both bodies lie in one hyperplane")
+    offset = body2.mean(axis=0) - conf1.coords.mean(axis=0)
     return RelativePoseEstimate(est.pose, offset, est.stage2_rms,
                                 not est.ambiguous_nodes)
 

@@ -173,8 +173,8 @@ class Conformation:
         """Rank of the centered coordinates, by ``affine_basis`` at its
         default tolerance.
 
-        Equals ``dim`` when the nodes affinely span the full space, which is
-        what the pose estimators need for a unique rotation.
+        Equals ``dim`` when the nodes affinely span the full space. The
+        pose estimators need at least ``dim`` - 1 for a unique rotation.
         """
         return affine_basis(self.coords)[2]
 

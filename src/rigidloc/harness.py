@@ -459,7 +459,7 @@ def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
         return np.sqrt(filled[:m, m:])
 
     def solve(items):
-        placed, started = _congruent_fill_batch(
+        placed, _, started = _congruent_fill_batch(
             anchors.positions, conf.coords, np.stack([r.values for r in items]),
             np.stack([r.mask for r in items]))
         fills = np.sqrt(((anchors.positions[:, None, :] - placed[:, None, :, :]) ** 2)
@@ -484,7 +484,10 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
     """Both bodies are the configured body. Body 2's pose in body 1's frame
     is anchored localization with body 1's nodes as the anchors, so each
     block of trials runs the two-stage estimator and refines its poses, as
-    ``relative_pose_anchorless`` does for one trial."""
+    ``relative_pose_anchorless`` does for one trial. Estimates without a
+    unique rotation, or with mirror-candidate nodes, are scored as the
+    other two-stage sweeps score them; ``relative_pose_anchorless`` raises
+    on the first and flags the second."""
     conf = _resolve_conformation(config, sensors)
     body1 = AnchorSet(conf.coords)
 

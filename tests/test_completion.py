@@ -244,7 +244,7 @@ class TestCongruentFillBatch:
         for _ in range(40):
             anchors, body, cross, masks = random_block(rng, dim, 10, sigma=0.05)
             seen["flat_anchors"] += not anchors[:, -1].any()
-            placed, ok = _congruent_fill_batch(anchors, body, cross, masks)
+            placed, _, ok = _congruent_fill_batch(anchors, body, cross, masks)
             scale = squared_edm(np.vstack([anchors, anchors[:1] + body])).max()
             for t in range(len(cross)):
                 ref = reference_fill(anchors, body, np.nan_to_num(cross[t]), masks[t])
@@ -276,7 +276,7 @@ class TestCongruentFillBatch:
         true = body @ random_rotation(rng, dim).T + rng.uniform(-5, 5, dim)
         mask = np.zeros((dim + 2, dim + 3), dtype=bool)
         mask[:, :dim] = True
-        placed, ok = _congruent_fill_batch(anchors, body,
+        placed, _, ok = _congruent_fill_batch(anchors, body,
                                            cross_distances(anchors, true)[None],
                                            mask[None])
         assert ok[0]
@@ -288,11 +288,11 @@ class TestCongruentFillBatch:
         started = 0
         for _ in range(4):
             anchors, body, cross, masks = random_block(rng, dim, 50, sigma=0.1)
-            placed, ok = _congruent_fill_batch(anchors, body, cross, masks)
+            placed, _, ok = _congruent_fill_batch(anchors, body, cross, masks)
             started += ok.sum()
             for t in range(len(cross)):
-                alone, alone_ok = _congruent_fill_batch(anchors, body, cross[t:t + 1],
-                                                        masks[t:t + 1])
+                alone, _, alone_ok = _congruent_fill_batch(
+                    anchors, body, cross[t:t + 1], masks[t:t + 1])
                 assert alone_ok[0] == ok[t]
                 assert np.array_equal(alone[0], placed[t], equal_nan=True)
         assert 50 < started < 150

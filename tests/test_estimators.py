@@ -142,6 +142,20 @@ class TestProcrustes:
         est = fit_pose_procrustes(conf, pts)
         assert not est.rotation_unique
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nodes_in_a_hyperplane_fix_the_rotation(self, dim):
+        """Two nodes in 2D or three coplanar ones in 3D: the determinant
+        rules out the mirror, so the proper rotation is unique."""
+        rng = np.random.default_rng(35)
+        coords = rng.uniform(-2, 2, (dim, dim))
+        coords[:, -1] = 0.0
+        conf = Conformation(coords)
+        pose = Pose(random_rotation(rng, dim), rng.uniform(-5, 5, dim))
+        est = fit_pose_procrustes(conf, apply_pose(conf, pose).positions)
+        assert est.rotation_unique
+        assert rotation_geodesic_error(est.pose.rotation, pose.rotation) < 1e-9
+        assert np.allclose(est.pose.translation, pose.translation, atol=1e-9)
+
     def test_mirrored_input_beats_rotation_grid(self):
         """With reflected targets no proper rotation fits exactly; the fit
         must still match the best rotation found by brute-force search."""
@@ -383,6 +397,25 @@ class TestAnchorless:
                                axis=2)
         with pytest.raises(DegenerateGeometryError):
             relative_pose_anchorless(conf1, conf2, MaskedRangeMatrix(cross))
+
+    @pytest.mark.parametrize("dim,k2", [(2, 2), (3, 4)])
+    def test_body_in_a_hyperplane_recovers(self, dim, k2):
+        """A 2-node body 2 in 2D, or a coplanar 4-node one in 3D (a roof
+        array), has one proper placement when body 1 spans the space."""
+        rng = np.random.default_rng(64)
+        conf1 = Conformation(rng.uniform(-2, 2, (5, dim)))
+        coords = rng.uniform(-2, 2, (k2, dim))
+        coords[:, -1] = 0.0
+        conf2 = Conformation(coords)
+        pose = Pose(random_rotation(rng, dim),
+                    rng.uniform(-1, 1, dim) + ([8.0, 0.0, 0.0][:dim]))
+        body2 = apply_pose(conf2, pose).positions
+        cross = np.linalg.norm(conf1.coords[:, None, :] - body2[None, :, :],
+                               axis=2)
+        est = relative_pose_anchorless(conf1, conf2, MaskedRangeMatrix(cross))
+        assert est.reflection_resolved
+        assert rotation_geodesic_error(est.pose.rotation, pose.rotation) < 1e-6
+        assert np.allclose(est.pose.translation, pose.translation, atol=1e-6)
 
     def test_two_node_body_raises(self):
         """Two nodes of body 2 leave its rotation about their axis free."""

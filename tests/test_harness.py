@@ -32,8 +32,8 @@ def without_congruent_start(monkeypatch):
     start = harness._congruent_fill_batch
 
     def no_start(*args):
-        placed, started = start(*args)
-        return placed, np.zeros_like(started)
+        placed, pinned, started = start(*args)
+        return placed, pinned, np.zeros_like(started)
     monkeypatch.setattr(harness, "_congruent_fill_batch", no_start)
 
 
@@ -241,9 +241,9 @@ class TestRunExperiment:
                                   harness.refine_poses)
 
         def counted_fill(*args):
-            placed, started = fill(*args)
+            placed, pinned, started = fill(*args)
             seen["no_start"] += int((~started).sum())
-            return placed, started
+            return placed, pinned, started
 
         def counted_complete(*args, **kwargs):
             seen["complete_edm"] += 1
