@@ -11,6 +11,7 @@ range+angle point fixes and linear velocity estimation from range-rates.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +24,14 @@ from .geometry import (
     apply_pose,
     squared_distances,
 )
-from .geometry import _linearized_fix, _ordered_sum, _small_matmul, _weighted_kabsch
+from .geometry import (
+    _apply_linear_factor,
+    _freeze,
+    _linear_factor,
+    _ordered_sum,
+    _small_matmul,
+    _weighted_kabsch,
+)
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
 
 GN_STEP_TOL = 1e-10
@@ -32,6 +40,11 @@ GN_MAX_ITER = 100
 # Regularizer added to stage-1 residual variances so noiseless nodes do not
 # produce infinite weights.
 WEIGHT_EPSILON = 1e-12
+
+# Bound on the subset geometries ``_subset_geometry`` keeps. A set of M
+# points has at most 2**M observation patterns, and a tracked body repeats
+# a few dozen (71 distinct in 2000 frames of 8 anchors and a 14-node body).
+PATTERN_CACHE_SIZE = 1024
 
 
 class InsufficientMeasurementsError(ValueError):
@@ -124,11 +137,70 @@ def _observed(values, mask):
 
 
 def _pattern_groups(obs: np.ndarray):
-    """Distinct rows of a boolean matrix and, per row, its group index."""
+    """Distinct rows of a boolean matrix in the order ``np.unique(obs,
+    axis=0)`` gives them, each row's group index, and each distinct row
+    packed to bytes (``np.packbits``), the key ``_subset_geometry`` takes."""
+    packed = np.packbits(obs, axis=1)
     if obs.all():
-        return obs[:1], np.zeros(obs.shape[0], dtype=int)
-    patterns, which = np.unique(obs, axis=0, return_inverse=True)
-    return patterns, which.reshape(-1)
+        first, which = np.arange(min(obs.shape[0], 1)), np.zeros(obs.shape[0], dtype=int)
+    else:
+        # packed rows compare as bytes the way the boolean rows compare
+        # column by column, so they sort into the same order
+        rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+        _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+    return obs[first], which, [row.tobytes() for row in packed[first]]
+
+
+@dataclass(frozen=True)
+class _Subset:
+    """Geometry of the points an observation pattern picks from a fixed
+    point set; it depends on no measurement, and its arrays are read-only.
+
+    ``rank`` is the points' affine rank and ``factor`` their
+    ``_linear_factor`` (None for a single point). When they span exactly a
+    hyperplane, ``normal`` is its unit normal, its first non-zero
+    component made positive, ``in_plane`` its orthonormal axes,
+    ``plane_points`` the points in those axes from the first point, and
+    ``plane_factor`` the ``_linear_factor`` of ``plane_points``; otherwise
+    these are None.
+    """
+
+    points: np.ndarray
+    rank: int
+    factor: tuple | None
+    normal: np.ndarray | None = None
+    in_plane: np.ndarray | None = None
+    plane_points: np.ndarray | None = None
+    plane_factor: tuple | None = None
+
+
+@functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
+def _cached_subset(coords: bytes, shape: tuple, key: bytes) -> _Subset:
+    pattern = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=shape[0])
+    points = _freeze(np.frombuffer(coords).reshape(shape)[pattern.astype(bool)])
+    dim = shape[1]
+    _, axes, rank = affine_basis(points)
+    factor = _linear_factor(points) if points.shape[0] > 1 else None
+    if rank != dim - 1:
+        return _Subset(points, rank, factor)
+    normal = axes[rank]
+    flip = np.flatnonzero(np.abs(normal) > 1e-12)
+    if flip.size and normal[flip[0]] < 0:
+        normal = -normal
+    in_plane = axes[:rank]
+    plane_points = (points - points[0]) @ in_plane.T
+    return _Subset(points, rank, factor, _freeze(normal), _freeze(in_plane),
+                   _freeze(plane_points), _linear_factor(plane_points))
+
+
+def _subset_geometry(coords: np.ndarray, key: bytes) -> _Subset:
+    """``_Subset`` of the rows of the N x D ``coords`` that the packed
+    pattern ``key`` (see ``_pattern_groups``) picks. Anchors and body
+    conformations stay fixed while the patterns repeat, so the result is
+    cached on the coordinates' bytes and shape and the key, at most
+    PATTERN_CACHE_SIZE entries, least recently used first out."""
+    coords = np.asarray(coords, dtype=float)
+    return _cached_subset(coords.tobytes(), coords.shape, key)
 
 
 def _range_residuals(x, anchors, dists, obs):
@@ -285,32 +357,26 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
     # from both mirror candidates, anything less cannot be fixed.
     owner, second, start = [], [], []
     todo = np.flatnonzero(live)
-    patterns, which = _pattern_groups(obs[todo])
-    for p, pattern in enumerate(patterns):
+    patterns, which, keys = _pattern_groups(obs[todo])
+    for p, (pattern, key) in enumerate(zip(patterns, keys)):
         cols = todo[which == p]
-        pts, d_obs = anchors[pattern], dists[cols][:, pattern]
-        _, axes, rank = affine_basis(pts)
-        if rank == dim:
+        d_obs = dists[cols][:, pattern]
+        sub = _subset_geometry(anchors, key)
+        if sub.rank == dim:
             owner.append(cols)
             second.append(np.zeros(cols.size, dtype=bool))
-            start.append(_linearized_fix(pts, d_obs)[0])
-        elif rank == dim - 1:
-            normal = axes[rank]
-            flip = np.flatnonzero(np.abs(normal) > 1e-12)
-            if flip.size and normal[flip[0]] < 0:
-                normal = -normal
+            start.append(_apply_linear_factor(sub.factor, d_obs)[0])
+        elif sub.rank == dim - 1:
             # solve within the anchors' hyperplane, then place the
             # out-of-plane component on both sides
-            in_plane = axes[:rank]
-            plane_pts = (pts - pts[0]) @ in_plane.T
-            y = _linearized_fix(plane_pts, d_obs)[0]
-            off = squared_distances(y, plane_pts)
-            z = np.sqrt(np.maximum(_ordered_sum(d_obs**2 - off) / pts.shape[0],
+            y = _apply_linear_factor(sub.plane_factor, d_obs)[0]
+            off = squared_distances(y, sub.plane_points)
+            z = np.sqrt(np.maximum(_ordered_sum(d_obs**2 - off) / sub.points.shape[0],
                                    0.0))[:, None]
-            base = pts[0] + (y[:, :, None] * in_plane).sum(axis=1)
+            base = sub.points[0] + (y[:, :, None] * sub.in_plane).sum(axis=1)
             owner += [cols, cols]
             second += [np.zeros(cols.size, dtype=bool), np.ones(cols.size, dtype=bool)]
-            start += [base + z * normal, base - z * normal]
+            start += [base + z * sub.normal, base - z * sub.normal]
             ambiguous[cols] = True
         else:
             for i in cols:
@@ -394,9 +460,9 @@ def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
     rot, trans, rms = _weighted_kabsch(conf.coords, points[ok], weights[ok])
     # the proper rotation is unique when the weighted nodes span at least a
     # hyperplane: the one missing direction is fixed by the determinant
-    patterns, which = _pattern_groups(weights[ok] > 0)
-    unique = np.array([affine_basis(conf.coords[p])[2] >= conf.dim - 1
-                       for p in patterns])[which]
+    _, which, keys = _pattern_groups(weights[ok] > 0)
+    unique = np.array([_subset_geometry(conf.coords, key).rank >= conf.dim - 1
+                       for key in keys])[which]
     # a Kabsch rotation is a product of orthogonal SVD factors, so it is a
     # proper rotation to rounding and needs no re-orthonormalization
     for i, t in enumerate(np.flatnonzero(ok)):
@@ -717,8 +783,8 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
         candidates.append(_polar_point(anchors.positions[n], r_vals[n], a_vals[n],
                                        e_vals[n] if dim == 3 else None))
     if r_obs.sum() >= dim + 1:
-        candidates.append(_linearized_fix(anchors.positions[r_obs],
-                                          r_vals[r_obs])[0][0])
+        ranged = _subset_geometry(anchors.positions, np.packbits(r_obs).tobytes())
+        candidates.append(_apply_linear_factor(ranged.factor, r_vals[r_obs])[0][0])
     if dim == 2 and a_obs.sum() >= 2:
         # bearing-ray intersection of the first two azimuth anchors
         i, j = np.flatnonzero(a_obs)[:2]

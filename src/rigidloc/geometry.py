@@ -98,30 +98,55 @@ def _weighted_kabsch(source: np.ndarray, target: np.ndarray, weights):
     return rot, trans, rms
 
 
+def _linear_system(anchors):
+    """SVD (u, s, vt) of the matrix of ``_linearized_fix``'s linear system,
+    the singular values kept with the cutoff ``lstsq`` applies, and the
+    anchor part of its right-hand side, for M x D or B x M x D anchors."""
+    first, rest = anchors[..., :1, :], anchors[..., 1:, :]
+    lhs = 2.0 * (rest - first)
+    u, svals, vt = np.linalg.svd(lhs, full_matrices=False)
+    keep = svals > (np.finfo(float).eps * max(lhs.shape[-2:])
+                    * svals.max(axis=-1, keepdims=True))
+    return u, svals, vt, keep, (rest**2).sum(axis=-1) - (first**2).sum(axis=-1)
+
+
+def _linear_factor(anchors):
+    """Anchor-only part of ``_linearized_fix`` for M x D anchors shared by
+    every problem: (pseudo-inverse, anchor part of the right-hand side,
+    rank), the arrays read-only. ``_apply_linear_factor`` finishes the
+    fixes from the ranges."""
+    u, svals, vt, keep, base = _linear_system(anchors)
+    pinv = (vt[keep].T / svals[keep]) @ u[:, keep].T
+    return _freeze(pinv), _freeze(base), int(keep.sum())
+
+
+def _apply_linear_factor(factor, dists):
+    """``_linearized_fix`` of the anchors ``factor`` was made from: the
+    B x D solutions for the B x M ``dists`` and the rank."""
+    pinv, base, rank = factor
+    dists = np.atleast_2d(dists)
+    rhs = base - dists[:, 1:] ** 2 + dists[:, :1] ** 2
+    return _ordered_sum(pinv * rhs[:, None, :]), rank
+
+
 def _linearized_fix(anchors, dists):
     """Closed-form point fixes, exact for noiseless ranges: subtracting
     the first range equation from the rest leaves a linear system in the
     unknown position, solved in the least-squares (minimum-norm) sense.
 
     ``dists`` is B x M, one problem per row. With M x D ``anchors`` the
-    problems share them and one pseudo-inverse, and the rank is one int.
-    With B x M x D ``anchors`` each problem has its own: one stacked SVD
-    solves them all, the rank is one per problem, and a problem's result
-    does not depend on the others in the stack. Returns the B x D
-    solutions and the rank of the linear system, with the cutoff
+    problems share them and one pseudo-inverse (``_linear_factor``), and
+    the rank is one int. With B x M x D ``anchors`` each problem has its
+    own: one stacked SVD solves them all, the rank is one per problem, and
+    a problem's result does not depend on the others in the stack. Returns
+    the B x D solutions and the rank of the linear system, with the cutoff
     ``lstsq`` applies.
     """
-    dists = np.atleast_2d(dists)
-    first, rest = anchors[..., :1, :], anchors[..., 1:, :]
-    lhs = 2.0 * (rest - first)
-    u, svals, vt = np.linalg.svd(lhs, full_matrices=False)
-    keep = svals > (np.finfo(float).eps * max(lhs.shape[-2:])
-                    * svals.max(axis=-1, keepdims=True))
-    rhs = (rest**2).sum(axis=-1) - (first**2).sum(axis=-1) \
-        - dists[:, 1:] ** 2 + dists[:, :1] ** 2
     if anchors.ndim == 2:
-        pinv = (vt[keep].T / svals[keep]) @ u[:, keep].T
-        return _ordered_sum(pinv * rhs[:, None, :]), int(keep.sum())
+        return _apply_linear_factor(_linear_factor(anchors), dists)
+    dists = np.atleast_2d(dists)
+    u, svals, vt, keep, base = _linear_system(anchors)
+    rhs = base - dists[:, 1:] ** 2 + dists[:, :1] ** 2
     # V diag(1/s) U^T rhs over the kept singular values, problem by problem
     coef = _ordered_sum(u * rhs[..., None], axis=-2) / np.where(keep, svals, 1.0)
     return (_ordered_sum(vt * np.where(keep, coef, 0.0)[..., None], axis=-2),

@@ -11,7 +11,10 @@ from rigidloc import estimators
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
+    _cached_subset,
     _motion_design,
+    _pattern_groups,
+    _subset_geometry,
     multilaterate,
     rbl_two_stage,
     rbl_two_stage_batch,
@@ -19,6 +22,7 @@ from rigidloc.estimators import (
 )
 from rigidloc.geometry import (
     Pose,
+    _linear_factor,
     _linearized_fix,
     apply_pose,
     random_rotation,
@@ -159,6 +163,80 @@ class TestMatrixMultilaterate:
         anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])
         with pytest.raises(ValueError):
             multilaterate(anchors, np.ones((4, 2)))
+
+
+def assert_same_fix(a, b):
+    """Bit-identical matrix ``PointFix`` results, errors compared by type."""
+    for name in ("position", "candidates", "residual_rms", "point_iterations",
+                 "point_converged", "ambiguous"):
+        assert np.array_equal(getattr(a, name), getattr(b, name), equal_nan=True)
+    assert [type(e) for e in a.errors] == [type(e) for e in b.errors]
+
+
+class TestPatternCache:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cold_and_warm_cache_agree(self, dim):
+        anchors, values, mask = mixed_columns(dim, np.random.default_rng(40 + dim), 60)
+        _cached_subset.cache_clear()
+        cold = multilaterate(anchors, values, mask)
+        misses = _cached_subset.cache_info().misses
+        warm = multilaterate(anchors, values, mask)
+        assert _cached_subset.cache_info().misses == misses
+        assert _cached_subset.cache_info().hits >= misses
+        assert_same_fix(cold, warm)
+
+    def test_anchor_sets_sharing_a_pattern_keep_their_own_entries(self):
+        first = cube_anchor_layout(8, dim=3, span=60.0)
+        moved = first.positions.copy()
+        moved[5, 2] += 1.0
+        second = AnchorSet(moved)
+        mask = np.ones(8, dtype=bool)
+        mask[[1, 6]] = False
+        key = np.packbits(mask).tobytes()
+        d = np.where(mask, ranges_to(second, [1.0, -2.0, 0.5]), np.nan)
+        _cached_subset.cache_clear()
+        alone = multilaterate(second, d[:, None])
+        _cached_subset.cache_clear()
+        multilaterate(first, np.where(mask, ranges_to(first, [1.0, -2.0, 0.5]), np.nan))
+        assert_same_fix(alone, multilaterate(second, d[:, None]))
+        for anchors in (first, second):
+            sub = _subset_geometry(anchors.positions, key)
+            assert np.array_equal(sub.points, anchors.positions[mask])
+            for got, want in zip(sub.factor, _linear_factor(anchors.positions[mask])):
+                assert np.array_equal(got, want)
+        # the same bytes and pattern read as another shape are another point set
+        block = first.positions[:4]
+        every = np.packbits(np.ones(4, dtype=bool)).tobytes()
+        assert _subset_geometry(block, every).points.shape == (4, 3)
+        assert _subset_geometry(block.reshape(6, 2), every).points.shape == (4, 2)
+        assert _cached_subset.cache_info().currsize == 4
+
+    def test_cached_arrays_are_read_only(self):
+        anchors = cube_anchor_layout(8, dim=3, span=60.0)
+        face = anchors.positions[:, 0] > 0
+        sub = _subset_geometry(anchors.positions, np.packbits(face).tobytes())
+        assert sub.rank == 2
+        arrays = [sub.points, sub.normal, sub.in_plane, sub.plane_points,
+                  *sub.factor[:2], *sub.plane_factor[:2]]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+
+
+@pytest.mark.parametrize("m", [3, 8, 9, 20, 70])
+def test_pattern_groups_match_np_unique(m):
+    rng = np.random.default_rng(m)
+    pool = rng.random((12, m)) < 0.6
+    inputs = [pool[rng.integers(12, size=200)], rng.random((50, m)) < 0.5,
+              np.ones((30, m), dtype=bool), np.zeros((0, m), dtype=bool)]
+    for obs in inputs:
+        patterns, which, keys = _pattern_groups(obs)
+        want_patterns, want_which = np.unique(obs, axis=0, return_inverse=True)
+        assert patterns.shape == want_patterns.shape
+        assert np.array_equal(patterns, want_patterns)
+        assert np.array_equal(which, want_which.reshape(-1))
+        assert keys == [np.packbits(p).tobytes() for p in patterns]
 
 
 class TestBatchTwoStage:

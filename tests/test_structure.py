@@ -3,18 +3,22 @@ level and form no cycle, the estimators import nothing from completion,
 and the only import inside a function is the lazy ``scipy.spatial`` one
 that keeps scipy out of ``import rigidloc``; the
 Gauss-Newton settings are read by one solver loop only; the congruent
-start has one pin loop; and the harness keeps the names the benchmark's
-tracer patches, and the poses its gate checks."""
+start has one pin loop; the estimators reach an observation pattern's
+anchor geometry through one cache; and the harness keeps the names the
+benchmark's tracer patches, and the poses its gate checks."""
 
 import ast
 import importlib
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 import rigidloc
-from rigidloc import harness
-from rigidloc.estimators import PoseEstimate
-from rigidloc.geometry import Pose
+from rigidloc import estimators, harness
+from rigidloc.estimators import PoseEstimate, rbl_two_stage
+from rigidloc.geometry import Pose, apply_pose, random_rotation
+from rigidloc.measurement import HullOcclusion, simulate_ranges
 
 PACKAGE = Path(rigidloc.__file__).parent
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -133,6 +137,43 @@ def test_one_pin_loop():
     assert readers(modules["completion"], "_linearized_fix") == {"_congruent_fill_batch"}
     assert readers(modules["harness"], "_congruent_fill") == set()
     assert readers(modules["harness"], "_congruent_fill_batch") != set()
+
+
+def test_pattern_geometry_goes_through_the_cache():
+    """In ``estimators`` the affine rank and the linear factor of an
+    observation pattern's points are computed only by the cached helper;
+    the stage-1 fix, the stage-2 rank check and the hybrid range start
+    reach them through it."""
+    tree = parse_modules()["estimators"]
+    assert readers(tree, "affine_basis") == {"_cached_subset", "relative_pose_anchorless"}
+    assert readers(tree, "_linear_factor") == {"_cached_subset"}
+    assert readers(tree, "_linearized_fix") == set()
+    assert readers(tree, "_cached_subset") == {"_subset_geometry"}
+    assert readers(tree, "_subset_geometry") == {"_fix_columns", "_fit_poses",
+                                                 "localize_point_hybrid"}
+
+
+def test_repeated_frame_computes_no_pattern_geometry(monkeypatch):
+    """A tracker re-localizing a body whose occlusion pattern repeats does
+    no anchor-geometry SVD for it the second time."""
+    anchors = harness.cube_anchor_layout(8)
+    conf = harness.box_vehicle_conformation(14)
+    rng = np.random.default_rng(3)
+    body = apply_pose(conf, Pose(random_rotation(rng, 3), rng.uniform(-5, 5, 3)))
+    ranges = simulate_ranges(anchors, body, 0.1, HullOcclusion(body), rng)
+    assert not ranges.mask.all()
+    first = rbl_two_stage(anchors, ranges, conf)
+    calls = []
+    real = estimators.affine_basis
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(estimators, "affine_basis", counted)
+    second = rbl_two_stage(anchors, ranges, conf)
+    assert calls == []
+    assert np.array_equal(first.pose.rotation, second.pose.rotation)
+    assert np.array_equal(first.pose.translation, second.pose.translation)
 
 
 def test_harness_defines_the_names_the_benchmark_patches():
