@@ -53,12 +53,9 @@ from .estimators import (
 )
 from .completion import (
     CompletionResult,
-    DistanceAlphabet,
     NonEuclideanMatrixError,
-    build_distance_alphabet,
     complete_edm,
     edm_to_points,
-    snap_to_alphabet,
 )
 from .placement import (
     PlacementEvaluation,

@@ -4,9 +4,7 @@ A squared EDM of points in D dimensions has rank at most D+2, so missing
 entries can be recovered by alternating between a rank-(D+2) eigenvalue
 truncation and re-imposing the known entries together with symmetry,
 hollowness and non-negativity. Classical multidimensional scaling turns a
-complete EDM back into coordinates, and a quantized alphabet of admissible
-squared distances (generated by sweeping relative body rotations) can snap
-completed entries onto physically possible values.
+complete EDM back into coordinates.
 """
 
 from __future__ import annotations
@@ -16,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Conformation, random_rotation, rotation_2d, squared_distances
-from .geometry import _linearized_fix, _ordered_sum, _small_matmul, _weighted_kabsch
+from .geometry import squared_distances
+from .geometry import _linearized_fix, _weighted_kabsch
 from .measurement import PartialEdm
 
 COMPLETION_TOL = 1e-10
@@ -52,25 +50,6 @@ class CompletionResult:
         return np.sqrt(self.completed)
 
 
-@dataclass(frozen=True)
-class DistanceAlphabet:
-    """Sorted admissible squared cross distances on a fixed quantization grid."""
-
-    values: np.ndarray
-    quantization_step: float
-    num_rotation_samples: int
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float).reshape(-1)
-        if values.size < 1:
-            raise ValueError("alphabet must not be empty")
-        if not np.all(np.isfinite(values)) or values.min() < 0:
-            raise ValueError("alphabet values must be finite and non-negative")
-        values = np.unique(values)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-
-
 def _rank_truncate(matrix: np.ndarray, rank: int) -> np.ndarray:
     """Nearest (Frobenius) matrix of the given rank; EDMs are indefinite so
     eigenvalues are kept by magnitude."""
@@ -96,8 +75,8 @@ def _congruent_fill_batch(anchors, body, cross_d, mask):
     then aligned onto the pins by a rigid motion, without reflection, to
     place the rest. The trials run in lockstep: per pass and node, those
     with the same reference count share one stacked solve, and every sum
-    runs in a fixed order, so a trial's result does not depend on the rest
-    of the block.
+    keeps the batching rule of ``geometry``, so a trial's result does not
+    depend on the rest of the block.
 
     Returns B x K x D node positions in the anchor frame, the B x K mask of
     pinned nodes and, per trial, whether it pinned at least D nodes; the
@@ -155,7 +134,7 @@ def _aligned_body(body, placed, pinned):
     """``body`` moved by the rigid motion, without reflection, that best
     fits its pinned nodes onto their pins (B x K x D, mask B x K)."""
     rot, shift, _ = _weighted_kabsch(body, placed, pinned)
-    return _small_matmul(body, np.swapaxes(rot, -1, -2)) + shift[:, None, :]
+    return body @ np.swapaxes(rot, -1, -2) + shift[:, None, :]
 
 
 def _congruent_fill(partial: PartialEdm):
@@ -189,7 +168,7 @@ def _congruent_fill(partial: PartialEdm):
     cands = [_aligned_body(b, placed, pinned)[0]
              for b in (body, body * np.r_[np.ones(dim - 1), -1.0])]
     fits = [np.sqrt(squared_distances(anchors, c)) - cross_d for c in cands]
-    scores = [_ordered_sum(np.where(cross_mask, f**2, 0.0).reshape(-1)) for f in fits]
+    scores = [np.where(cross_mask, f**2, 0.0).sum() for f in fits]
     best = cands[1] if scores[1] < scores[0] else cands[0]
     points = np.vstack([anchors, np.where(pinned[0, :, None], placed[0], best)])
     return squared_distances(points, points)
@@ -298,70 +277,3 @@ def edm_to_points(edm, dim: int) -> np.ndarray:
                       "input is slightly non-Euclidean", RuntimeWarning)
     top = np.where(top > floor, top, 0.0)
     return vecs * np.sqrt(top)
-
-
-def build_distance_alphabet(conf1: Conformation, conf2: Conformation,
-                            center_distance: float,
-                            num_rotation_samples: int,
-                            quantization_step: float,
-                            seed: int = 0) -> DistanceAlphabet:
-    """Enumerate the squared cross distances two bodies can realize.
-
-    Both conformations are centered; body 2 is placed ``center_distance``
-    away and swept through sampled relative rotations (a uniform angle grid
-    in 2D, uniform random rotations in 3D). Every anchor-free cross
-    distance seen is quantized to the grid and collected into a sorted,
-    deduplicated alphabet.
-    """
-    if conf1.dim != conf2.dim:
-        raise ValueError("conformation dimensions differ")
-    if center_distance < 0:
-        raise ValueError("center_distance must be non-negative")
-    if num_rotation_samples < 1:
-        raise ValueError("at least one rotation sample is required")
-    if quantization_step <= 0:
-        raise ValueError("quantization_step must be positive")
-    dim = conf1.dim
-    c1 = conf1.coords - conf1.coords.mean(axis=0)
-    c2 = conf2.coords - conf2.coords.mean(axis=0)
-    offset = np.zeros(dim)
-    offset[0] = center_distance
-
-    if dim == 2:
-        angles = 2.0 * np.pi * np.arange(num_rotation_samples) / num_rotation_samples
-        rotations = [rotation_2d(a) for a in angles]
-    else:
-        rng = np.random.default_rng(seed)
-        rotations = [random_rotation(rng, 3) for _ in range(num_rotation_samples)]
-
-    seen = []
-    for rot in rotations:
-        placed = c2 @ rot.T + offset
-        seen.append(squared_distances(c1, placed).reshape(-1))
-    quantized = np.round(np.concatenate(seen) / quantization_step) * quantization_step
-    return DistanceAlphabet(np.unique(quantized), quantization_step,
-                            num_rotation_samples)
-
-
-def snap_to_alphabet(result: CompletionResult,
-                     alphabet: DistanceAlphabet) -> CompletionResult:
-    """Replace every originally-unknown completed entry by the nearest
-    alphabet member (ties go to the smaller value). Known entries are left
-    untouched and symmetry is re-enforced. Idempotent."""
-    values = alphabet.values
-    completed = result.completed.copy()
-    n = completed.shape[0]
-    free = ~result.known_mask
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    targets = free & upper
-    entries = completed[targets]
-    idx = np.searchsorted(values, entries)
-    left = values[np.clip(idx - 1, 0, len(values) - 1)]
-    right = values[np.clip(idx, 0, len(values) - 1)]
-    # ties resolve toward the smaller member
-    snapped = np.where(np.abs(entries - left) <= np.abs(entries - right),
-                       left, right)
-    completed[targets] = snapped
-    completed = np.triu(completed) + np.triu(completed, 1).T
-    return CompletionResult(completed, result.known_mask, result.iterations,
-                            result.final_objective, result.converged)

@@ -28,8 +28,6 @@ from .geometry import (
     _apply_linear_factor,
     _freeze,
     _linear_factor,
-    _ordered_sum,
-    _small_matmul,
     _weighted_kabsch,
 )
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
@@ -128,12 +126,16 @@ class MotionEstimate:
 
 
 def _observed(values, mask):
-    values = np.asarray(values, dtype=float).reshape(-1)
+    """Entries of ``values`` that are finite and, given a ``mask`` of the
+    same shape, marked True in it."""
+    obs = np.isfinite(values)
     if mask is None:
-        mask = np.isfinite(values)
-    else:
-        mask = np.asarray(mask, dtype=bool).reshape(-1) & np.isfinite(values)
-    return values, mask
+        return obs
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != values.shape:
+        raise ValueError(f"mask shape {mask.shape} does not match the "
+                         f"measurements' {values.shape}")
+    return obs & mask
 
 
 def _pattern_groups(obs: np.ndarray):
@@ -205,14 +207,12 @@ def _subset_geometry(coords: np.ndarray, key: bytes) -> _Subset:
 
 def _range_residuals(x, anchors, dists, obs):
     """B x M residuals |x_b - a_m| - d_bm, zero at unobserved entries."""
-    sq = (x[:, :1] - anchors[:, 0]) ** 2
-    for k in range(1, anchors.shape[1]):
-        sq += (x[:, k:k + 1] - anchors[:, k]) ** 2
+    sq = ((x[:, None, :] - anchors) ** 2).sum(axis=-1)
     return np.where(obs, np.sqrt(sq) - dists, 0.0)
 
 
 def _objective(residuals, x, rows):
-    return _ordered_sum(residuals(x, rows) ** 2)
+    return (residuals(x, rows) ** 2).sum(axis=-1)
 
 
 def _normal_step(jtj, rhs, jac, resid):
@@ -285,12 +285,9 @@ def _gauss_newton(x, residuals, linearize):
             break
         x_live = x[live]
         resid, jac = linearize(x_live, live)
-        # normal equations, accumulated residual by residual
-        jtj = jac[:, 0, :, None] * jac[:, 0, None, :]
-        rhs = -(jac[:, 0] * resid[:, :1])
-        for m in range(1, resid.shape[1]):
-            jtj += jac[:, m, :, None] * jac[:, m, None, :]
-            rhs -= jac[:, m] * resid[:, m:m + 1]
+        jac_t = np.swapaxes(jac, -1, -2)
+        jtj = jac_t @ jac
+        rhs = -(jac_t @ resid[..., None])[..., 0]
         step = _normal_step(jtj, rhs, jac, resid)
         moved = _backtrack(x_live, step, residuals, live, obj[live])[:, None] * step
         x_live = x_live + moved
@@ -347,8 +344,9 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
     hits = obs & (dists == 0.0) & live[:, None]
     exact = np.flatnonzero(hits.any(axis=1))
     position[exact] = anchors[hits[exact].argmax(axis=1)]
-    rms[exact] = np.sqrt(_ordered_sum(_range_residuals(
-        position[exact], anchors, dists[exact], obs[exact]) ** 2) / n_obs[exact])
+    rms[exact] = np.sqrt((_range_residuals(
+        position[exact], anchors, dists[exact], obs[exact]) ** 2).sum(axis=-1)
+        / n_obs[exact])
     converged[exact] = True
     live[exact] = False
 
@@ -360,7 +358,8 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
     patterns, which, keys = _pattern_groups(obs[todo])
     for p, (pattern, key) in enumerate(zip(patterns, keys)):
         cols = todo[which == p]
-        d_obs = dists[cols][:, pattern]
+        # selecting columns leaves the rows strided; the sums need them contiguous
+        d_obs = np.ascontiguousarray(dists[cols][:, pattern])
         sub = _subset_geometry(anchors, key)
         if sub.rank == dim:
             owner.append(cols)
@@ -371,9 +370,9 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
             # out-of-plane component on both sides
             y = _apply_linear_factor(sub.plane_factor, d_obs)[0]
             off = squared_distances(y, sub.plane_points)
-            z = np.sqrt(np.maximum(_ordered_sum(d_obs**2 - off) / sub.points.shape[0],
+            z = np.sqrt(np.maximum((d_obs**2 - off).sum(axis=-1) / sub.points.shape[0],
                                    0.0))[:, None]
-            base = sub.points[0] + (y[:, :, None] * sub.in_plane).sum(axis=1)
+            base = sub.points[0] + (y[:, None, :] @ sub.in_plane)[:, 0]
             owner += [cols, cols]
             second += [np.zeros(cols.size, dtype=bool), np.ones(cols.size, dtype=bool)]
             start += [base + z * sub.normal, base - z * sub.normal]
@@ -410,10 +409,11 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None) -> PointFix:
     """Locate points from their distances to known anchors.
 
     ``ranges`` is a length-M vector aligned with the anchor set, or an
-    M x B matrix with one point per column; NaN (or a False ``mask`` bit)
-    marks unobserved entries. With observed anchors spanning the space,
-    Gauss-Newton refines a linearized closed-form start until the step
-    norm drops below 1e-10 (at most 100 iterations). When the observed
+    M x B matrix with one point per column; NaN, or a False bit of a
+    ``mask`` shaped like ``ranges``, marks unobserved entries. With
+    observed anchors spanning the space, Gauss-Newton refines a linearized
+    closed-form start until the step norm drops below 1e-10 (at most 100
+    iterations). When the observed
     anchors span only a hyperplane, both mirror candidates are computed
     and flagged. All columns are solved together in one batched
     iteration; a vector is the one-column case. A vector whose point
@@ -424,9 +424,7 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None) -> PointFix:
     single = values.ndim == 1
     if values.ndim not in (1, 2) or values.shape[0] != anchors.num_anchors:
         raise ValueError("ranges length must match the anchor count")
-    obs = np.isfinite(values)
-    if mask is not None:
-        obs &= np.asarray(mask, dtype=bool).reshape(values.shape)
+    obs = _observed(values, mask)
     columns = values.reshape(anchors.num_anchors, -1).T
     obs = obs.reshape(anchors.num_anchors, -1).T
     fix = _fix_columns(anchors.positions, columns, obs)
@@ -547,7 +545,7 @@ def rbl_two_stage_batch(anchors: AnchorSet, ranges, conf: Conformation,
         weights = np.where(usable, 1.0 / (rms**2 + WEIGHT_EPSILON), 0.0)
     else:
         weights = usable.astype(float)
-    sq_resid = _ordered_sum(np.where(usable, rms**2 * n_obs, 0.0))
+    sq_resid = np.where(usable, rms**2 * n_obs, 0.0).sum(axis=-1)
     used_ranges = np.where(usable, n_obs, 0).sum(axis=1)
 
     # Stage 2 for the trials whose stage 1 left something to fit.
@@ -598,17 +596,16 @@ def _local_rotations(params):
     angle's planar rotation, or exp([ω]×) by the Rodrigues formula."""
     if params.shape[1] == 1:
         c, s = np.cos(params[:, 0]), np.sin(params[:, 0])
-        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=1)
-    w0, w1, w2 = params.T
-    zero = np.zeros_like(w0)
-    skew = np.stack([np.stack([zero, -w2, w1], axis=-1),
-                     np.stack([w2, zero, -w0], axis=-1),
-                     np.stack([-w1, w0, zero], axis=-1)], axis=1)
-    angle = np.sqrt(w0**2 + w1**2 + w2**2)
+        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    # [ω]× holds ω at (2, 1), (0, 2), (1, 0) and -ω at the transposed places
+    skew = np.zeros((params.shape[0], 3, 3))
+    skew[:, [2, 0, 1], [1, 2, 0]] = params
+    skew[:, [1, 2, 0], [2, 0, 1]] = -params
+    angle = np.sqrt((params**2).sum(axis=-1))
     # sin(θ)/θ and (1 - cos θ)/θ², both finite at θ = 0
     first = np.sinc(angle / np.pi)[:, None, None]
     second = 0.5 * np.sinc(angle / (2.0 * np.pi))[:, None, None] ** 2
-    return np.eye(3) + first * skew + second * _small_matmul(skew, skew)
+    return np.eye(3) + first * skew + second * (skew @ skew)
 
 
 def _rigid_range_rows(rotated, u):
@@ -636,13 +633,10 @@ def _pose_model(anchors, coords, rot0, dists, obs):
     count = obs.shape[1] * obs.shape[2]
 
     def place(x, rows):
-        rot = _small_matmul(_local_rotations(x[:, :-dim]), rot0[rows])
-        rotated = _small_matmul(coords, np.swapaxes(rot, -1, -2))
+        rot = _local_rotations(x[:, :-dim]) @ rot0[rows]
+        rotated = coords @ np.swapaxes(rot, -1, -2)
         diff = (rotated + x[:, None, -dim:])[:, None] - anchors[:, None]
-        sq = diff[..., 0] ** 2
-        for k in range(1, dim):
-            sq += diff[..., k] ** 2
-        return rotated, diff, np.maximum(np.sqrt(sq), 1e-300)
+        return rotated, diff, np.maximum(np.sqrt((diff**2).sum(axis=-1)), 1e-300)
 
     def residuals(x, rows):
         dist = place(x, rows)[2]
@@ -696,7 +690,7 @@ def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
     dists = np.where(mask, np.stack([ranges[t].values for t in todo]), 0.0)
     x, _, iterations, converged = _gauss_newton(
         start, *_pose_model(anchors.positions, conf.coords, rot0, dists, mask))
-    rot = _small_matmul(_local_rotations(x[:, :-dim]), rot0)
+    rot = _local_rotations(x[:, :-dim]) @ rot0
     for i, t in enumerate(todo):
         est = estimates[t]
         results[t] = replace(est, pose=Pose(rot[i], x[i, -dim:]),
@@ -731,9 +725,10 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
     dim = anchors.dim
     m = anchors.num_anchors
     nothing = np.full(m, np.nan)
-    r_vals, r_obs = _observed(nothing if ranges is None else ranges, None)
-    a_vals, a_obs = _observed(nothing if azimuths is None else azimuths, None)
-    e_vals, e_obs = _observed(nothing if elevations is None else elevations, None)
+    r_vals, a_vals, e_vals = (
+        np.asarray(nothing if v is None else v, dtype=float).reshape(-1)
+        for v in (ranges, azimuths, elevations))
+    r_obs, a_obs, e_obs = (np.isfinite(v) for v in (r_vals, a_vals, e_vals))
     if dim == 2 and e_obs.any():
         raise ValueError("elevation measurements require 3D anchors")
     for vec in (r_vals, a_vals, e_vals):
@@ -822,11 +817,11 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
     unique) or when both bodies lie in one hyperplane (ranges within it
     leave each node's offset out of it unobservable).
 
-    One call is one trial of the batched kernels, about 20-35 ms for
-    4-14 nodes per body, mostly stage-3 Gauss-Newton; many pairs are
-    cheaper solved together by calling ``rbl_two_stage_batch`` and
-    ``refine_poses`` on a list of cross matrices, as the
-    ``anchorless_two_body`` sweep does.
+    One call is one trial of the batched kernels, about 6-12 ms for
+    4-14 nodes per body on a 2-vCPU VM (median of 40 calls), mostly
+    stage-3 Gauss-Newton; many pairs are cheaper solved together by
+    calling ``rbl_two_stage_batch`` and ``refine_poses`` on a list of
+    cross matrices, as the ``anchorless_two_body`` sweep does.
     """
     if conf1.dim != conf2.dim:
         raise ValueError("conformation dimensions differ")
@@ -873,7 +868,8 @@ def estimate_motion(anchors: AnchorSet, pose: Pose, conf: Conformation,
 
     With the pose known, each observed range-rate is linear in the unknown
     (omega, t_dot), so the estimate is a single linear least-squares solve.
-    ``range_rates`` is M x K with NaN for unobserved pairs.
+    ``range_rates`` is M x K; NaN, or a False bit of an M x K ``mask``,
+    marks unobserved pairs.
     """
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")
@@ -882,10 +878,7 @@ def estimate_motion(anchors: AnchorSet, pose: Pose, conf: Conformation,
     rates = np.asarray(range_rates, dtype=float)
     if rates.shape != (anchors.num_anchors, conf.num_nodes):
         raise ValueError("range-rate matrix shape must be (num_anchors, num_nodes)")
-    if mask is None:
-        obs = np.isfinite(rates)
-    else:
-        obs = np.asarray(mask, dtype=bool) & np.isfinite(rates)
+    obs = _observed(rates, mask)
     dim = conf.dim
     n_unknowns = 3 if dim == 2 else 6
     if obs.sum() < n_unknowns:

@@ -4,6 +4,16 @@ A body is a fixed *conformation* of sensor nodes given in its own frame.
 A pose (rotation + translation) places the conformation in the world frame,
 and a body motion (angular + translational velocity) moves it. Everything is
 in SI units (meters, radians, seconds) and works in 2 or 3 dimensions.
+
+Batched kernels here and in ``estimators`` and ``completion`` give each
+problem the same result whichever batch it is solved in. They keep one
+rule: reduce with ``.sum(axis=-1)`` over a C-contiguous last axis, or with
+a stacked ``np.matmul`` whose batch is a stack axis; numpy then sums each
+row from its own values alone. Never reduce over a strided or non-last
+axis (an array made by selecting columns is copied contiguous first), and
+never use a 2-D matrix product whose rows are the batch: its blocking can
+change a row's result with the number of rows. ``TestBatchIndependence``
+in ``tests/test_batch.py`` checks the property.
 """
 
 from __future__ import annotations
@@ -49,26 +59,6 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
 
 
-def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Sum along ``axis`` term by term from the first.
-
-    Batched kernels sum over anchors and nodes this way so that a
-    problem's result never depends on which other problems share its
-    batch; numpy's pairwise reduction does not promise that.
-    """
-    lead = (slice(None),) * (axis % terms.ndim)
-    total = terms[lead + (0,)].copy()
-    for i in range(1, terms.shape[axis]):
-        total += terms[lead + (i,)]
-    return total
-
-
-def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked product of D x D (or K x D by D x D) matrices, D <= 3,
-    summed elementwise so the result is the same in any batch."""
-    return (a[..., :, :, None] * b[..., None, :, :]).sum(axis=-2)
-
-
 def _weighted_kabsch(source: np.ndarray, target: np.ndarray, weights):
     """Proper rotations + translations minimizing the weighted alignment
     error from source points onto target points, for a batch.
@@ -78,23 +68,22 @@ def _weighted_kabsch(source: np.ndarray, target: np.ndarray, weights):
     T translations and T weighted residual RMS values.
     """
     w = np.asarray(weights, dtype=float)
-    total = _ordered_sum(w)
-    src_bar = _ordered_sum(w[..., None] * source, axis=-2) / total[:, None]
-    dst_bar = _ordered_sum(w[..., None] * target, axis=-2) / total[:, None]
+    total = w.sum(axis=-1)
+    src_bar = (w[:, None, :] @ source)[:, 0] / total[:, None]
+    dst_bar = (w[:, None, :] @ target)[:, 0] / total[:, None]
     src_c = source - src_bar[:, None, :]
     dst_c = target - dst_bar[:, None, :]
-    cov = _ordered_sum((src_c * w[..., None])[..., :, None] * dst_c[..., None, :],
-                       axis=-3)
+    cov = np.swapaxes(src_c * w[..., None], -1, -2) @ dst_c
     u, _, vt = np.linalg.svd(cov)
     v = np.swapaxes(vt, -1, -2)
     u_t = np.swapaxes(u, -1, -2)
     signs = np.ones(src_bar.shape)
-    det_sign = np.sign(np.linalg.det(_small_matmul(v, u_t)))
+    det_sign = np.sign(np.linalg.det(v @ u_t))
     signs[:, -1] = np.where(det_sign == 0.0, 1.0, det_sign)
-    rot = _small_matmul(v * signs[:, None, :], u_t)
+    rot = (v * signs[:, None, :]) @ u_t
     trans = dst_bar - (rot * src_bar[:, None, :]).sum(axis=-1)
-    resid = dst_c - _small_matmul(src_c, np.swapaxes(rot, -1, -2))
-    rms = np.sqrt(_ordered_sum(w * (resid**2).sum(axis=-1)) / total)
+    resid = dst_c - src_c @ np.swapaxes(rot, -1, -2)
+    rms = np.sqrt((w * (resid**2).sum(axis=-1)).sum(axis=-1) / total)
     return rot, trans, rms
 
 
@@ -126,7 +115,7 @@ def _apply_linear_factor(factor, dists):
     pinv, base, rank = factor
     dists = np.atleast_2d(dists)
     rhs = base - dists[:, 1:] ** 2 + dists[:, :1] ** 2
-    return _ordered_sum(pinv * rhs[:, None, :]), rank
+    return (pinv * rhs[:, None, :]).sum(axis=-1), rank
 
 
 def _linearized_fix(anchors, dists):
@@ -148,8 +137,8 @@ def _linearized_fix(anchors, dists):
     u, svals, vt, keep, base = _linear_system(anchors)
     rhs = base - dists[:, 1:] ** 2 + dists[:, :1] ** 2
     # V diag(1/s) U^T rhs over the kept singular values, problem by problem
-    coef = _ordered_sum(u * rhs[..., None], axis=-2) / np.where(keep, svals, 1.0)
-    return (_ordered_sum(vt * np.where(keep, coef, 0.0)[..., None], axis=-2),
+    coef = (rhs[..., None, :] @ u)[..., 0, :] / np.where(keep, svals, 1.0)
+    return ((np.where(keep, coef, 0.0)[..., None, :] @ vt)[..., 0, :],
             keep.sum(axis=-1))
 
 

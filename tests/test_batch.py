@@ -1,6 +1,6 @@
 """Batched estimation: ``multilaterate`` on range matrices, the batched
-two-stage estimator, the stage-3 pose refinement, and their agreement
-with one-at-a-time calls."""
+two-stage estimator, the stage-3 pose refinement, the batched congruent
+start, and their agreement with one-at-a-time calls."""
 
 from dataclasses import replace
 
@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from rigidloc import estimators
+from rigidloc.completion import _congruent_fill_batch
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
@@ -21,6 +22,7 @@ from rigidloc.estimators import (
     refine_poses,
 )
 from rigidloc.geometry import (
+    Conformation,
     Pose,
     _linear_factor,
     _linearized_fix,
@@ -425,3 +427,100 @@ def test_linear_trilaterate_rejects_rank_deficient_rows():
     fix, rank = _linearized_fix(anchors, np.linalg.norm(anchors - target, axis=1))
     assert rank == 3
     assert np.allclose(fix[0], target, atol=1e-12)
+
+
+def outcome_items(result):
+    """Comparable parts of one problem's result: arrays and plain values."""
+    if isinstance(result, ValueError):
+        return (type(result),)
+    if isinstance(result, estimators.PoseEstimate):
+        return (result.pose.rotation, result.pose.translation, result.stage1_rms,
+                result.stage2_rms, result.iterations, result.stage3_converged,
+                result.rotation_unique, result.ambiguous_nodes,
+                result.unconverged_nodes)
+    return result
+
+
+def assert_same_outcome(got, want):
+    got, want = outcome_items(got), outcome_items(want)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(a, (type, tuple, bool, type(None))):
+            assert a == b
+        else:
+            assert np.array_equal(a, b, equal_nan=True)
+
+
+class TestBatchIndependence:
+    """Every problem's result is bit-identical solved alone, in blocks of
+    16 and in one block of all problems. The scenes are 2D and 3D with 30%
+    of the ranges masked; 130 anchors take the sums over anchors past
+    numpy's 128-term pairwise block, and 20 nodes the pose refinement's
+    sums past it too. The range matrices are Fortran-ordered, as column
+    slices of a larger matrix are."""
+
+    SHAPES = [(2, 4, 5), (3, 5, 6), (2, 130, 20), (3, 130, 20)]
+
+    @staticmethod
+    def scene(dim, m, k):
+        rng = np.random.default_rng((dim, m, k))
+        anchors = AnchorSet(rng.uniform(-40.0, 40.0, (m, dim)))
+        conf = Conformation(rng.uniform(-2.0, 2.0, (k, dim)))
+        trials = 24 if m < 100 else 18
+        ranges = []
+        for _ in range(trials):
+            pose = Pose(random_rotation(rng, dim), rng.uniform(-5.0, 5.0, dim))
+            full = simulate_ranges(anchors, apply_pose(conf, pose), 0.1, None, rng)
+            # every other trial masks whole anchors, so that its nodes share
+            # one observation pattern
+            draw = rng.random((m, k if len(ranges) % 2 else 1))
+            mask = np.broadcast_to(draw >= 0.3, full.shape)
+            ranges.append(MaskedRangeMatrix(np.where(mask, full.values, np.nan), mask))
+        return anchors, conf, ranges
+
+    @staticmethod
+    def assert_block_independent(solve, count):
+        """``solve(indices)`` returns one result per index."""
+        whole = solve(np.arange(count))
+        assert len(whole) == count
+        for size in (1, 16):
+            for start in range(0, count, size):
+                block = np.arange(start, min(start + size, count))
+                for got, i in zip(solve(block), block, strict=True):
+                    assert_same_outcome(got, whole[i])
+
+    @pytest.mark.parametrize("dim,m,k", SHAPES)
+    def test_multilaterate(self, dim, m, k):
+        anchors, _, ranges = self.scene(dim, m, k)
+        values = np.concatenate([r.values.T for r in ranges]).T[:, :48]
+        mask = np.concatenate([r.mask.T for r in ranges]).T[:, :48]
+        assert not values.flags.c_contiguous
+
+        def solve(cols):
+            fix = multilaterate(anchors, values[:, cols], mask[:, cols])
+            return [(type(err), fix.position[i], fix.residual_rms[i],
+                     fix.point_iterations[i], fix.point_converged[i],
+                     fix.ambiguous[i], fix.candidates[i])
+                    for i, err in enumerate(fix.errors)]
+        self.assert_block_independent(solve, values.shape[1])
+
+    @pytest.mark.parametrize("dim,m,k", SHAPES)
+    def test_two_stage_and_refinement(self, dim, m, k):
+        anchors, conf, ranges = self.scene(dim, m, k)
+
+        def solve(trials):
+            block = [ranges[t] for t in trials]
+            return refine_poses(anchors, block, conf,
+                                rbl_two_stage_batch(anchors, block, conf))
+        self.assert_block_independent(solve, len(ranges))
+
+    @pytest.mark.parametrize("dim,m,k", SHAPES)
+    def test_congruent_fill(self, dim, m, k):
+        anchors, conf, ranges = self.scene(dim, m, k)
+        cross = np.stack([np.where(r.mask, r.values, 0.0) for r in ranges])
+        mask = np.stack([r.mask for r in ranges])
+
+        def solve(trials):
+            return list(zip(*_congruent_fill_batch(anchors.positions, conf.coords,
+                                                   cross[trials], mask[trials])))
+        self.assert_block_independent(solve, len(ranges))

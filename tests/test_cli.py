@@ -1,12 +1,15 @@
 """End-to-end tests of the command line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rigidloc
 from rigidloc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from rigidloc.geometry import Conformation
 from rigidloc.measurement import AnchorSet, PartialEdm
@@ -232,8 +235,11 @@ class TestComplete:
 
 class TestConsoleScript:
     def test_installed_entry_point(self, config_path):
+        # the child imports the package the tests import, installed or not
+        src = str(Path(rigidloc.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-m", "rigidloc.cli",
                                "validate", str(config_path)],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == EXIT_OK
         assert "ok:" in proc.stdout

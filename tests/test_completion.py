@@ -1,24 +1,20 @@
-"""Tests for EDM completion, MDS embedding and alphabet snapping."""
+"""Tests for EDM completion, the congruent start and MDS embedding."""
 
 import numpy as np
 import pytest
 
 from rigidloc.completion import (
-    DistanceAlphabet,
     NonEuclideanMatrixError,
     _congruent_fill,
     _congruent_fill_batch,
-    build_distance_alphabet,
     complete_edm,
     edm_to_points,
-    snap_to_alphabet,
 )
 from rigidloc.geometry import (
     Conformation,
     _linearized_fix,
     _weighted_kabsch,
     random_rotation,
-    rotation_2d,
 )
 from rigidloc.measurement import (
     AnchorSet,
@@ -337,111 +333,3 @@ class TestEdmToPoints:
             edm_to_points(np.array([[0.0, np.nan], [np.nan, 0.0]]), 2)
         with pytest.raises(ValueError):
             edm_to_points(np.zeros((3, 3)), 4)
-
-
-class TestDistanceAlphabet:
-    def test_single_node_bodies(self):
-        conf1 = Conformation([[0.0, 0.0]])
-        conf2 = Conformation([[0.0, 0.0]])
-        alpha = build_distance_alphabet(conf1, conf2, 5.0, 7, 1e-6)
-        assert len(alpha.values) == 1
-        assert np.isclose(alpha.values[0], 25.0, atol=1e-5)
-
-    def test_matches_exhaustive_enumeration_2d(self):
-        conf1 = Conformation([[0.5, 0.0], [-0.5, 0.0]])
-        conf2 = Conformation([[0.0, 0.8], [0.0, -0.8]])
-        step = 1e-3
-        alpha = build_distance_alphabet(conf1, conf2, 4.0, 4, step)
-
-        expected = set()
-        for k in range(4):
-            rot = rotation_2d(2.0 * np.pi * k / 4)
-            placed = conf2.coords @ rot.T + np.array([4.0, 0.0])
-            for a in conf1.coords:
-                for b in placed:
-                    sq = float(((a - b) ** 2).sum())
-                    expected.add(round(sq / step) * step)
-        assert np.allclose(alpha.values, sorted(expected), atol=1e-12)
-
-    def test_finer_step_never_shrinks(self):
-        rng = np.random.default_rng(11)
-        conf1 = Conformation(rng.uniform(-1, 1, (3, 3)))
-        conf2 = Conformation(rng.uniform(-1, 1, (3, 3)))
-        sizes = [len(build_distance_alphabet(conf1, conf2, 6.0, 16, step).values)
-                 for step in (0.5, 0.25, 0.125, 1e-3)]
-        assert sizes == sorted(sizes)
-
-    def test_sorted_unique_nonnegative(self):
-        rng = np.random.default_rng(12)
-        conf1 = Conformation(rng.uniform(-1, 1, (4, 3)))
-        conf2 = Conformation(rng.uniform(-1, 1, (4, 3)))
-        alpha = build_distance_alphabet(conf1, conf2, 3.0, 10, 0.05)
-        vals = alpha.values
-        assert np.all(np.diff(vals) > 0)
-        assert vals.min() >= 0.0
-
-    def test_parameter_validation(self):
-        conf = Conformation([[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            build_distance_alphabet(conf, conf, 1.0, 0, 0.1)
-        with pytest.raises(ValueError):
-            build_distance_alphabet(conf, conf, 1.0, 4, 0.0)
-        with pytest.raises(ValueError):
-            build_distance_alphabet(conf, conf, -1.0, 4, 0.1)
-
-
-class TestSnapToAlphabet:
-    def completed_scene(self):
-        rng = np.random.default_rng(5)
-        c1 = rng.uniform(-1, 1, (4, 2))
-        c1 -= c1.mean(axis=0)
-        c2 = rng.uniform(-1, 1, (4, 2))
-        c2 -= c2.mean(axis=0)
-        body2 = c2 @ rotation_2d(np.pi / 2).T + np.array([6.0, 0.0])
-        pts = np.vstack([c1, body2])
-        partial, sq = masked_partial(pts, [(0, 5), (2, 6)], dim=2,
-                                     num_anchors=4)
-        return Conformation(c1), Conformation(c2), partial, sq
-
-    def test_recovers_exact_truth(self):
-        """When the true configuration is one of the sampled rotations the
-        snapped entries land on the truth up to quantization."""
-        conf1, conf2, partial, sq = self.completed_scene()
-        res = complete_edm(partial)
-        alpha = build_distance_alphabet(conf1, conf2, 6.0, 4, 1e-6)
-        snapped = snap_to_alphabet(res, alpha)
-        assert np.abs(snapped.completed - sq)[~partial.mask].max() < 1e-6
-
-    def test_known_entries_untouched(self):
-        conf1, conf2, partial, sq = self.completed_scene()
-        res = complete_edm(partial)
-        alpha = DistanceAlphabet([10.0, 20.0], 1.0, 1)
-        snapped = snap_to_alphabet(res, alpha)
-        assert np.array_equal(snapped.completed[partial.mask],
-                              res.completed[partial.mask])
-        assert np.array_equal(snapped.completed, snapped.completed.T)
-
-    def test_member_value_unchanged(self):
-        conf1, conf2, partial, sq = self.completed_scene()
-        res = complete_edm(partial)
-        alpha = DistanceAlphabet(np.unique(sq[~partial.mask]), 1e-9, 1)
-        first = snap_to_alphabet(res, alpha)
-        again = snap_to_alphabet(first, alpha)
-        assert np.array_equal(first.completed[~partial.mask],
-                              again.completed[~partial.mask])
-
-    def test_tie_prefers_smaller(self):
-        conf1, conf2, partial, sq = self.completed_scene()
-        res = complete_edm(partial)
-        unknown = res.completed[~partial.mask][0]
-        alpha = DistanceAlphabet([unknown - 1.0, unknown + 1.0], 1.0, 1)
-        snapped = snap_to_alphabet(res, alpha)
-        assert np.isclose(snapped.completed[~partial.mask][0], unknown - 1.0)
-
-    def test_idempotent(self):
-        conf1, conf2, partial, sq = self.completed_scene()
-        res = complete_edm(partial)
-        alpha = build_distance_alphabet(conf1, conf2, 6.0, 8, 0.01)
-        once = snap_to_alphabet(res, alpha)
-        twice = snap_to_alphabet(once, alpha)
-        assert np.array_equal(once.completed, twice.completed)

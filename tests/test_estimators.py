@@ -87,6 +87,16 @@ class TestMultilaterate:
         fix = multilaterate(anchors, d, mask=[True, True, True, False])
         assert np.allclose(fix.position, [1.0, 1.0], atol=1e-9)
 
+    def test_mask_of_another_shape_raises(self):
+        """A 3 x 6 mask for 6 x 3 ranges has the right element count but
+        would mark the wrong entries."""
+        anchors = AnchorSet(np.random.default_rng(5).uniform(-9, 9, (6, 2)))
+        d = np.stack([ranges_to(anchors, p) for p in ([1, 1], [2, -1], [0, 3])], axis=1)
+        mask = np.ones((3, 6), dtype=bool)
+        mask[0, :3] = False
+        with pytest.raises(ValueError, match="mask shape"):
+            multilaterate(anchors, d, mask)
+
     def test_insufficient_raises(self):
         anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0]])
         with pytest.raises(InsufficientMeasurementsError):
@@ -480,6 +490,14 @@ class TestMotion:
         rates[::2, ::2] = np.nan  # still well over 6 observations
         est = estimate_motion(anchors, pose, conf, rates)
         assert np.allclose(est.motion.t_dot, motion.t_dot, atol=1e-8)
+
+    def test_mask_of_another_shape_raises(self):
+        """A length-K or M x 1 mask must not broadcast over the M x K rates."""
+        conf, anchors, pose, motion = self.make_case(75, 3)
+        rates = simulate_range_rates(anchors, conf, pose, motion)
+        for shape in ((conf.num_nodes,), (anchors.num_anchors, 1)):
+            with pytest.raises(ValueError, match="mask shape"):
+                estimate_motion(anchors, pose, conf, rates, np.ones(shape, dtype=bool))
 
     def test_underdetermined_raises(self):
         conf, anchors, pose, motion = self.make_case(73, 3)

@@ -184,7 +184,9 @@ class TestRunExperiment:
         tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
                     sensor_counts=[6], missing_fraction=[0.1, 0.3, 0.5], trials=20,
                     master_seed=3),
-    ], ids=["sensors", "noise_missing", "completion"])
+        tiny_config(scenario="anchorless_two_body", sigma_list=[0.1],
+                    sensor_counts=[5, 8], trials=20, master_seed=4),
+    ], ids=["sensors", "noise_missing", "completion", "anchorless"])
     def test_block_size_does_not_change_results(self, cfg, monkeypatch, tmp_path):
         """Blocks of 16 node fixes and one block per sweep point give
         byte-identical CSVs."""
