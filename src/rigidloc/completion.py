@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import squared_distances
-from .geometry import _linearized_fix, _weighted_kabsch
+from .geometry import _apply_linear_factor, _linear_factor, _weighted_kabsch
 from .measurement import PartialEdm
 
 COMPLETION_TOL = 1e-10
@@ -111,8 +111,9 @@ def _congruent_fill_batch(anchors, body, cross_d, mask):
             for c in sorted(set(count.tolist())):
                 group = count == c
                 pick = order[group, :c]
-                fix, rank = _linearized_fix(
-                    np.take_along_axis(refs[todo[group]], pick[..., None], axis=1),
+                fix, rank = _apply_linear_factor(
+                    _linear_factor(np.take_along_axis(refs[todo[group]],
+                                                      pick[..., None], axis=1)),
                     np.take_along_axis(dists[group], pick, axis=1))
                 new = todo[group][rank == dim]
                 placed[new, j] = refs[new, m + n_pins[new]] = fix[rank == dim]

@@ -26,6 +26,7 @@ from .geometry import (
 )
 from .geometry import (
     _apply_linear_factor,
+    _exp_rotations,
     _freeze,
     _linear_factor,
     _weighted_kabsch,
@@ -207,8 +208,7 @@ def _subset_geometry(coords: np.ndarray, key: bytes) -> _Subset:
 
 def _range_residuals(x, anchors, dists, obs):
     """B x M residuals |x_b - a_m| - d_bm, zero at unobserved entries."""
-    sq = ((x[:, None, :] - anchors) ** 2).sum(axis=-1)
-    return np.where(obs, np.sqrt(sq) - dists, 0.0)
+    return np.where(obs, np.sqrt(squared_distances(x, anchors)) - dists, 0.0)
 
 
 def _objective(residuals, x, rows):
@@ -591,23 +591,6 @@ def rbl_two_stage(anchors: AnchorSet, ranges: MaskedRangeMatrix,
     return result
 
 
-def _local_rotations(params):
-    """Rotations of the B x 1 (2D) or B x 3 (3D) local parameters: the
-    angle's planar rotation, or exp([ω]×) by the Rodrigues formula."""
-    if params.shape[1] == 1:
-        c, s = np.cos(params[:, 0]), np.sin(params[:, 0])
-        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
-    # [ω]× holds ω at (2, 1), (0, 2), (1, 0) and -ω at the transposed places
-    skew = np.zeros((params.shape[0], 3, 3))
-    skew[:, [2, 0, 1], [1, 2, 0]] = params
-    skew[:, [1, 2, 0], [2, 0, 1]] = -params
-    angle = np.sqrt((params**2).sum(axis=-1))
-    # sin(θ)/θ and (1 - cos θ)/θ², both finite at θ = 0
-    first = np.sinc(angle / np.pi)[:, None, None]
-    second = 0.5 * np.sinc(angle / (2.0 * np.pi))[:, None, None] ** 2
-    return np.eye(3) + first * skew + second * (skew @ skew)
-
-
 def _rigid_range_rows(rotated, u):
     """Derivative of an anchor-to-node range in the body's (ω, t): the
     row [q x u, u] in 3D and [u . (J2 q), u] in 2D, with q the rotated
@@ -633,7 +616,7 @@ def _pose_model(anchors, coords, rot0, dists, obs):
     count = obs.shape[1] * obs.shape[2]
 
     def place(x, rows):
-        rot = _local_rotations(x[:, :-dim]) @ rot0[rows]
+        rot = _exp_rotations(x[:, :-dim]) @ rot0[rows]
         rotated = coords @ np.swapaxes(rot, -1, -2)
         diff = (rotated + x[:, None, -dim:])[:, None] - anchors[:, None]
         return rotated, diff, np.maximum(np.sqrt((diff**2).sum(axis=-1)), 1e-300)
@@ -690,7 +673,7 @@ def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
     dists = np.where(mask, np.stack([ranges[t].values for t in todo]), 0.0)
     x, _, iterations, converged = _gauss_newton(
         start, *_pose_model(anchors.positions, conf.coords, rot0, dists, mask))
-    rot = _local_rotations(x[:, :-dim]) @ rot0
+    rot = _exp_rotations(x[:, :-dim]) @ rot0
     for i, t in enumerate(todo):
         est = estimates[t]
         results[t] = replace(est, pose=Pose(rot[i], x[i, -dim:]),
@@ -886,10 +869,10 @@ def estimate_motion(anchors: AnchorSet, pose: Pose, conf: Conformation,
             f"{int(obs.sum())} range-rates cannot fix {n_unknowns} velocity unknowns")
 
     design, rhs = _motion_design(anchors, pose, conf, rates, obs)
-    if np.linalg.matrix_rank(design) < n_unknowns:
+    theta, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+    if rank < n_unknowns:
         raise DegenerateGeometryError(
             "range-rate geometry does not separate rotation from translation")
-    theta, *_ = np.linalg.lstsq(design, rhs, rcond=None)
     resid = design @ theta - rhs
     rms = float(np.sqrt(np.mean(resid**2)))
     if dim == 2:

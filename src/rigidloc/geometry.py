@@ -55,8 +55,18 @@ def affine_basis(points: np.ndarray, tol: float = 1e-9):
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distance from every row of ``a`` to every row of
-    ``b`` (shape len(a) x len(b))."""
-    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    ``b`` (shape ... x len(a) x len(b)); leading axes broadcast."""
+    return ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(axis=-1)
+
+
+def _proper_svd(matrix):
+    """SVD factors (u, vt) of a square matrix or a stack of them, the last
+    column of u negated where needed so that u @ vt is a proper rotation:
+    the rotation nearest the matrix, reflections rejected."""
+    u, _, vt = np.linalg.svd(matrix)
+    signs = np.ones(u.shape[:-1])
+    signs[..., -1] = np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)
+    return u * signs[..., None, :], vt
 
 
 def _weighted_kabsch(source: np.ndarray, target: np.ndarray, weights):
@@ -74,72 +84,42 @@ def _weighted_kabsch(source: np.ndarray, target: np.ndarray, weights):
     src_c = source - src_bar[:, None, :]
     dst_c = target - dst_bar[:, None, :]
     cov = np.swapaxes(src_c * w[..., None], -1, -2) @ dst_c
-    u, _, vt = np.linalg.svd(cov)
-    v = np.swapaxes(vt, -1, -2)
-    u_t = np.swapaxes(u, -1, -2)
-    signs = np.ones(src_bar.shape)
-    det_sign = np.sign(np.linalg.det(v @ u_t))
-    signs[:, -1] = np.where(det_sign == 0.0, 1.0, det_sign)
-    rot = (v * signs[:, None, :]) @ u_t
+    # the rotation nearest cov's transpose: V diag(1, ..., ±1) U^T
+    u, vt = _proper_svd(cov)
+    rot = np.swapaxes(vt, -1, -2) @ np.swapaxes(u, -1, -2)
     trans = dst_bar - (rot * src_bar[:, None, :]).sum(axis=-1)
     resid = dst_c - src_c @ np.swapaxes(rot, -1, -2)
     rms = np.sqrt((w * (resid**2).sum(axis=-1)).sum(axis=-1) / total)
     return rot, trans, rms
 
 
-def _linear_system(anchors):
-    """SVD (u, s, vt) of the matrix of ``_linearized_fix``'s linear system,
-    the singular values kept with the cutoff ``lstsq`` applies, and the
-    anchor part of its right-hand side, for M x D or B x M x D anchors."""
+def _linear_factor(anchors):
+    """Anchor-only part of the linearized point fix, for M x D anchors
+    shared by every problem or B x M x D, one set per problem: subtracting
+    the first range equation from the rest leaves a linear system in the
+    position. Returns its pseudo-inverse and the anchor part of its
+    right-hand side (read-only), and its rank with the cutoff ``lstsq``
+    applies; ``_apply_linear_factor`` finishes the least-squares fixes."""
     first, rest = anchors[..., :1, :], anchors[..., 1:, :]
     lhs = 2.0 * (rest - first)
     u, svals, vt = np.linalg.svd(lhs, full_matrices=False)
     keep = svals > (np.finfo(float).eps * max(lhs.shape[-2:])
                     * svals.max(axis=-1, keepdims=True))
-    return u, svals, vt, keep, (rest**2).sum(axis=-1) - (first**2).sum(axis=-1)
-
-
-def _linear_factor(anchors):
-    """Anchor-only part of ``_linearized_fix`` for M x D anchors shared by
-    every problem: (pseudo-inverse, anchor part of the right-hand side,
-    rank), the arrays read-only. ``_apply_linear_factor`` finishes the
-    fixes from the ranges."""
-    u, svals, vt, keep, base = _linear_system(anchors)
-    pinv = (vt[keep].T / svals[keep]) @ u[:, keep].T
-    return _freeze(pinv), _freeze(base), int(keep.sum())
+    # a singular value below the cutoff divides to an exact 0
+    pinv = (np.swapaxes(vt, -1, -2) / np.where(keep, svals, np.inf)[..., None, :]
+            @ np.swapaxes(u, -1, -2))
+    base = (rest**2).sum(axis=-1) - (first**2).sum(axis=-1)
+    return _freeze(pinv), _freeze(base), keep.sum(axis=-1)
 
 
 def _apply_linear_factor(factor, dists):
-    """``_linearized_fix`` of the anchors ``factor`` was made from: the
-    B x D solutions for the B x M ``dists`` and the rank."""
+    """Linearized fixes from the ``_linear_factor`` of their anchors: the
+    B x D solutions for the B x M ``dists`` and the rank. With one factor
+    per problem, a problem's fix does not depend on the others."""
     pinv, base, rank = factor
     dists = np.atleast_2d(dists)
     rhs = base - dists[:, 1:] ** 2 + dists[:, :1] ** 2
     return (pinv * rhs[:, None, :]).sum(axis=-1), rank
-
-
-def _linearized_fix(anchors, dists):
-    """Closed-form point fixes, exact for noiseless ranges: subtracting
-    the first range equation from the rest leaves a linear system in the
-    unknown position, solved in the least-squares (minimum-norm) sense.
-
-    ``dists`` is B x M, one problem per row. With M x D ``anchors`` the
-    problems share them and one pseudo-inverse (``_linear_factor``), and
-    the rank is one int. With B x M x D ``anchors`` each problem has its
-    own: one stacked SVD solves them all, the rank is one per problem, and
-    a problem's result does not depend on the others in the stack. Returns
-    the B x D solutions and the rank of the linear system, with the cutoff
-    ``lstsq`` applies.
-    """
-    if anchors.ndim == 2:
-        return _apply_linear_factor(_linear_factor(anchors), dists)
-    dists = np.atleast_2d(dists)
-    u, svals, vt, keep, base = _linear_system(anchors)
-    rhs = base - dists[:, 1:] ** 2 + dists[:, :1] ** 2
-    # V diag(1/s) U^T rhs over the kept singular values, problem by problem
-    coef = (rhs[..., None, :] @ u)[..., 0, :] / np.where(keep, svals, 1.0)
-    return ((np.where(keep, coef, 0.0)[..., None, :] @ vt)[..., 0, :],
-            keep.sum(axis=-1))
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -253,11 +233,8 @@ class Pose:
         reflections rejected) replaces the given matrix.
         """
         if reorthonormalize:
-            rot = np.array(rotation, dtype=float)
-            u, _, vt = np.linalg.svd(rot)
-            signs = np.ones(rot.shape[0])
-            signs[-1] = np.sign(np.linalg.det(u @ vt))
-            rotation = (u * signs) @ vt
+            u, vt = _proper_svd(np.array(rotation, dtype=float))
+            rotation = u @ vt
         return cls(rotation, translation)
 
     def to_json(self) -> str:
@@ -343,8 +320,7 @@ def inverse(pose: Pose) -> Pose:
 
 
 def rotation_2d(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return _exp_rotations(np.array([[theta]], dtype=float))[0]
 
 
 def rotation_about_axis(axis, theta: float) -> np.ndarray:
@@ -353,8 +329,31 @@ def rotation_about_axis(axis, theta: float) -> np.ndarray:
     norm = np.linalg.norm(axis)
     if norm == 0:
         raise ValueError("axis must be non-zero")
-    k = cross_matrix(axis / norm)
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    return _exp_rotations((axis / norm * theta)[None])[0]
+
+
+def _skew(w):
+    """Skew matrices [w]x of the ... x 3 vectors w: [w]x v == cross(w, v)."""
+    # [w]x holds w at (2, 1), (0, 2), (1, 0) and -w at the transposed places
+    skew = np.zeros(w.shape + (3,))
+    skew[..., [2, 0, 1], [1, 2, 0]] = w
+    skew[..., [1, 2, 0], [2, 0, 1]] = -w
+    return skew
+
+
+def _exp_rotations(params):
+    """Rotations of the B x 1 (2D) or B x 3 (3D) rotation parameters: the
+    angle's planar rotation, or exp([w]x) of the rotation vector w by the
+    Rodrigues formula."""
+    if params.shape[1] == 1:
+        c, s = np.cos(params[:, 0]), np.sin(params[:, 0])
+        return np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)
+    skew = _skew(params)
+    angle = np.sqrt((params**2).sum(axis=-1))
+    # sin(θ)/θ and (1 - cos θ)/θ², both finite at θ = 0
+    first = np.sinc(angle / np.pi)[:, None, None]
+    second = 0.5 * np.sinc(angle / (2.0 * np.pi))[:, None, None] ** 2
+    return np.eye(3) + first * skew + second * (skew @ skew)
 
 
 def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -383,11 +382,7 @@ def cross_matrix(omega) -> np.ndarray:
     w = np.asarray(omega, dtype=float).reshape(-1)
     if w.shape != (3,):
         raise ValueError("cross_matrix expects a 3-vector")
-    return np.array([
-        [0.0, -w[2], w[1]],
-        [w[2], 0.0, -w[0]],
-        [-w[1], w[0], 0.0],
-    ])
+    return _skew(w)
 
 
 def body_velocities(conf: Conformation, pose: Pose, motion: BodyMotion) -> np.ndarray:

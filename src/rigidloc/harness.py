@@ -161,38 +161,42 @@ class ExperimentConfig:
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"unknown scenario {self.scenario!r}; "
                               f"expected one of {', '.join(SCENARIOS)}")
-        if self.dim not in (2, 3):
+        if _integer(self.dim, "dim") not in (2, 3):
             raise ConfigError("dim must be 2 or 3")
-        if not isinstance(self.trials, int) or self.trials < 1:
+        if _integer(self.trials, "trials") < 1:
             raise ConfigError("trials must be a positive integer")
-        if not isinstance(self.master_seed, int):
-            raise ConfigError("master_seed must be an integer")
-        sigmas = tuple(float(s) for s in _as_sequence(self.sigma_list, "sigma_list"))
+        _integer(self.master_seed, "master_seed")
+        sigmas = tuple(_real(s, "sigma_list")
+                       for s in _as_sequence(self.sigma_list, "sigma_list"))
         if any(not np.isfinite(s) or s < 0 for s in sigmas):
             raise ConfigError("sigma_list entries must be non-negative")
         object.__setattr__(self, "sigma_list", sigmas)
-        counts = tuple(int(k) for k in _as_sequence(self.sensor_counts,
-                                                    "sensor_counts"))
+        counts = tuple(_integer(k, "sensor_counts")
+                       for k in _as_sequence(self.sensor_counts, "sensor_counts"))
         if any(k < 2 for k in counts):
             raise ConfigError("sensor_counts values must be at least 2")
         object.__setattr__(self, "sensor_counts", counts)
-        fractions = tuple(float(f) for f in
+        fractions = tuple(_real(f, "missing_fraction") for f in
                           _as_sequence(self.missing_fraction, "missing_fraction",
                                        scalar_ok=True))
         if any(not 0.0 <= f < 1.0 for f in fractions):
             raise ConfigError("missing_fraction values must lie in [0, 1)")
         object.__setattr__(self, "missing_fraction", fractions)
-        if not isinstance(self.anchor_count, int) or self.anchor_count < 1:
+        if _integer(self.anchor_count, "anchor_count") < 1:
             raise ConfigError("anchor_count must be a positive integer")
-        if not float(self.anchor_span) > 0:
+        span = _real(self.anchor_span, "anchor_span")
+        if not span > 0:
             raise ConfigError("anchor_span must be positive")
-        object.__setattr__(self, "anchor_span", float(self.anchor_span))
+        object.__setattr__(self, "anchor_span", span)
         if not isinstance(self.estimator, dict):
             raise ConfigError("estimator options must be an object")
         unknown = set(self.estimator) - {"weighted"}
         if unknown:
             raise ConfigError(f"unknown estimator options: {sorted(unknown)}")
-        options = {"weighted": bool(self.estimator.get("weighted", True))}
+        options = {"weighted": self.estimator.get("weighted", True)}
+        if not isinstance(options["weighted"], bool):
+            raise ConfigError("estimator weighted must be true or false, "
+                              f"got {options['weighted']!r}")
         object.__setattr__(self, "estimator", options)
         # built-in layouts are checked here so an oversized count fails early
         try:
@@ -230,6 +234,22 @@ class ExperimentConfig:
             "master_seed": self.master_seed,
             "estimator": dict(self.estimator),
         }
+
+
+def _integer(value, name):
+    """``value`` if it is an integer (a bool is not); raises ConfigError
+    naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _real(value, name):
+    """``value`` as a float if it is an integer or a float (a bool or a
+    string is not); raises ConfigError naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _as_sequence(value, name, scalar_ok: bool = False):
@@ -462,8 +482,7 @@ def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
         placed, _, started = _congruent_fill_batch(
             anchors.positions, conf.coords, np.stack([r.values for r in items]),
             np.stack([r.mask for r in items]))
-        fills = np.sqrt(((anchors.positions[:, None, :] - placed[:, None, :, :]) ** 2)
-                        .sum(axis=-1))
+        fills = np.sqrt(squared_distances(anchors.positions, placed))
         results = [fill if ok else fallback(ranges)
                    for ranges, ok, fill in zip(items, started, fills)]
         good = [t for t, fill in enumerate(results) if not isinstance(fill, ValueError)]

@@ -24,8 +24,8 @@ from rigidloc.estimators import (
 from rigidloc.geometry import (
     Conformation,
     Pose,
+    _apply_linear_factor,
     _linear_factor,
-    _linearized_fix,
     apply_pose,
     random_rotation,
     rotation_2d,
@@ -133,23 +133,6 @@ class TestMatrixMultilaterate:
         assert np.array_equal(column.position[0], one.position)
         assert column.iterations == one.iterations
         assert column.converged == one.converged
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_bit_identical_alone_and_inside_a_large_batch(self, dim):
-        rng = np.random.default_rng(10 + dim)
-        anchors, values, mask = mixed_columns(dim, rng, 600)
-        batch = multilaterate(anchors, values, mask)
-        for b in rng.choice(values.shape[1], 30, replace=False):
-            alone = multilaterate(anchors, values[:, b:b + 1], mask[:, b:b + 1])
-            assert type(alone.errors[0]) is type(batch.errors[b])
-            assert np.array_equal(alone.position[0], batch.position[b],
-                                  equal_nan=True)
-            assert np.array_equal(alone.residual_rms[0], batch.residual_rms[b],
-                                  equal_nan=True)
-            assert np.array_equal(alone.candidates[0], batch.candidates[b],
-                                  equal_nan=True)
-            assert alone.point_iterations[0] == batch.point_iterations[b]
-            assert alone.point_converged[0] == batch.point_converged[b]
 
     def test_mirror_pair_counts_both_candidates(self, monkeypatch):
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
@@ -357,21 +340,6 @@ class TestRefinePoses:
             assert self.pose_error(est, pose) < 1e-9
             assert est.stage3_converged is True
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_bit_identical_alone_and_inside_a_batch(self, dim):
-        anchors, conf, _, ranges = self.scene(dim, 40, 0.1)
-        start = rbl_two_stage_batch(anchors, ranges, conf)
-        batch = refine_poses(anchors, ranges, conf, start)
-        for r, first, got in zip(ranges, start, batch):
-            alone = refine_poses(anchors, [r], conf, [first])[0]
-            assert type(alone) is type(got)
-            if isinstance(got, ValueError):
-                continue
-            assert np.array_equal(alone.pose.rotation, got.pose.rotation)
-            assert np.array_equal(alone.pose.translation, got.pose.translation)
-            assert (alone.iterations, alone.stage3_converged) == \
-                (got.iterations, got.stage3_converged)
-
     def test_errors_and_non_unique_rotations_pass_through(self):
         anchors, conf, _, ranges = self.scene(3, 3, 0.1)
         start = rbl_two_stage_batch(anchors, ranges, conf)
@@ -420,13 +388,34 @@ def test_motion_design_matches_explicit_rows(dim):
 def test_linear_trilaterate_rejects_rank_deficient_rows():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [1.0, 1.0, 0.0]])
-    assert _linearized_fix(flat, np.ones(4))[1] < 3
+    assert _apply_linear_factor(_linear_factor(flat), np.ones(4))[1] < 3
     anchors = np.array([[0.0, 0.0, 0.0], [4.0, 0.0, 0.0], [0.0, 4.0, 0.0],
                         [0.0, 0.0, 4.0]])
     target = np.array([1.0, 2.0, 0.5])
-    fix, rank = _linearized_fix(anchors, np.linalg.norm(anchors - target, axis=1))
+    fix, rank = _apply_linear_factor(_linear_factor(anchors),
+                                     np.linalg.norm(anchors - target, axis=1))
     assert rank == 3
     assert np.allclose(fix[0], target, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_linear_factor_matches_shared_anchors(dim):
+    """Row b of the fixes from a stack of anchor sets is the fix of set b
+    alone, bit for bit and with the same rank, for sets that span the
+    space, a hyperplane or a line."""
+    rng = np.random.default_rng(70 + dim)
+    stack = rng.uniform(-20.0, 20.0, (30, dim + 3, dim))
+    stack[10:20, :, -1] = 0.0
+    # integer points on a line through an integer point are exactly collinear
+    steps = rng.integers(-5, 6, (10, dim + 3, 1))
+    stack[20:] = rng.integers(-9, 10, (10, 1, dim)) + steps * rng.integers(1, 4, (10, 1, dim))
+    dists = rng.uniform(1.0, 30.0, (30, dim + 3))
+    fix, rank = _apply_linear_factor(_linear_factor(stack), dists)
+    for b in range(30):
+        alone, alone_rank = _apply_linear_factor(_linear_factor(stack[b]), dists[b])
+        assert np.array_equal(fix[b], alone[0])
+        assert rank[b] == alone_rank
+    assert rank.tolist() == [dim] * 10 + [dim - 1] * 10 + [1] * 10
 
 
 def outcome_items(result):
@@ -463,8 +452,11 @@ class TestBatchIndependence:
 
     @staticmethod
     def scene(dim, m, k):
+        """Anchors 0, 1 and 2 are collinear."""
         rng = np.random.default_rng((dim, m, k))
-        anchors = AnchorSet(rng.uniform(-40.0, 40.0, (m, dim)))
+        positions = rng.uniform(-40.0, 40.0, (m, dim))
+        positions[2] = 2.0 * positions[1] - positions[0]
+        anchors = AnchorSet(positions)
         conf = Conformation(rng.uniform(-2.0, 2.0, (k, dim)))
         trials = 24 if m < 100 else 18
         ranges = []
@@ -491,9 +483,26 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("dim,m,k", SHAPES)
     def test_multilaterate(self, dim, m, k):
+        """Four columns in six are replaced by exact ranges of one kind
+        each: an exact anchor hit, too few anchors, ``dim`` anchors in a
+        hyperplane (a mirror pair) and the collinear anchors alone (a mirror
+        pair in 2D, degenerate in 3D)."""
         anchors, _, ranges = self.scene(dim, m, k)
         values = np.concatenate([r.values.T for r in ranges]).T[:, :48]
         mask = np.concatenate([r.mask.T for r in ranges]).T[:, :48]
+        rng = np.random.default_rng((dim, m))
+        observed = {2: list(range(dim - 1)), 3: list(range(dim - 1)) + [3],
+                    4: [0, 1, 2]}
+        for col in range(values.shape[1]):
+            kind = col % 6
+            if kind not in (1, 2, 3, 4):
+                continue
+            values[:, col] = ranges_to(anchors, rng.uniform(-5.0, 5.0, dim))
+            mask[:, col] = kind == 1
+            if kind == 1:
+                values[rng.integers(m), col] = 0.0
+            else:
+                mask[observed[kind], col] = True
         assert not values.flags.c_contiguous
 
         def solve(cols):
@@ -502,6 +511,12 @@ class TestBatchIndependence:
                      fix.point_iterations[i], fix.point_converged[i],
                      fix.ambiguous[i], fix.candidates[i])
                     for i, err in enumerate(fix.errors)]
+        whole = solve(np.arange(values.shape[1]))
+        errors = {outcome[0] for outcome in whole}
+        assert InsufficientMeasurementsError in errors
+        assert (DegenerateGeometryError in errors) == (dim == 3)
+        assert any(outcome[5] for outcome in whole)
+        assert any(outcome[0] is type(None) and outcome[3] == 0 for outcome in whole)
         self.assert_block_independent(solve, values.shape[1])
 
     @pytest.mark.parametrize("dim,m,k", SHAPES)
@@ -516,11 +531,16 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("dim,m,k", SHAPES)
     def test_congruent_fill(self, dim, m, k):
+        """Every fourth trial observes only ``dim`` anchors, too few to pin
+        a node, so the fill cannot start it."""
         anchors, conf, ranges = self.scene(dim, m, k)
         cross = np.stack([np.where(r.mask, r.values, 0.0) for r in ranges])
         mask = np.stack([r.mask for r in ranges])
+        mask[3::4, dim:] = False
 
         def solve(trials):
             return list(zip(*_congruent_fill_batch(anchors.positions, conf.coords,
                                                    cross[trials], mask[trials])))
+        started = {outcome[2] for outcome in solve(np.arange(len(ranges)))}
+        assert started == {True, False}
         self.assert_block_independent(solve, len(ranges))

@@ -118,6 +118,29 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entries, key", [
+        ({"sensor_counts": [4.5, 6.9]}, "sensor_counts"),
+        ({"sensor_counts": [4, "6"]}, "sensor_counts"),
+        ({"sigma_list": ["0.1"]}, "sigma_list"),
+        ({"missing_fraction": ["0.1"]}, "missing_fraction"),
+        ({"anchor_span": "60"}, "anchor_span"),
+        ({"sigma_list": [True]}, "sigma_list"),
+        ({"trials": True}, "trials"),
+        ({"master_seed": True}, "master_seed"),
+        ({"anchor_count": True}, "anchor_count"),
+        ({"estimator": {"weighted": "false"}}, "weighted"),
+    ], ids=["fractional_count", "string_count", "string_sigma", "string_fraction",
+            "string_span", "bool_sigma", "bool_trials", "bool_seed",
+            "bool_anchor_count", "string_weighted"])
+    def test_value_of_the_wrong_type(self, tmp_path, capsys, entries, key):
+        """A value JSON gives with the wrong type is an error naming its key,
+        not a number or a switch made from it."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": "rmse_vs_sensors", "trials": 2,
+                                   **entries}))
+        assert main(["validate", str(bad)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("body, message", [
         ("four_nodes.json", "conformation file has 4 nodes; cannot take 6"),
         ("absent.json", "absent.json"),

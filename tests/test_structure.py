@@ -3,9 +3,10 @@ level and form no cycle, the estimators import nothing from completion,
 and the only import inside a function is the lazy ``scipy.spatial`` one
 that keeps scipy out of ``import rigidloc``; the
 Gauss-Newton settings are read by one solver loop only; the congruent
-start has one pin loop; the estimators reach an observation pattern's
-anchor geometry through one cache; and the harness keeps the names the
-benchmark's tracer patches, and the poses its gate checks."""
+start has one pin loop; each numeric kernel has one copy; the estimators
+reach an observation pattern's anchor geometry through one cache; and the
+package keeps the names the benchmark's tracer patches, and the harness
+the poses its gate checks."""
 
 import ast
 import importlib
@@ -98,8 +99,9 @@ def test_estimators_import_nothing_from_completion():
 
 
 def readers(tree, name):
-    """Names of the functions that read the module-level ``name``, with
-    ``<module>`` for a read outside any function."""
+    """Names of the functions that read the module-level ``name``, or the
+    dotted name such as ``np.linalg.svd``, with ``<module>`` for a read
+    outside any function."""
     found = set()
 
     def walk(node, owner):
@@ -107,8 +109,8 @@ def readers(tree, name):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 walk(child, child.name)
                 continue
-            if (isinstance(child, ast.Name) and child.id == name
-                    and isinstance(child.ctx, ast.Load)):
+            if (isinstance(child, (ast.Name, ast.Attribute))
+                    and isinstance(child.ctx, ast.Load) and ast.unparse(child) == name):
                 found.add(owner)
             walk(child, owner)
 
@@ -131,12 +133,28 @@ def test_one_gauss_newton_loop():
 
 def test_one_pin_loop():
     """The congruent start pins nodes in one loop: in ``completion`` only
-    the batched core calls ``_linearized_fix``, and the harness starts its
+    the batched core calls the linearized fix, and the harness starts its
     completion trials from that core, not from the one-trial wrapper."""
     modules = parse_modules()
-    assert readers(modules["completion"], "_linearized_fix") == {"_congruent_fill_batch"}
+    for name in ("_linear_factor", "_apply_linear_factor"):
+        assert readers(modules["completion"], name) == {"_congruent_fill_batch"}
     assert readers(modules["harness"], "_congruent_fill") == set()
     assert readers(modules["harness"], "_congruent_fill_batch") != set()
+
+
+def test_one_copy_of_each_numeric_kernel():
+    """The package's SVDs are the affine hull, the linearized fix's factor
+    and the nearest proper rotation (Kabsch and ``Pose.from_matrix``); the
+    rotation exp map is the one ``np.sinc`` user; and ``estimate_motion``
+    takes its rank from the solve instead of a second SVD."""
+    modules = parse_modules()
+
+    def users(name):
+        return {f"{m}.{f}" for m, tree in modules.items() for f in readers(tree, name)}
+    assert users("np.linalg.svd") == {"geometry.affine_basis", "geometry._linear_factor",
+                                      "geometry._proper_svd"}
+    assert users("np.sinc") == {"geometry._exp_rotations"}
+    assert "estimators.estimate_motion" not in users("np.linalg.matrix_rank")
 
 
 def test_pattern_geometry_goes_through_the_cache():
@@ -147,7 +165,6 @@ def test_pattern_geometry_goes_through_the_cache():
     tree = parse_modules()["estimators"]
     assert readers(tree, "affine_basis") == {"_cached_subset", "relative_pose_anchorless"}
     assert readers(tree, "_linear_factor") == {"_cached_subset"}
-    assert readers(tree, "_linearized_fix") == set()
     assert readers(tree, "_cached_subset") == {"_subset_geometry"}
     assert readers(tree, "_subset_geometry") == {"_fix_columns", "_fit_poses",
                                                  "localize_point_hybrid"}
@@ -177,17 +194,36 @@ def test_repeated_frame_computes_no_pattern_geometry(monkeypatch):
 
 
 def test_harness_defines_the_names_the_benchmark_patches():
-    """``perfbench/workloads.py`` patches harness functions by name, as
-    ``(h, "<name>", ...)`` tuples with ``h`` the harness module; a harness
-    refactor that drops one breaks ``perfbench --trace``."""
-    patched = {node.elts[1].value
-               for node in ast.walk(ast.parse(WORKLOADS.read_text()))
+    """``perfbench/workloads.py`` patches package functions by name, as
+    ``(alias, "<name>", ...)`` tuples whose alias is bound to a package
+    module, as in ``h, e = rigidloc.harness, rigidloc.estimators``; a
+    refactor that drops one of those names breaks ``perfbench --trace``."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {f"rigidloc.{name}" for name in parse_modules()}
+    aliases = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = zip(target.elts, node.value.elts) \
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple) \
+                else [(target, node.value)]
+            for name, value in pairs:
+                module = ast.unparse(value)
+                if isinstance(name, ast.Name) and module in modules:
+                    assert aliases.setdefault(name.id, module) == module
+    patched = {(aliases[node.elts[0].id], node.elts[1].value)
+               for node in ast.walk(tree)
                if isinstance(node, ast.Tuple) and len(node.elts) > 1
-               and isinstance(node.elts[0], ast.Name) and node.elts[0].id == "h"
+               and isinstance(node.elts[0], ast.Name) and node.elts[0].id in aliases
                and isinstance(node.elts[1], ast.Constant)}
-    assert patched >= {"_point_rmse_vs", "_point_completion", "simulate_ranges",
-                       "assemble_partial_edm", "complete_edm", "rbl_two_stage"}
-    assert {name for name in patched if not hasattr(harness, name)} == set()
+    assert {module for module, _ in patched} == {"rigidloc.harness", "rigidloc.estimators",
+                                                 "rigidloc.measurement"}
+    assert patched >= {("rigidloc.harness", "complete_edm"),
+                       ("rigidloc.estimators", "multilaterate"),
+                       ("rigidloc.measurement", "line_of_sight_blocked")}
+    assert {(module, name) for module, name in patched
+            if not hasattr(importlib.import_module(module), name)} == set()
 
 
 def test_benchmark_gate_catches_a_wrong_completion_pose(monkeypatch):
