@@ -240,12 +240,15 @@ def _backtrack(x, step, residuals, rows, obj):
     A scale at which the step drops below GN_STEP_TOL is taken without a
     test: that step ends the iteration whatever it does to the objective,
     which near the minimum changes only by rounding. All the halvings a
-    problem may need are tested in one batched evaluation.
+    problem may need are tested in one batched evaluation. Returns the
+    scales, the objective at each and the problems (indices into ``x``)
+    whose scale was taken without a test: their objective is not computed.
     """
     scale = np.ones(x.shape[0])
-    rejected = np.flatnonzero(~(_objective(residuals, x + step, rows) <= obj))
+    objective = _objective(residuals, x + step, rows)
+    rejected = np.flatnonzero(~(objective <= obj))
     if rejected.size == 0:
-        return scale
+        return scale, objective, rejected
     halvings = 0.5 ** np.arange(1, 31)
     norm = np.sqrt((step[rejected] ** 2).sum(axis=1))
     accept = halvings * norm[:, None] < GN_STEP_TOL
@@ -254,12 +257,19 @@ def _backtrack(x, step, residuals, rows, obj):
     owner = np.repeat(np.arange(rejected.size), count)
     k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
     tried = rejected[owner]
-    ok = _objective(residuals, x[tried] + halvings[k, None] * step[tried],
-                    rows[tried]) <= obj[tried]
+    tried_objective = _objective(residuals, x[tried] + halvings[k, None] * step[tried],
+                                 rows[tried])
+    ok = tried_objective <= obj[tried]
     accept[owner[ok], k[ok]] = True
     accept[:, -1] = True
-    scale[rejected] = halvings[accept.argmax(axis=1)]
-    return scale
+    first = accept.argmax(axis=1)
+    scale[rejected] = halvings[first]
+    # a tested scale is taken before any untested one, so it is the first
+    taken = ok & (k == first[owner])
+    objective[tried[taken]] = tried_objective[taken]
+    tested = np.zeros(rejected.size, dtype=bool)
+    tested[owner[taken]] = True
+    return scale, objective, rejected[~tested]
 
 
 def _gauss_newton(x, residuals, linearize):
@@ -289,10 +299,13 @@ def _gauss_newton(x, residuals, linearize):
         jtj = jac_t @ jac
         rhs = -(jac_t @ resid[..., None])[..., 0]
         step = _normal_step(jtj, rhs, jac, resid)
-        moved = _backtrack(x_live, step, residuals, live, obj[live])[:, None] * step
+        scale, objective, untested = _backtrack(x_live, step, residuals, live, obj[live])
+        moved = scale[:, None] * step
         x_live = x_live + moved
         x[live] = x_live
-        obj[live] = _objective(residuals, x_live, live)
+        if untested.size:
+            objective[untested] = _objective(residuals, x_live[untested], live[untested])
+        obj[live] = objective
         iterations[live] = iteration
         done = np.sqrt((moved**2).sum(axis=1)) < GN_STEP_TOL
         converged[live[done]] = True
@@ -440,32 +453,30 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None) -> PointFix:
 
 def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
     """Weighted Procrustes fits of one conformation onto T point sets
-    (T x K x D, weights T x K). Each entry is (pose, stage-2 RMS, rotation
-    unique) or the ValueError ``fit_pose_procrustes`` raises for it."""
-    fits = [None] * points.shape[0]
+    (T x K x D, weights T x K). Returns per fit None or the ValueError
+    ``fit_pose_procrustes`` raises for it, then the rotations,
+    translations, stage-2 RMS values and rotation-unique flags of the fits
+    without one, in order."""
+    failed = [None] * points.shape[0]
     bad_points = ~np.isfinite(points).all(axis=(1, 2))
     bad_weights = (weights < 0).any(axis=1) | ~np.isfinite(weights).all(axis=1)
     for t in np.flatnonzero(bad_points | bad_weights | (weights.sum(axis=1) <= 0)):
         if bad_points[t]:
-            fits[t] = ValueError("points must be finite")
+            failed[t] = ValueError("points must be finite")
         elif bad_weights[t]:
-            fits[t] = ValueError("weights must be non-negative and finite")
+            failed[t] = ValueError("weights must be non-negative and finite")
         else:
-            fits[t] = ValueError("at least one positive weight required")
-    ok = np.array([f is None for f in fits], dtype=bool)
-    if not ok.any():
-        return fits
+            failed[t] = ValueError("at least one positive weight required")
+    ok = np.array([f is None for f in failed], dtype=bool)
+    # a Kabsch rotation is a product of orthogonal SVD factors, so it is a
+    # proper rotation to rounding and needs no re-orthonormalization
     rot, trans, rms = _weighted_kabsch(conf.coords, points[ok], weights[ok])
     # the proper rotation is unique when the weighted nodes span at least a
     # hyperplane: the one missing direction is fixed by the determinant
     _, which, keys = _pattern_groups(weights[ok] > 0)
     unique = np.array([_subset_geometry(conf.coords, key).rank >= conf.dim - 1
-                       for key in keys])[which]
-    # a Kabsch rotation is a product of orthogonal SVD factors, so it is a
-    # proper rotation to rounding and needs no re-orthonormalization
-    for i, t in enumerate(np.flatnonzero(ok)):
-        fits[t] = (Pose(rot[i], trans[i]), float(rms[i]), bool(unique[i]))
-    return fits
+                       for key in keys], dtype=bool)[which]
+    return failed, rot, trans, rms, unique
 
 
 def fit_pose_procrustes(conf: Conformation, points, weights=None) -> PoseEstimate:
@@ -488,12 +499,86 @@ def fit_pose_procrustes(conf: Conformation, points, weights=None) -> PoseEstimat
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (conf.num_nodes,):
         raise ValueError("one weight per node required")
-    fit = _fit_poses(conf, points[None], weights[None])[0]
-    if isinstance(fit, ValueError):
-        raise fit
-    pose, rms, unique = fit
-    return PoseEstimate(pose, stage1_rms=0.0, stage2_rms=rms, iterations=0,
-                        rotation_unique=unique)
+    failed, rot, trans, rms, unique = _fit_poses(conf, points[None], weights[None])
+    if failed[0] is not None:
+        raise failed[0]
+    return PoseEstimate(Pose(rot[0], trans[0]), stage1_rms=0.0, stage2_rms=float(rms[0]),
+                        iterations=0, rotation_unique=bool(unique[0]))
+
+
+@dataclass
+class _TwoStage:
+    """Array form of T two-stage estimates (see ``_two_stage``). A failed
+    trial's ``failed`` entry is its estimation error and its pose is NaN;
+    ``ambiguous`` is T x K."""
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    failed: list
+    stage1_rms: np.ndarray
+    stage2_rms: np.ndarray
+    iterations: np.ndarray
+    rotation_unique: np.ndarray
+    ambiguous: np.ndarray
+    unconverged: np.ndarray
+
+
+def _two_stage(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
+               mask: np.ndarray, weighted: bool) -> _TwoStage:
+    """Array core of ``rbl_two_stage_batch``: the two-stage estimates of T
+    trials of one body from their T x M x K ranges (NaN where ``mask`` is
+    False). Stage 1 multilaterates every usable node of every trial in one
+    batched call and stage 2 fits all poses in one batched weighted
+    Kabsch."""
+    t_count, dim = values.shape[0], conf.dim
+    n_obs = mask.sum(axis=1)
+
+    # Stage 1: nodes with at least dim+1 observed ranges, trial by trial
+    # in node order; the others get zero weight.
+    usable = n_obs >= dim + 1
+    trial_of, node_of = np.nonzero(usable)
+    points = np.zeros((t_count,) + conf.coords.shape)
+    rms = np.zeros(usable.shape)
+    iters = np.zeros(usable.shape, dtype=int)
+    unconverged = np.zeros(usable.shape, dtype=bool)
+    ambiguous = np.zeros(usable.shape, dtype=bool)
+    failed = [None] * t_count
+    if trial_of.size:
+        fix = multilaterate(anchors, values[trial_of, :, node_of].T,
+                            mask[trial_of, :, node_of].T)
+        points[trial_of, node_of] = fix.position
+        rms[trial_of, node_of] = fix.residual_rms
+        iters[trial_of, node_of] = fix.point_iterations
+        unconverged[trial_of, node_of] = ~fix.point_converged
+        ambiguous[trial_of, node_of] = fix.ambiguous
+        for j, err in enumerate(fix.errors):
+            if err is not None and failed[trial_of[j]] is None:
+                failed[trial_of[j]] = err
+    for t in np.flatnonzero(~usable.any(axis=1)):
+        failed[t] = InsufficientMeasurementsError("no node has enough observed ranges")
+    if weighted:
+        weights = np.where(usable, 1.0 / (rms**2 + WEIGHT_EPSILON), 0.0)
+    else:
+        weights = usable.astype(float)
+    sq_resid = np.where(usable, rms**2 * n_obs, 0.0).sum(axis=-1)
+    used_ranges = np.where(usable, n_obs, 0).sum(axis=1)
+
+    # Stage 2 for the trials whose stage 1 left something to fit.
+    rot = np.full((t_count, dim, dim), np.nan)
+    trans = np.full((t_count, dim), np.nan)
+    stage2_rms = np.full(t_count, np.nan)
+    unique = np.zeros(t_count, dtype=bool)
+    solvable = np.flatnonzero([f is None for f in failed])
+    if solvable.size:
+        fit_failed, *fits = _fit_poses(conf, points[solvable], weights[solvable])
+        for t, err in zip(solvable, fit_failed):
+            failed[t] = err
+        fitted = solvable[[err is None for err in fit_failed]]
+        rot[fitted], trans[fitted], stage2_rms[fitted], unique[fitted] = fits
+    # a trial without usable nodes has failed; its 0 / 1 keeps the division quiet
+    stage1_rms = np.sqrt(sq_resid / np.maximum(used_ranges, 1))
+    return _TwoStage(rot, trans, failed, stage1_rms, stage2_rms, iters.sum(axis=1),
+                     unique, ambiguous, unconverged.sum(axis=1))
 
 
 def rbl_two_stage_batch(anchors: AnchorSet, ranges, conf: Conformation,
@@ -512,65 +597,18 @@ def rbl_two_stage_batch(anchors: AnchorSet, ranges, conf: Conformation,
         raise ValueError("anchor and conformation dimensions differ")
     if any(r.shape != (anchors.num_anchors, conf.num_nodes) for r in ranges):
         raise ValueError("range matrix shape must be (num_anchors, num_nodes)")
-    results = [None] * len(ranges)
     if not ranges:
-        return results
-    dim = conf.dim
-    values = np.stack([r.values for r in ranges])
-    mask = np.stack([r.mask for r in ranges])
-    n_obs = mask.sum(axis=1)
-
-    # Stage 1: nodes with at least dim+1 observed ranges, trial by trial
-    # in node order; the others get zero weight.
-    usable = n_obs >= dim + 1
-    trial_of, node_of = np.nonzero(usable)
-    points = np.zeros((len(ranges),) + conf.coords.shape)
-    rms = np.zeros(usable.shape)
-    iters = np.zeros(usable.shape, dtype=int)
-    unconverged = np.zeros(usable.shape, dtype=bool)
-    ambiguous = np.zeros(usable.shape, dtype=bool)
-    failed = {}
-    if trial_of.size:
-        fix = multilaterate(anchors, values[trial_of, :, node_of].T,
-                            mask[trial_of, :, node_of].T)
-        points[trial_of, node_of] = fix.position
-        rms[trial_of, node_of] = fix.residual_rms
-        iters[trial_of, node_of] = fix.point_iterations
-        unconverged[trial_of, node_of] = ~fix.point_converged
-        ambiguous[trial_of, node_of] = fix.ambiguous
-        for j, err in enumerate(fix.errors):
-            if err is not None:
-                failed.setdefault(trial_of[j], err)
-    if weighted:
-        weights = np.where(usable, 1.0 / (rms**2 + WEIGHT_EPSILON), 0.0)
-    else:
-        weights = usable.astype(float)
-    sq_resid = np.where(usable, rms**2 * n_obs, 0.0).sum(axis=-1)
-    used_ranges = np.where(usable, n_obs, 0).sum(axis=1)
-
-    # Stage 2 for the trials whose stage 1 left something to fit.
-    solvable = []
-    for t in range(len(ranges)):
-        if t in failed:
-            results[t] = failed[t]
-        elif not usable[t].any():
-            results[t] = InsufficientMeasurementsError(
-                "no node has enough observed ranges")
-        else:
-            solvable.append(t)
-    if not solvable:
-        return results
-    fits = _fit_poses(conf, points[solvable], weights[solvable])
-    for t, fit in zip(solvable, fits):
-        if isinstance(fit, ValueError):
-            results[t] = fit
-            continue
-        pose, stage2_rms, unique = fit
+        return []
+    fit = _two_stage(anchors, conf, np.stack([r.values for r in ranges]),
+                     np.stack([r.mask for r in ranges]), weighted)
+    results = list(fit.failed)
+    for t in np.flatnonzero([err is None for err in fit.failed]):
         results[t] = PoseEstimate(
-            pose, float(np.sqrt(sq_resid[t] / used_ranges[t])), stage2_rms,
-            int(iters[t].sum()), unique,
-            tuple(int(n) for n in np.flatnonzero(ambiguous[t])),
-            int(unconverged[t].sum()))
+            Pose(fit.rotation[t], fit.translation[t]), float(fit.stage1_rms[t]),
+            float(fit.stage2_rms[t]), int(fit.iterations[t]),
+            bool(fit.rotation_unique[t]),
+            tuple(int(n) for n in np.flatnonzero(fit.ambiguous[t])),
+            int(fit.unconverged[t]))
     return results
 
 

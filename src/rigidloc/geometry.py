@@ -127,6 +127,59 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# Identity matrices of the supported dimensions, built once because every
+# ``Pose`` compares its rotation's Gram matrix with one.
+_IDENTITY = {dim: _freeze(np.eye(dim)) for dim in (2, 3)}
+
+
+def _check_poses(rotations: np.ndarray, translations: np.ndarray) -> None:
+    """The checks of ``Pose`` over a stack of poses: float arrays of B
+    rotations (B x D x D) and B translations (B x D). Raises the ValueError
+    ``Pose`` raises for the first invalid pose, for its first failed check:
+    a non-finite rotation, then translation; a wrong shape; a rotation off
+    orthogonal, then off determinant +1, by more than ORTHOGONALITY_TOL."""
+    def check_finite(first):
+        if not np.isfinite(rotations[first]).all():
+            raise ValueError("rotation must be finite")
+        if not np.isfinite(translations[first]).all():
+            raise ValueError("translation must be finite")
+
+    if rotations.ndim != 3 or rotations.shape[1] != rotations.shape[2]:
+        check_finite(0)
+        raise ValueError("rotation must be square")
+    dim = rotations.shape[2]
+    if dim not in (2, 3):
+        check_finite(0)
+        raise ValueError("only 2D and 3D poses are supported")
+    if translations.shape[1:] != (dim,):
+        check_finite(0)
+        raise ValueError("translation length must match rotation size")
+    finite = np.isfinite(rotations).all() and np.isfinite(translations).all()
+    faulty, safe = False, rotations
+    if not finite:
+        faulty = ~(np.isfinite(rotations).all(axis=(1, 2))
+                   & np.isfinite(translations).all(axis=1))
+        # a non-finite pose fails whatever its deviation; the identity in
+        # its place keeps the deviations below free of NaN warnings
+        safe = np.where(faulty[:, None, None], _IDENTITY[dim], rotations)
+    err = np.abs(safe.transpose(0, 2, 1) @ safe - _IDENTITY[dim]).max(axis=(1, 2))
+    det = np.linalg.det(safe)
+    worst = np.maximum(err, np.abs(det - 1.0))
+    if finite and worst.max(initial=0.0) <= ORTHOGONALITY_TOL:
+        return
+    first = (faulty | (worst > ORTHOGONALITY_TOL)).argmax()
+    check_finite(first)
+    if err[first] > ORTHOGONALITY_TOL:
+        raise ValueError(f"rotation is not orthogonal (deviation {err[first]:.2e})")
+    raise ValueError(f"rotation must have determinant +1, got {det[first]!r}")
+
+
+def _place(coords: np.ndarray, rotations: np.ndarray, translations: np.ndarray):
+    """World-frame positions R c_k + t of the K x D body-frame ``coords``
+    under one pose (D x D, D) or a stack of them (B x D x D, B x D)."""
+    return coords @ rotations.swapaxes(-1, -2) + translations[..., None, :]
+
+
 @dataclass(frozen=True)
 class Conformation:
     """Body-frame node coordinates, one node per row (K x D), in meters.
@@ -199,21 +252,9 @@ class Pose:
     translation: np.ndarray
 
     def __post_init__(self):
-        rot = _as_float_array(self.rotation, "rotation")
-        trans = _as_float_array(self.translation, "translation").reshape(-1)
-        if rot.ndim != 2 or rot.shape[0] != rot.shape[1]:
-            raise ValueError("rotation must be square")
-        dim = rot.shape[0]
-        if dim not in (2, 3):
-            raise ValueError("only 2D and 3D poses are supported")
-        if trans.shape != (dim,):
-            raise ValueError("translation length must match rotation size")
-        err = np.abs(rot.T @ rot - np.eye(dim)).max()
-        if err > ORTHOGONALITY_TOL:
-            raise ValueError(f"rotation is not orthogonal (deviation {err:.2e})")
-        det = np.linalg.det(rot)
-        if abs(det - 1.0) > ORTHOGONALITY_TOL:
-            raise ValueError(f"rotation must have determinant +1, got {det!r}")
+        rot = np.array(self.rotation, dtype=float)
+        trans = np.array(self.translation, dtype=float).reshape(-1)
+        _check_poses(rot[None], trans[None])
         object.__setattr__(self, "rotation", _freeze(rot))
         object.__setattr__(self, "translation", _freeze(trans))
 
@@ -303,7 +344,7 @@ def apply_pose(conf: Conformation, pose: Pose) -> PlacedBody:
     """Place a conformation in the world frame: s_k = R c_k + t."""
     if conf.dim != pose.dim:
         raise ValueError("conformation and pose dimensions differ")
-    return PlacedBody(conf.coords @ pose.rotation.T + pose.translation)
+    return PlacedBody(_place(conf.coords, pose.rotation, pose.translation))
 
 
 def compose(first: Pose, second: Pose) -> Pose:
@@ -413,9 +454,18 @@ def rotation_angle(rotation: np.ndarray) -> float:
     Uses the Frobenius distance to the identity, which stays accurate for
     angles near zero where the trace formula loses digits.
     """
-    rotation = np.asarray(rotation, dtype=float)
-    frob = np.linalg.norm(rotation - np.eye(rotation.shape[0]))
-    return float(2.0 * np.arcsin(min(1.0, frob / (2.0 * np.sqrt(2.0)))))
+    return float(_rotation_angles(np.asarray(rotation, dtype=float)[None])[0])
+
+
+def _rotation_angles(rotations: np.ndarray) -> np.ndarray:
+    """Rotation angles of a B x D x D stack, as ``rotation_angle`` computes
+    each: the Frobenius norm is a stacked dot product of each flattened
+    difference with itself, which numpy computes as ``np.linalg.norm``
+    does (one BLAS dot per rotation)."""
+    diff = (rotations - np.eye(rotations.shape[1])).reshape(len(rotations), 1, -1)
+    frob = np.sqrt((diff @ np.swapaxes(diff, 1, 2))[:, 0, 0])
+    # fmin, like min(1.0, x), keeps 1.0 where x is NaN
+    return 2.0 * np.arcsin(np.fmin(1.0, frob / (2.0 * np.sqrt(2.0))))
 
 
 def rotation_geodesic_error(r_est: np.ndarray, r_true: np.ndarray) -> float:

@@ -10,6 +10,7 @@ of a point are blocked for estimation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -26,7 +27,6 @@ from .geometry import (
     BodyMotion,
     Conformation,
     Pose,
-    apply_pose,
     random_rotation,
     squared_distances,
 )
@@ -35,8 +35,8 @@ from .measurement import (
     MaskedRangeMatrix,
     assemble_partial_edm,
     simulate_range_rates,
-    simulate_ranges,
 )
+from .measurement import simulate_ranges  # noqa: F401 - callers wrap harness.simulate_ranges
 from .placement import (
     TRIAL_FAILURES,
     PlacementProblem,
@@ -44,8 +44,11 @@ from .placement import (
     evaluate_placement,
     one_at_a_time,
     optimize_placement,
+    pose_block,
+    range_blocks,
     trials_per_block,
     two_stage_statistics,
+    uniform_pose,
 )
 
 DEFAULT_SIGMAS = (0.01, 0.05, 0.1, 0.5)
@@ -434,31 +437,21 @@ def _resolve_conformation(config: ExperimentConfig, num_nodes: int) -> Conformat
     return Conformation(conf.coords[:num_nodes])
 
 
-def _random_pose(rng: np.random.Generator, dim: int, center) -> Pose:
-    return Pose(random_rotation(rng, dim),
-                np.asarray(center) + rng.uniform(-POSE_SPREAD, POSE_SPREAD, dim))
-
-
-def _range_draws(config, anchors, conf, sweep_idx, sigma, fraction):
-    """(true pose, ranges) per trial, each range dropped with probability
+def _range_blocks(config, anchors, conf, sweep_idx, sigma, fraction):
+    """Blocks of (true poses, ranges) of a sweep point (see
+    ``placement.range_blocks``), each range dropped with probability
     ``fraction``."""
-    center = anchors.positions.mean(axis=0)
-    for trial in range(config.trials):
-        rng = _trial_rng(config.master_seed, sweep_idx, trial)
-        pose = _random_pose(rng, config.dim, center)
-        ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
-        values, mask = ranges.values, ranges.mask
-        if fraction > 0:
-            mask = mask & (rng.random(mask.shape) >= fraction)
-            values = np.where(mask, values, np.nan)
-        yield pose, MaskedRangeMatrix(values, mask)
+    return range_blocks(anchors, conf, config.trials,
+                        functools.partial(_trial_rng, config.master_seed, sweep_idx),
+                        uniform_pose(anchors.positions.mean(axis=0), POSE_SPREAD),
+                        sigma, fraction)
 
 
 def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
     conf = _resolve_conformation(config, sensors)
-    draws = _range_draws(config, anchors, conf, sweep_idx, sigma,
-                         config.missing_fraction[0])
-    return two_stage_statistics(anchors, conf, draws, config.estimator["weighted"])
+    blocks = _range_blocks(config, anchors, conf, sweep_idx, sigma,
+                           config.missing_fraction[0])
+    return two_stage_statistics(anchors, conf, blocks, config.estimator["weighted"])
 
 
 def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
@@ -478,25 +471,26 @@ def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
             return err
         return np.sqrt(filled[:m, m:])
 
-    def solve(items):
-        placed, _, started = _congruent_fill_batch(
-            anchors.positions, conf.coords, np.stack([r.values for r in items]),
-            np.stack([r.mask for r in items]))
+    def solve(data):
+        values, mask = data
+        placed, _, started = _congruent_fill_batch(anchors.positions, conf.coords,
+                                                   values, mask)
         fills = np.sqrt(squared_distances(anchors.positions, placed))
+        observed = [MaskedRangeMatrix(v, k) for v, k in zip(values, mask)]
         results = [fill if ok else fallback(ranges)
-                   for ranges, ok, fill in zip(items, started, fills)]
+                   for ranges, ok, fill in zip(observed, started, fills)]
         good = [t for t, fill in enumerate(results) if not isinstance(fill, ValueError)]
-        observed = [items[t] for t in good]
         estimates = rbl_two_stage_batch(
-            anchors, [MaskedRangeMatrix(np.where(r.mask, r.values, results[t]))
-                      for t, r in zip(good, observed)],
+            anchors, [MaskedRangeMatrix(np.where(mask[t], values[t], results[t]))
+                      for t in good],
             conf, config.estimator["weighted"])
-        for t, est in zip(good, refine_poses(anchors, observed, conf, estimates)):
+        refined = refine_poses(anchors, [observed[t] for t in good], conf, estimates)
+        for t, est in zip(good, refined):
             results[t] = est
-        return results
+        return pose_block(results, conf.dim)
 
-    draws = _range_draws(config, anchors, conf, sweep_idx, sigma, fraction)
-    return error_statistics(draws, solve, block_size=trials_per_block(conf))
+    blocks = _range_blocks(config, anchors, conf, sweep_idx, sigma, fraction)
+    return error_statistics(blocks, solve)
 
 
 def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
@@ -510,49 +504,55 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
     conf = _resolve_conformation(config, sensors)
     body1 = AnchorSet(conf.coords)
 
-    def draws():
-        for trial in range(config.trials):
-            rng = _trial_rng(config.master_seed, sweep_idx, trial)
-            rot = random_rotation(rng, config.dim)
-            direction = rng.normal(size=config.dim)
-            direction /= np.linalg.norm(direction)
-            pose = Pose(rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction)
-            body2 = apply_pose(conf, pose)
-            dists = np.sqrt(squared_distances(conf.coords, body2.positions))
-            if sigma > 0:
-                dists = np.maximum(dists + rng.normal(0.0, sigma, dists.shape), 0.0)
-            yield pose, MaskedRangeMatrix(dists)
+    def draw_pose(rng):
+        rot = random_rotation(rng, config.dim)
+        direction = rng.normal(size=config.dim)
+        direction /= np.linalg.norm(direction)
+        return rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction
 
-    def solve(ranges):
-        return refine_poses(body1, ranges, conf, rbl_two_stage_batch(
-            body1, ranges, conf, config.estimator["weighted"]))
+    def solve(data):
+        ranges = [MaskedRangeMatrix(v, k) for v, k in zip(*data)]
+        return pose_block(refine_poses(body1, ranges, conf, rbl_two_stage_batch(
+            body1, ranges, conf, config.estimator["weighted"])), conf.dim)
 
-    return error_statistics(draws(), solve, block_size=trials_per_block(conf))
+    blocks = range_blocks(body1, conf, config.trials,
+                          functools.partial(_trial_rng, config.master_seed, sweep_idx),
+                          draw_pose, sigma)
+    return error_statistics(blocks, solve)
 
 
-def _motion_errors(est, motion: BodyMotion):
-    """Squared translational and angular velocity errors."""
-    omega_err = np.asarray(est.motion.omega) - np.asarray(motion.omega)
-    return (float(((est.motion.t_dot - motion.t_dot) ** 2).sum()),
-            float((omega_err**2).sum()))
+def _motion_errors(estimates, motions):
+    """Squared translational and angular velocity errors per trial, NaN
+    where the estimate is None."""
+    sq = np.full((len(motions), 2), np.nan)
+    for t, (est, motion) in enumerate(zip(estimates, motions)):
+        if est is not None:
+            omega_err = np.asarray(est.motion.omega) - np.asarray(motion.omega)
+            sq[t] = (float(((est.motion.t_dot - motion.t_dot) ** 2).sum()),
+                     float((omega_err**2).sum()))
+    return sq[:, 0], sq[:, 1]
 
 
 def _point_motion(config, anchors, sweep_idx, sigma, sensors):
     conf = _resolve_conformation(config, sensors)
-    center = anchors.positions.mean(axis=0)
+    draw_pose = uniform_pose(anchors.positions.mean(axis=0), POSE_SPREAD)
 
-    def draws():
-        for trial in range(config.trials):
-            rng = _trial_rng(config.master_seed, sweep_idx, trial)
-            pose = _random_pose(rng, config.dim, center)
-            omega = rng.uniform(-0.5, 0.5, 3) if config.dim == 3 \
-                else float(rng.uniform(-0.5, 0.5))
-            motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, config.dim))
-            rates = simulate_range_rates(anchors, conf, pose, motion, sigma,
-                                         None, rng)
-            yield motion, (pose, rates)
+    def blocks():
+        size = trials_per_block(conf)
+        for first in range(0, config.trials, size):
+            motions, data = [], []
+            for trial in range(first, min(first + size, config.trials)):
+                rng = _trial_rng(config.master_seed, sweep_idx, trial)
+                pose = Pose(*draw_pose(rng))
+                omega = rng.uniform(-0.5, 0.5, 3) if config.dim == 3 \
+                    else float(rng.uniform(-0.5, 0.5))
+                motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, config.dim))
+                motions.append(motion)
+                data.append((pose, simulate_range_rates(anchors, conf, pose, motion,
+                                                        sigma, None, rng)))
+            yield motions, data
 
-    return error_statistics(draws(), one_at_a_time(
+    return error_statistics(blocks(), one_at_a_time(
         lambda data: estimate_motion(anchors, data[0], conf, data[1])),
         _motion_errors)
 

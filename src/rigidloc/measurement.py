@@ -78,15 +78,28 @@ def _masked_values(values, mask, name: str, nonnegative: bool):
     mask = np.array(mask, dtype=bool)
     if mask.shape != values.shape:
         raise ValueError("mask shape must match values")
-    observed = values[mask]
-    if not np.all(np.isfinite(observed)):
-        raise ValueError("observed entries must be finite")
-    if nonnegative and observed.size and observed.min() < 0:
-        raise ValueError("observed entries must be non-negative")
+    _check_observed(values, mask, nonnegative)
     values[~mask] = np.nan
     values.flags.writeable = False
     mask.flags.writeable = False
     return values, mask
+
+
+def _check_observed(values: np.ndarray, mask: np.ndarray, nonnegative: bool) -> None:
+    """The checks of ``_masked_values`` over a stack of matrices (values
+    and mask ... x M x K): raises the ValueError it raises for the first
+    matrix whose observed entries are not all finite or, with
+    ``nonnegative``, not all non-negative."""
+    observed = values[mask]
+    if np.isfinite(observed).all() and not (
+            nonnegative and observed.size and observed.min() < 0):
+        return
+    per_matrix = np.where(mask, values, 0.0).reshape(-1, values.shape[-2] * values.shape[-1])
+    infinite = ~np.isfinite(per_matrix).all(axis=1)
+    negative = (per_matrix < 0).any(axis=1) & nonnegative
+    if infinite[np.argmax(infinite | negative)]:
+        raise ValueError("observed entries must be finite")
+    raise ValueError("observed entries must be non-negative")
 
 
 def _masked_to_json(values: np.ndarray, mask: np.ndarray) -> str:
@@ -329,14 +342,23 @@ def simulate_ranges(anchors: AnchorSet, body: PlacedBody, sigma: float,
         raise ValueError("anchor and body dimensions differ")
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
-    values = np.sqrt(squared_distances(anchors.positions, body.positions))
+    noise = None
     if sigma > 0:
         if rng is None:
             rng = np.random.default_rng()
-        values = np.maximum(values + rng.normal(0.0, sigma, size=values.shape), 0.0)
+        noise = rng.normal(0.0, sigma, size=(anchors.num_anchors, body.num_nodes))
+    values = _ranges(anchors.positions, body.positions, noise)
     mask = _visibility_mask(anchors, body, visibility)
     values = np.where(mask, values, np.nan)
     return MaskedRangeMatrix(values, mask)
+
+
+def _ranges(anchors: np.ndarray, points: np.ndarray, noise=None) -> np.ndarray:
+    """Distances from the M x D ``anchors`` to the K x D ``points``, or to
+    each of a B x K x D stack of them, plus the ``noise`` (same shape, or
+    None) clamped at zero."""
+    values = np.sqrt(squared_distances(anchors, points))
+    return values if noise is None else np.maximum(values + noise, 0.0)
 
 
 def simulate_aoa(anchors: AnchorSet, body: PlacedBody, sigma_rad: float,

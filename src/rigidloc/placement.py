@@ -11,7 +11,6 @@ scores a candidate layout by Monte-Carlo localization error.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +19,18 @@ from .completion import NonEuclideanMatrixError
 from .estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
-    rbl_two_stage_batch,
+    PoseEstimate,
+    _two_stage,
 )
 from .geometry import (
     Conformation,
     Pose,
-    apply_pose,
+    _check_poses,
+    _place,
+    _rotation_angles,
     random_rotation,
-    rotation_geodesic_error,
 )
-from .measurement import AnchorSet, simulate_ranges
+from .measurement import AnchorSet, _check_observed, _ranges
 
 UNIT_NORM_TOL = 1e-9
 EVALUATION_POSE_SPREAD = 1.0  # meters; see ``evaluate_placement``
@@ -184,71 +185,140 @@ def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    center = anchors.positions.mean(axis=0)
     entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    blocks = range_blocks(
+        anchors, conf, trials, lambda trial: np.random.default_rng((*entropy, trial)),
+        uniform_pose(anchors.positions.mean(axis=0), EVALUATION_POSE_SPREAD), sigma)
+    return two_stage_statistics(anchors, conf, blocks)
 
-    def draws():
-        for trial in range(trials):
-            rng = np.random.default_rng((*entropy, trial))
-            pose = Pose(random_rotation(rng, anchors.dim),
-                        center + rng.uniform(-EVALUATION_POSE_SPREAD,
-                                             EVALUATION_POSE_SPREAD, anchors.dim))
-            yield pose, simulate_ranges(anchors, apply_pose(conf, pose), sigma,
-                                        None, rng)
 
-    return two_stage_statistics(anchors, conf, draws())
+def uniform_pose(center: np.ndarray, spread: float):
+    """Pose draw for ``range_blocks``: a uniform random rotation, then a
+    translation uniform within ``spread`` meters per axis of ``center``."""
+    dim = len(center)
+    return lambda rng: (random_rotation(rng, dim),
+                        center + rng.uniform(-spread, spread, dim))
+
+
+def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
+                 draw_pose, sigma: float, fraction: float = 0.0):
+    """Monte-Carlo range draws of a body, in blocks of ``trials_per_block``
+    trials, for ``error_statistics``.
+
+    Trial t draws from its own generator ``trial_rng(t)``: its true
+    rotation and translation by ``draw_pose(rng)``, then, with ``sigma``
+    > 0, the noise of each of its M x K ranges and, with ``fraction`` > 0,
+    one uniform number per range, which drops the range when below
+    ``fraction``. Each block is then placed, ranged and checked at once, as
+    ``Pose`` and ``MaskedRangeMatrix`` check, and yields ((rotations,
+    translations), (values, mask)): B x D x D, B x D and two B x M x K
+    arrays, the values NaN where the mask drops them.
+    """
+    if anchors.dim != conf.dim:
+        raise ValueError("anchor and conformation dimensions differ")
+    shape = (anchors.num_anchors, conf.num_nodes)
+    size = trials_per_block(conf)
+    for first in range(0, trials, size):
+        rotations, translations, noise, draws = [], [], [], []
+        for trial in range(first, min(first + size, trials)):
+            rng = trial_rng(trial)
+            rotation, translation = draw_pose(rng)
+            rotations.append(rotation)
+            translations.append(translation)
+            if sigma > 0:
+                noise.append(rng.normal(0.0, sigma, size=shape))
+            if fraction > 0:
+                draws.append(rng.random(shape))
+        rotations, translations = np.stack(rotations), np.stack(translations)
+        _check_poses(rotations, translations)
+        values = _ranges(anchors.positions, _place(conf.coords, rotations, translations),
+                         np.stack(noise) if noise else None)
+        mask = np.stack(draws) >= fraction if draws else np.ones(values.shape, dtype=bool)
+        values[~mask] = np.nan
+        _check_observed(values, mask, nonnegative=True)
+        yield (rotations, translations), (values, mask)
 
 
 def pose_errors(est_pose: Pose, true_pose: Pose):
     """Squared translation error and squared rotation geodesic error."""
-    t_err = float(((est_pose.translation - true_pose.translation) ** 2).sum())
-    r_err = rotation_geodesic_error(est_pose.rotation, true_pose.rotation) ** 2
-    return t_err, r_err
+    t_sq, r_sq = _pose_errors(
+        (est_pose.rotation[None], est_pose.translation[None]),
+        (true_pose.rotation[None], true_pose.translation[None]))
+    return float(t_sq[0]), float(r_sq[0])
 
 
-def error_statistics(draws, solve, errors=None,
-                     block_size: int = 1) -> PlacementEvaluation:
+def _pose_errors(estimate, truth):
+    """``pose_errors`` of stacked poses: ``estimate`` and ``truth`` are
+    (rotations B x D x D, translations B x D) pairs."""
+    (est_rot, est_trans), (true_rot, true_trans) = estimate, truth
+    t_sq = ((est_trans - true_trans) ** 2).sum(axis=-1)
+    angles = _rotation_angles(est_rot @ np.swapaxes(true_rot, -1, -2))
+    # squared by pow() on Python floats, as the sweeps always have: x * x
+    # differs from it in the last bit for about one angle in 1300
+    return t_sq, np.array([a**2 for a in angles.tolist()])
+
+
+def pose_block(results, dim: int):
+    """The block form ``error_statistics`` scores, from per-trial
+    results that are each a ``PoseEstimate`` or the ValueError that failed
+    the trial: ((rotations, translations), failures), a failed trial's pose
+    NaN and its failure the error, the others' None."""
+    rotations = np.full((len(results), dim, dim), np.nan)
+    translations = np.full((len(results), dim), np.nan)
+    for t, est in enumerate(results):
+        if isinstance(est, PoseEstimate):
+            rotations[t], translations[t] = est.pose.rotation, est.pose.translation
+    return (rotations, translations), [est if isinstance(est, ValueError) else None
+                                       for est in results]
+
+
+def error_statistics(blocks, solve, errors=None) -> PlacementEvaluation:
     """Error statistics of an estimator over Monte-Carlo draws.
 
-    ``draws`` yields (truth, data) per trial. Draws are taken
-    ``block_size`` at a time and ``solve`` maps the block's data list to
-    one estimate, or one estimation ``ValueError``, per item.
-    ``errors(estimate, truth)`` gives the squared translation and rotation
-    errors of a success (default: ``pose_errors`` of ``estimate.pose``).
+    ``blocks`` yields one (truth, data) pair per block of trials, each
+    covering every trial of the block. ``solve(data)`` returns (estimate,
+    failures): ``failures`` holds per trial None or the estimation
+    ``ValueError`` that failed it, and ``errors(estimate, truth)`` gives
+    the squared translation and rotation errors of every trial of the
+    block as two arrays, whose entries at failed trials are ignored
+    (default: ``pose_errors`` of stacked (rotations, translations)).
     Trials failed by one of ``TRIAL_FAILURES`` are counted and excluded
-    from the RMSE; any other returned ``ValueError`` is raised.
+    from the RMSE; any other ``ValueError`` is raised.
     """
-    errors = errors or (lambda est, pose: pose_errors(est.pose, pose))
-    draws = iter(draws)
+    errors = errors or _pose_errors
     t_sq, r_sq = [], []
     trials = failures = 0
-    while block := list(itertools.islice(draws, block_size)):
-        trials += len(block)
-        for (truth, _), est in zip(block, solve([data for _, data in block])):
-            if isinstance(est, TRIAL_FAILURES):
-                failures += 1
-                continue
-            if isinstance(est, ValueError):
-                raise est
-            t_err, r_err = errors(est, truth)
-            t_sq.append(t_err)
-            r_sq.append(r_err)
-    t_rmse, t_se = rmse_and_se(t_sq)
-    r_rmse, r_se = rmse_and_se(r_sq)
+    for truth, data in blocks:
+        estimate, failed = solve(data)
+        trials += len(failed)
+        for err in failed:
+            if err is not None and not isinstance(err, TRIAL_FAILURES):
+                raise err
+        ok = np.array([err is None for err in failed], dtype=bool)
+        failures += len(failed) - int(ok.sum())
+        if ok.any():
+            t_err, r_err = errors(estimate, truth)
+            t_sq.append(np.asarray(t_err)[ok])
+            r_sq.append(np.asarray(r_err)[ok])
+    t_rmse, t_se = rmse_and_se(np.concatenate(t_sq) if t_sq else [])
+    r_rmse, r_se = rmse_and_se(np.concatenate(r_sq) if r_sq else [])
     return PlacementEvaluation(t_rmse, r_rmse, t_se, r_se, failures, trials)
 
 
 def one_at_a_time(solve):
     """Block solver for ``error_statistics`` from a one-trial solver whose
-    ``TRIAL_FAILURES`` mark that trial as failed."""
+    ``TRIAL_FAILURES`` mark that trial as failed: the estimates of a list
+    of items, None where one failed, and the failures."""
     def solve_block(items):
-        estimates = []
+        estimates, failed = [], []
         for item in items:
             try:
                 estimates.append(solve(item))
+                failed.append(None)
             except TRIAL_FAILURES as err:
-                estimates.append(err)
-        return estimates
+                estimates.append(None)
+                failed.append(err)
+        return estimates, failed
     return solve_block
 
 
@@ -258,14 +328,17 @@ def trials_per_block(conf: Conformation) -> int:
     return max(1, BLOCK_NODE_FIXES // conf.num_nodes)
 
 
-def two_stage_statistics(anchors: AnchorSet, conf: Conformation, draws,
+def two_stage_statistics(anchors: AnchorSet, conf: Conformation, blocks,
                          weighted: bool = True) -> PlacementEvaluation:
-    """Error statistics of the two-stage estimator over (true pose, ranges)
-    draws, solved in blocks of ``trials_per_block`` trials."""
-    return error_statistics(
-        draws, lambda ranges: rbl_two_stage_batch(anchors, ranges, conf,
-                                                  weighted=weighted),
-        block_size=trials_per_block(conf))
+    """Error statistics of the two-stage estimator over the blocks of
+    ``range_blocks``. Each block is estimated as arrays, its poses checked
+    at once as ``Pose`` checks them."""
+    def solve(data):
+        fit = _two_stage(anchors, conf, *data, weighted)
+        ok = np.array([err is None for err in fit.failed], dtype=bool)
+        _check_poses(fit.rotation[ok], fit.translation[ok])
+        return (fit.rotation, fit.translation), fit.failed
+    return error_statistics(blocks, solve)
 
 
 def rmse_and_se(squared_errors) -> tuple[float, float]:

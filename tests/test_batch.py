@@ -1,6 +1,7 @@
 """Batched estimation: ``multilaterate`` on range matrices, the batched
 two-stage estimator, the stage-3 pose refinement, the batched congruent
-start, and their agreement with one-at-a-time calls."""
+start, the stacked pose and range checks, and their agreement with
+one-at-a-time calls."""
 
 from dataclasses import replace
 
@@ -22,9 +23,11 @@ from rigidloc.estimators import (
     refine_poses,
 )
 from rigidloc.geometry import (
+    ORTHOGONALITY_TOL,
     Conformation,
     Pose,
     _apply_linear_factor,
+    _check_poses,
     _linear_factor,
     apply_pose,
     random_rotation,
@@ -33,7 +36,13 @@ from rigidloc.geometry import (
     rotation_geodesic_error,
 )
 from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
-from rigidloc.measurement import AnchorSet, MaskedRangeMatrix, simulate_ranges
+from rigidloc.measurement import (
+    AnchorSet,
+    MaskedRangeMatrix,
+    _check_observed,
+    simulate_ranges,
+)
+from rigidloc.placement import range_blocks
 
 
 def ranges_to(anchors, point):
@@ -544,3 +553,93 @@ class TestBatchIndependence:
         started = {outcome[2] for outcome in solve(np.arange(len(ranges)))}
         assert started == {True, False}
         self.assert_block_independent(solve, len(ranges))
+
+
+def raised(call, *args):
+    """The message of the ValueError ``call(*args)`` raises."""
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    return str(info.value)
+
+
+class TestStackedChecks:
+    """One bad item hidden in a valid block fails the stacked check with
+    the message ``Pose`` or ``MaskedRangeMatrix`` gives that item alone;
+    the first bad item decides when there are several."""
+
+    POSE_FAULTS = {
+        "reflection": lambda rot, trans: (rot * np.r_[np.ones(len(rot) - 1), -1.0], trans),
+        "skewed": lambda rot, trans: (rot + 10 * ORTHOGONALITY_TOL * np.eye(len(rot)), trans),
+        "nan rotation": lambda rot, trans: (np.where(np.eye(len(rot)) > 0, np.nan, rot), trans),
+        "nan translation": lambda rot, trans: (rot, np.r_[np.nan, trans[1:]]),
+        "infinite translation": lambda rot, trans: (rot, np.r_[trans[:-1], np.inf]),
+    }
+
+    @staticmethod
+    def poses(dim, count=10, seed=2):
+        rng = np.random.default_rng(seed)
+        return (np.stack([random_rotation(rng, dim) for _ in range(count)]),
+                rng.uniform(-5.0, 5.0, (count, dim)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fault", sorted(POSE_FAULTS))
+    @pytest.mark.parametrize("where", [0, 6, 9])
+    def test_one_bad_pose(self, dim, fault, where):
+        rotations, translations = self.poses(dim)
+        _check_poses(rotations, translations)
+        bad = self.POSE_FAULTS[fault](rotations[where], translations[where])
+        rotations[where], translations[where] = bad
+        assert raised(_check_poses, rotations, translations) == raised(Pose, *bad)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_first_bad_pose_decides(self, dim):
+        rotations, translations = self.poses(dim)
+        rotations[3], translations[3] = self.POSE_FAULTS["reflection"](
+            rotations[3], translations[3])
+        translations[7, 0] = np.nan
+        assert raised(_check_poses, rotations, translations) == \
+            raised(Pose, rotations[3], translations[3])
+
+    RANGE_FAULTS = {"negative": -0.5, "nan": np.nan, "infinite": np.inf,
+                    "negative infinite": -np.inf}
+
+    @staticmethod
+    def ranges(count=10, seed=4):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((count, 6, 5)) >= 0.3
+        return np.where(mask, rng.uniform(1.0, 40.0, mask.shape), np.nan), mask
+
+    @pytest.mark.parametrize("fault", sorted(RANGE_FAULTS))
+    @pytest.mark.parametrize("where", [0, 4, 9])
+    def test_one_bad_range_matrix(self, fault, where):
+        values, mask = self.ranges()
+        _check_observed(values, mask, nonnegative=True)
+        node, anchor = np.argwhere(mask[where])[0]
+        values[where, node, anchor] = self.RANGE_FAULTS[fault]
+        assert raised(_check_observed, values, mask, True) == \
+            raised(MaskedRangeMatrix, values[where], mask[where])
+
+    def test_unobserved_entries_are_not_checked(self):
+        values, mask = self.ranges()
+        values[~mask] = -1.0
+        _check_observed(values, mask, nonnegative=True)
+
+    def test_first_bad_range_matrix_decides(self):
+        values, mask = self.ranges()
+        node, anchor = np.argwhere(mask[2])[0]
+        values[2, node, anchor] = -1.0
+        node, anchor = np.argwhere(mask[5])[0]
+        values[5, node, anchor] = np.nan
+        assert raised(_check_observed, values, mask, True) == \
+            raised(MaskedRangeMatrix, values[2], mask[2])
+
+    def test_range_blocks_check_the_drawn_poses(self):
+        """A block whose draw yields a reflection fails as ``Pose`` does."""
+        anchors, conf = cube_anchor_layout(8), box_vehicle_conformation(4)
+        reflection = np.diag([1.0, 1.0, -1.0])
+
+        def draw_pose(rng):
+            return (reflection if rng.random() < 0.1 else random_rotation(rng, 3),
+                    rng.uniform(-5.0, 5.0, 3))
+        blocks = range_blocks(anchors, conf, 100, np.random.default_rng, draw_pose, 0.1)
+        assert raised(lambda: list(blocks)) == raised(Pose, reflection, np.zeros(3))

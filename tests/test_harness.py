@@ -11,8 +11,9 @@ from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
     PoseEstimate,
+    rbl_two_stage,
 )
-from rigidloc.geometry import Conformation
+from rigidloc.geometry import Conformation, Pose, apply_pose, random_rotation
 from rigidloc.harness import (
     ConfigError,
     ExperimentConfig,
@@ -25,6 +26,7 @@ from rigidloc.harness import (
     run_experiment,
     save_config,
 )
+from rigidloc.measurement import MaskedRangeMatrix, simulate_ranges
 
 
 def without_congruent_start(monkeypatch):
@@ -293,9 +295,13 @@ class TestRunExperiment:
     def test_unclassified_block_errors_raise(self, monkeypatch):
         """A bare ValueError a block solver returns is a fault, not a
         failed trial."""
-        def broken(anchors, ranges, *args, **kwargs):
-            return [ValueError("programming error")] * len(ranges)
-        monkeypatch.setattr(placement, "rbl_two_stage_batch", broken)
+        real = placement._two_stage
+
+        def broken(anchors, conf, values, *args):
+            fit = real(anchors, conf, values, *args)
+            fit.failed = [ValueError("programming error")] * len(values)
+            return fit
+        monkeypatch.setattr(placement, "_two_stage", broken)
         with pytest.raises(ValueError, match="programming error"):
             run_experiment(tiny_config(sigma_list=[0.1], trials=4))
 
@@ -345,6 +351,71 @@ class TestRunExperiment:
         for ra, rb in zip(a.rows, b.rows):
             assert ra.translation_rmse == rb.translation_rmse
             assert ra.rotation_rmse == rb.rotation_rmse
+
+
+def public_statistics(trials, trial_rng, anchors, conf, spread, sigma,
+                      fraction=0.0, weighted=True):
+    """(translation RMSE, SE, rotation RMSE, SE, failures) of a Monte-Carlo
+    run rebuilt trial by trial from the public calls, each trial drawing
+    in the order the blocks draw: rotation, translation, noise, drops."""
+    center = anchors.positions.mean(axis=0)
+    t_sq, r_sq, failures = [], [], 0
+    for trial in range(trials):
+        rng = trial_rng(trial)
+        pose = Pose(random_rotation(rng, conf.dim),
+                    center + rng.uniform(-spread, spread, conf.dim))
+        ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
+        if fraction > 0:
+            mask = ranges.mask & (rng.random(ranges.shape) >= fraction)
+            ranges = MaskedRangeMatrix(np.where(mask, ranges.values, np.nan), mask)
+        try:
+            est = rbl_two_stage(anchors, ranges, conf, weighted)
+        except placement.TRIAL_FAILURES:
+            failures += 1
+            continue
+        t_err, r_err = placement.pose_errors(est.pose, pose)
+        t_sq.append(t_err)
+        r_sq.append(r_err)
+    return (*placement.rmse_and_se(t_sq), *placement.rmse_and_se(r_sq), failures)
+
+
+def row_statistics(row):
+    return (row.translation_rmse, row.translation_se, row.rotation_rmse,
+            row.rotation_se, row.failures)
+
+
+class TestBlocksMatchThePublicCalls:
+    """The sweeps draw, check, estimate and score each block of trials as
+    arrays; every row equals, bit for bit, the trial-by-trial run through
+    ``Pose``, ``simulate_ranges``, ``rbl_two_stage`` and ``pose_errors``."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3])
+    def test_rmse_vs_sensors(self, dim, fraction):
+        cfg = tiny_config(dim=dim, sigma_list=[0.0, 0.1], sensor_counts=[2, 4, 8],
+                          missing_fraction=[fraction], anchor_count=5, trials=40,
+                          master_seed=21)
+        anchors = cube_anchor_layout(5, dim)
+        rows = run_experiment(cfg).rows
+        for sweep_idx, row in enumerate(rows):
+            conf = box_vehicle_conformation(row.params["sensors"], dim)
+            want = public_statistics(
+                cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
+                anchors, conf, harness.POSE_SPREAD, row.params["sigma"], fraction)
+            assert row_statistics(row) == want, row.params
+        if fraction > 0:
+            assert sum(row.failures for row in rows) > 0
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("seed", [5, (7, 1)])
+    def test_evaluate_placement(self, dim, seed):
+        anchors = cube_anchor_layout(4 if dim == 2 else 6, dim)
+        conf = box_vehicle_conformation(5, dim)
+        entropy = seed if isinstance(seed, tuple) else (seed,)
+        got = placement.evaluate_placement(anchors, conf, 0.1, 60, seed)
+        assert row_statistics(got) == public_statistics(
+            60, lambda t: np.random.default_rng((*entropy, t)), anchors, conf,
+            placement.EVALUATION_POSE_SPREAD, 0.1)
 
 
 class TestEmitResults:

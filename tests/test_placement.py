@@ -5,10 +5,11 @@ import pytest
 
 from rigidloc.completion import NonEuclideanMatrixError
 from rigidloc.estimators import DegenerateGeometryError, InsufficientMeasurementsError
-from rigidloc.geometry import Conformation, random_rotation
+from rigidloc.geometry import Conformation, _exp_rotations, random_rotation
 from rigidloc.measurement import AnchorSet
 from rigidloc.placement import (
     PlacementProblem,
+    _pose_errors,
     error_statistics,
     evaluate_placement,
     frame_potential,
@@ -148,6 +149,11 @@ class TestEvaluatePlacement:
         b = evaluate_placement(anchors, self.body(), 0.05, trials=50, seed=4)
         assert a == b
 
+    def test_dimension_mismatch_raises(self):
+        anchors = AnchorSet([[20.0, 0.0], [0.0, 20.0], [-20.0, 0.0]])
+        with pytest.raises(ValueError, match="dimensions differ"):
+            evaluate_placement(anchors, self.body(), 0.1, trials=4)
+
     def test_failures_counted_not_fatal(self):
         # two anchors cannot multilaterate any 3D node
         anchors = AnchorSet([[20.0, 0.0, 0.0], [0.0, 20.0, 0.0]])
@@ -165,8 +171,9 @@ class TestTrialFailures:
     ``ValueError`` is a fault and propagates."""
 
     @staticmethod
-    def draws(n=4):
-        return [(None, i) for i in range(n)]
+    def blocks():
+        """Four trials in blocks of three and one."""
+        return [(None, [0, 1, 2]), (None, [3])]
 
     @pytest.mark.parametrize("error", CLASSIFIED)
     def test_classified_errors_are_counted(self, error):
@@ -174,18 +181,41 @@ class TestTrialFailures:
             raise error("no fix")
 
         def fail_all(items):
-            return [error("no fix")] * len(items)
-        stats = error_statistics(self.draws(), fail_all, block_size=3)
+            return None, [error("no fix")] * len(items)
+        stats = error_statistics(self.blocks(), fail_all)
         assert (stats.failures, stats.trials) == (4, 4)
-        assert error_statistics(self.draws(), one_at_a_time(fail)).failures == 4
+        assert error_statistics(self.blocks(), one_at_a_time(fail)).failures == 4
 
     def test_other_errors_propagate(self):
         def broken_block(items):
-            return [ValueError("bug")] * len(items)
+            return None, [ValueError("bug")] * len(items)
         with pytest.raises(ValueError, match="bug"):
-            error_statistics(self.draws(), broken_block)
+            error_statistics(self.blocks(), broken_block)
 
         def broken(item):
             raise ValueError("bug")
         with pytest.raises(ValueError, match="bug"):
-            error_statistics(self.draws(), one_at_a_time(broken))
+            error_statistics(self.blocks(), one_at_a_time(broken))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_block_scoring_matches_the_one_pose_formula(dim):
+    """Scoring a block gives, bit for bit, what the one-pose formula gives
+    pair by pair: ``np.linalg.norm`` for the Frobenius distance to the
+    identity and Python's float power for the square (``x * x`` differs
+    from it in the last bit for about one angle in 1300)."""
+    rng = np.random.default_rng(dim)
+    count = 20000
+    true_rot = np.stack([random_rotation(rng, dim) for _ in range(count)])
+    turns = rng.normal(scale=0.05, size=(count, 1 if dim == 2 else 3))
+    est_rot = _exp_rotations(turns) @ true_rot
+    true_trans, est_trans = rng.normal(size=(2, count, dim))
+    t_sq, r_sq = _pose_errors((est_rot, est_trans), (true_rot, true_trans))
+    want_t, want_r = [], []
+    for i in range(count):
+        frob = np.linalg.norm(est_rot[i] @ true_rot[i].T - np.eye(dim))
+        angle = float(2.0 * np.arcsin(min(1.0, frob / (2.0 * np.sqrt(2.0)))))
+        want_r.append(angle ** 2)
+        want_t.append(float(((est_trans[i] - true_trans[i]) ** 2).sum()))
+    assert np.array_equal(t_sq, want_t)
+    assert np.array_equal(r_sq, want_r)

@@ -145,8 +145,10 @@ def test_one_pin_loop():
 def test_one_copy_of_each_numeric_kernel():
     """The package's SVDs are the affine hull, the linearized fix's factor
     and the nearest proper rotation (Kabsch and ``Pose.from_matrix``); the
-    rotation exp map is the one ``np.sinc`` user; and ``estimate_motion``
-    takes its rank from the solve instead of a second SVD."""
+    rotation exp map is the one ``np.sinc`` user; ``estimate_motion``
+    takes its rank from the solve instead of a second SVD; and one stacked
+    helper, which ``Pose`` and the Monte-Carlo blocks call, checks
+    rotations against the orthogonality tolerance."""
     modules = parse_modules()
 
     def users(name):
@@ -155,6 +157,7 @@ def test_one_copy_of_each_numeric_kernel():
                                       "geometry._proper_svd"}
     assert users("np.sinc") == {"geometry._exp_rotations"}
     assert "estimators.estimate_motion" not in users("np.linalg.matrix_rank")
+    assert users("ORTHOGONALITY_TOL") == {"geometry._check_poses"}
 
 
 def test_pattern_geometry_goes_through_the_cache():
