@@ -509,8 +509,8 @@ def fit_pose_procrustes(conf: Conformation, points, weights=None) -> PoseEstimat
 @dataclass
 class _TwoStage:
     """Array form of T two-stage estimates (see ``_two_stage``). A failed
-    trial's ``failed`` entry is its estimation error and its pose is NaN;
-    ``ambiguous`` is T x K."""
+    trial's ``failed`` entry is its estimation error, its pose is NaN and
+    its ``rotation_unique`` False; ``ambiguous`` is T x K."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -674,6 +674,18 @@ def _pose_model(anchors, coords, rot0, dists, obs):
     return residuals, linearize
 
 
+def _refine(anchors: AnchorSet, conf: Conformation, rotations: np.ndarray,
+            translations: np.ndarray, values: np.ndarray, mask: np.ndarray):
+    """Array core of ``refine_poses``: stage 3 from B poses (B x D x D,
+    B x D) on their B x M x K ranges, observed where ``mask`` is True.
+    Returns the refined poses, iteration counts and convergence flags."""
+    dim = conf.dim
+    start = np.hstack([np.zeros((len(rotations), 1 if dim == 2 else 3)), translations])
+    x, _, iterations, converged = _gauss_newton(start, *_pose_model(
+        anchors.positions, conf.coords, rotations, np.where(mask, values, 0.0), mask))
+    return _exp_rotations(x[:, :-dim]) @ rotations, x[:, -dim:], iterations, converged
+
+
 def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
                  estimates) -> list:
     """Stage 3: maximum-likelihood refinement of two-stage pose estimates.
@@ -703,18 +715,13 @@ def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
             if isinstance(est, PoseEstimate) and est.rotation_unique]
     if not todo:
         return results
-    dim = conf.dim
-    rot0 = np.stack([estimates[t].pose.rotation for t in todo])
-    start = np.hstack([np.zeros((len(todo), 1 if dim == 2 else 3)),
-                       np.stack([estimates[t].pose.translation for t in todo])])
-    mask = np.stack([ranges[t].mask for t in todo])
-    dists = np.where(mask, np.stack([ranges[t].values for t in todo]), 0.0)
-    x, _, iterations, converged = _gauss_newton(
-        start, *_pose_model(anchors.positions, conf.coords, rot0, dists, mask))
-    rot = _exp_rotations(x[:, :-dim]) @ rot0
+    rot, trans, iterations, converged = _refine(
+        anchors, conf, np.stack([estimates[t].pose.rotation for t in todo]),
+        np.stack([estimates[t].pose.translation for t in todo]),
+        np.stack([ranges[t].values for t in todo]), np.stack([ranges[t].mask for t in todo]))
     for i, t in enumerate(todo):
         est = estimates[t]
-        results[t] = replace(est, pose=Pose(rot[i], x[i, -dim:]),
+        results[t] = replace(est, pose=Pose(rot[i], trans[i]),
                              iterations=est.iterations + int(iterations[i]),
                              stage3_converged=bool(converged[i]))
     return results
@@ -840,9 +847,8 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
 
     One call is one trial of the batched kernels, about 6-12 ms for
     4-14 nodes per body on a 2-vCPU VM (median of 40 calls), mostly
-    stage-3 Gauss-Newton; many pairs are cheaper solved together by
-    calling ``rbl_two_stage_batch`` and ``refine_poses`` on a list of
-    cross matrices, as the ``anchorless_two_body`` sweep does.
+    stage-3 Gauss-Newton; many pairs are cheaper solved together, by
+    ``rbl_two_stage_batch`` and ``refine_poses`` on lists of them.
     """
     if conf1.dim != conf2.dim:
         raise ValueError("conformation dimensions differ")

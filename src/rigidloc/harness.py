@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .completion import _congruent_fill_batch, complete_edm
-from .estimators import estimate_motion, rbl_two_stage_batch, refine_poses
+from .estimators import estimate_motion
 from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
 from .geometry import (
     BodyMotion,
@@ -44,9 +44,9 @@ from .placement import (
     evaluate_placement,
     one_at_a_time,
     optimize_placement,
-    pose_block,
     range_blocks,
-    trials_per_block,
+    refined_block,
+    trial_blocks,
     two_stage_statistics,
     uniform_pose,
 )
@@ -456,38 +456,30 @@ def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
 
 def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
     """Each block of trials fills its missing ranges from one batched
-    congruent start (``_congruent_fill_batch`` on the known anchor and body
-    coordinates); a trial it cannot start is filled by ``complete_edm``.
-    Then the block runs the two-stage estimator on the filled ranges and
-    refines each pose on the ranges it observed."""
+    congruent start on the known anchor and body coordinates, or by
+    ``complete_edm`` for a trial it cannot start, then ``refined_block``
+    estimates on the filled ranges and refines on the observed ones."""
     conf = _resolve_conformation(config, sensors)
     m = anchors.num_anchors
-
-    def fallback(ranges):
-        try:
-            partial = assemble_partial_edm(anchors, conf, ranges)
-            filled = complete_edm(partial, rank_slack=1 if sigma > 0 else 0).completed
-        except TRIAL_FAILURES as err:
-            return err
-        return np.sqrt(filled[:m, m:])
 
     def solve(data):
         values, mask = data
         placed, _, started = _congruent_fill_batch(anchors.positions, conf.coords,
                                                    values, mask)
-        fills = np.sqrt(squared_distances(anchors.positions, placed))
-        observed = [MaskedRangeMatrix(v, k) for v, k in zip(values, mask)]
-        results = [fill if ok else fallback(ranges)
-                   for ranges, ok, fill in zip(observed, started, fills)]
-        good = [t for t, fill in enumerate(results) if not isinstance(fill, ValueError)]
-        estimates = rbl_two_stage_batch(
-            anchors, [MaskedRangeMatrix(np.where(mask[t], values[t], results[t]))
-                      for t in good],
-            conf, config.estimator["weighted"])
-        refined = refine_poses(anchors, [observed[t] for t in good], conf, estimates)
-        for t, est in zip(good, refined):
-            results[t] = est
-        return pose_block(results, conf.dim)
+        filled = np.where(mask, values,
+                          np.sqrt(squared_distances(anchors.positions, placed)))
+        fill_errors = {}
+        for t in np.flatnonzero(~started):
+            try:
+                partial = assemble_partial_edm(anchors, conf,
+                                               MaskedRangeMatrix(values[t], mask[t]))
+                completed = complete_edm(partial, rank_slack=1 if sigma > 0 else 0).completed
+                filled[t] = np.where(mask[t], values[t], np.sqrt(completed[:m, m:]))
+            except TRIAL_FAILURES as err:
+                fill_errors[t], filled[t] = err, np.nan
+        poses, failed = refined_block(anchors, conf, filled, values, mask,
+                                      config.estimator["weighted"])
+        return poses, [fill_errors.get(t, err) for t, err in enumerate(failed)]
 
     blocks = _range_blocks(config, anchors, conf, sweep_idx, sigma, fraction)
     return error_statistics(blocks, solve)
@@ -510,15 +502,11 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
         direction /= np.linalg.norm(direction)
         return rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction
 
-    def solve(data):
-        ranges = [MaskedRangeMatrix(v, k) for v, k in zip(*data)]
-        return pose_block(refine_poses(body1, ranges, conf, rbl_two_stage_batch(
-            body1, ranges, conf, config.estimator["weighted"])), conf.dim)
-
     blocks = range_blocks(body1, conf, config.trials,
                           functools.partial(_trial_rng, config.master_seed, sweep_idx),
                           draw_pose, sigma)
-    return error_statistics(blocks, solve)
+    return error_statistics(blocks, lambda data: refined_block(
+        body1, conf, data[0], *data, config.estimator["weighted"]))
 
 
 def _motion_errors(estimates, motions):
@@ -537,22 +525,18 @@ def _point_motion(config, anchors, sweep_idx, sigma, sensors):
     conf = _resolve_conformation(config, sensors)
     draw_pose = uniform_pose(anchors.positions.mean(axis=0), POSE_SPREAD)
 
-    def blocks():
-        size = trials_per_block(conf)
-        for first in range(0, config.trials, size):
-            motions, data = [], []
-            for trial in range(first, min(first + size, config.trials)):
-                rng = _trial_rng(config.master_seed, sweep_idx, trial)
-                pose = Pose(*draw_pose(rng))
-                omega = rng.uniform(-0.5, 0.5, 3) if config.dim == 3 \
-                    else float(rng.uniform(-0.5, 0.5))
-                motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, config.dim))
-                motions.append(motion)
-                data.append((pose, simulate_range_rates(anchors, conf, pose, motion,
-                                                        sigma, None, rng)))
-            yield motions, data
+    def draw(rng):
+        pose = Pose(*draw_pose(rng))
+        omega = rng.uniform(-0.5, 0.5, 3) if config.dim == 3 \
+            else float(rng.uniform(-0.5, 0.5))
+        motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, config.dim))
+        return motion, (pose, simulate_range_rates(anchors, conf, pose, motion,
+                                                   sigma, None, rng))
 
-    return error_statistics(blocks(), one_at_a_time(
+    blocks = (tuple(zip(*block)) for block in trial_blocks(
+        conf, config.trials, functools.partial(_trial_rng, config.master_seed, sweep_idx),
+        draw))
+    return error_statistics(blocks, one_at_a_time(
         lambda data: estimate_motion(anchors, data[0], conf, data[1])),
         _motion_errors)
 

@@ -19,7 +19,7 @@ from .completion import NonEuclideanMatrixError
 from .estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
-    PoseEstimate,
+    _refine,
     _two_stage,
 )
 from .geometry import (
@@ -202,41 +202,45 @@ def uniform_pose(center: np.ndarray, spread: float):
 
 def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
                  draw_pose, sigma: float, fraction: float = 0.0):
-    """Monte-Carlo range draws of a body, in blocks of ``trials_per_block``
-    trials, for ``error_statistics``.
+    """Monte-Carlo range draws of a body, in the blocks of
+    ``trial_blocks``, for ``error_statistics``.
 
-    Trial t draws from its own generator ``trial_rng(t)``: its true
-    rotation and translation by ``draw_pose(rng)``, then, with ``sigma``
-    > 0, the noise of each of its M x K ranges and, with ``fraction`` > 0,
-    one uniform number per range, which drops the range when below
-    ``fraction``. Each block is then placed, ranged and checked at once, as
-    ``Pose`` and ``MaskedRangeMatrix`` check, and yields ((rotations,
-    translations), (values, mask)): B x D x D, B x D and two B x M x K
-    arrays, the values NaN where the mask drops them.
+    Each trial draws its true rotation and translation by
+    ``draw_pose(rng)``, then, with ``sigma`` > 0, the noise of each of its
+    M x K ranges and, with ``fraction`` > 0, one uniform number per range,
+    which drops the range when below ``fraction``. Each block is then
+    placed, ranged and checked at once, as ``Pose`` and
+    ``MaskedRangeMatrix`` check, and yields ((rotations, translations),
+    (values, mask)): B x D x D, B x D and two B x M x K arrays, the values
+    NaN where the mask drops them.
     """
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")
     shape = (anchors.num_anchors, conf.num_nodes)
-    size = trials_per_block(conf)
-    for first in range(0, trials, size):
-        rotations, translations, noise, draws = [], [], [], []
-        for trial in range(first, min(first + size, trials)):
-            rng = trial_rng(trial)
-            rotation, translation = draw_pose(rng)
-            rotations.append(rotation)
-            translations.append(translation)
-            if sigma > 0:
-                noise.append(rng.normal(0.0, sigma, size=shape))
-            if fraction > 0:
-                draws.append(rng.random(shape))
+
+    def draw(rng):
+        return (*draw_pose(rng), rng.normal(0.0, sigma, size=shape) if sigma > 0 else None,
+                rng.random(shape) if fraction > 0 else None)
+
+    for block in trial_blocks(conf, trials, trial_rng, draw):
+        rotations, translations, noise, draws = zip(*block)
         rotations, translations = np.stack(rotations), np.stack(translations)
         _check_poses(rotations, translations)
         values = _ranges(anchors.positions, _place(conf.coords, rotations, translations),
-                         np.stack(noise) if noise else None)
-        mask = np.stack(draws) >= fraction if draws else np.ones(values.shape, dtype=bool)
+                         np.stack(noise) if sigma > 0 else None)
+        mask = np.stack(draws) >= fraction if fraction > 0 \
+            else np.ones(values.shape, dtype=bool)
         values[~mask] = np.nan
         _check_observed(values, mask, nonnegative=True)
         yield (rotations, translations), (values, mask)
+
+
+def trial_blocks(conf: Conformation, trials: int, trial_rng, draw):
+    """Monte-Carlo draws in blocks of ``trials_per_block(conf)`` trials: per
+    block, the list of ``draw(trial_rng(t))`` of its trials t, in order."""
+    size = trials_per_block(conf)
+    for first in range(0, trials, size):
+        yield [draw(trial_rng(t)) for t in range(first, min(first + size, trials))]
 
 
 def pose_errors(est_pose: Pose, true_pose: Pose):
@@ -256,20 +260,6 @@ def _pose_errors(estimate, truth):
     # squared by pow() on Python floats, as the sweeps always have: x * x
     # differs from it in the last bit for about one angle in 1300
     return t_sq, np.array([a**2 for a in angles.tolist()])
-
-
-def pose_block(results, dim: int):
-    """The block form ``error_statistics`` scores, from per-trial
-    results that are each a ``PoseEstimate`` or the ValueError that failed
-    the trial: ((rotations, translations), failures), a failed trial's pose
-    NaN and its failure the error, the others' None."""
-    rotations = np.full((len(results), dim, dim), np.nan)
-    translations = np.full((len(results), dim), np.nan)
-    for t, est in enumerate(results):
-        if isinstance(est, PoseEstimate):
-            rotations[t], translations[t] = est.pose.rotation, est.pose.translation
-    return (rotations, translations), [est if isinstance(est, ValueError) else None
-                                       for est in results]
 
 
 def error_statistics(blocks, solve, errors=None) -> PlacementEvaluation:
@@ -331,14 +321,34 @@ def trials_per_block(conf: Conformation) -> int:
 def two_stage_statistics(anchors: AnchorSet, conf: Conformation, blocks,
                          weighted: bool = True) -> PlacementEvaluation:
     """Error statistics of the two-stage estimator over the blocks of
-    ``range_blocks``. Each block is estimated as arrays, its poses checked
-    at once as ``Pose`` checks them."""
-    def solve(data):
-        fit = _two_stage(anchors, conf, *data, weighted)
-        ok = np.array([err is None for err in fit.failed], dtype=bool)
-        _check_poses(fit.rotation[ok], fit.translation[ok])
-        return (fit.rotation, fit.translation), fit.failed
-    return error_statistics(blocks, solve)
+    ``range_blocks``, each block estimated as arrays."""
+    return error_statistics(
+        blocks, lambda data: _checked(_two_stage(anchors, conf, *data, weighted)))
+
+
+def _checked(fit):
+    """A block's ``_two_stage`` fit in block form, its poses checked as ``Pose`` does."""
+    ok = np.array([err is None for err in fit.failed], dtype=bool)
+    _check_poses(fit.rotation[ok], fit.translation[ok])
+    return (fit.rotation, fit.translation), fit.failed
+
+
+def refined_block(anchors: AnchorSet, conf: Conformation, filled, values, mask,
+                  weighted: bool):
+    """Block solver of the refined sweeps: two-stage on the ``filled``
+    ranges (B x M x K, NaN where unknown), checked once as
+    ``MaskedRangeMatrix`` checks them, then stage 3 on the observed
+    ``values`` where ``mask`` is True for each unique rotation."""
+    known = np.isfinite(filled)
+    _check_observed(filled, known, nonnegative=True)
+    fit = _two_stage(anchors, conf, filled, known, weighted)
+    (rotations, translations), failed = _checked(fit)
+    todo = fit.rotation_unique
+    rot, trans, _, _ = _refine(anchors, conf, rotations[todo], translations[todo],
+                               values[todo], mask[todo])
+    _check_poses(rot, trans)
+    rotations[todo], translations[todo] = rot, trans
+    return (rotations, translations), failed
 
 
 def rmse_and_se(squared_errors) -> tuple[float, float]:

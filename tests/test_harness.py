@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 
 from rigidloc import estimators, harness, placement
-from rigidloc.completion import NonEuclideanMatrixError
+from rigidloc.completion import NonEuclideanMatrixError, _congruent_fill_batch, complete_edm
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
-    PoseEstimate,
     rbl_two_stage,
+    rbl_two_stage_batch,
+    refine_poses,
 )
-from rigidloc.geometry import Conformation, Pose, apply_pose, random_rotation
+from rigidloc.geometry import (
+    Conformation,
+    Pose,
+    apply_pose,
+    random_rotation,
+    squared_distances,
+)
 from rigidloc.harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,7 +33,12 @@ from rigidloc.harness import (
     run_experiment,
     save_config,
 )
-from rigidloc.measurement import MaskedRangeMatrix, simulate_ranges
+from rigidloc.measurement import (
+    AnchorSet,
+    MaskedRangeMatrix,
+    assemble_partial_edm,
+    simulate_ranges,
+)
 
 
 def without_congruent_start(monkeypatch):
@@ -241,8 +253,8 @@ class TestRunExperiment:
         by ``complete_edm`` and still ends in a pose or a classified
         failure."""
         seen = {"no_start": 0, "complete_edm": 0, "outcomes": []}
-        fill, complete, refine = (harness._congruent_fill_batch, harness.complete_edm,
-                                  harness.refine_poses)
+        fill, complete, solve = (harness._congruent_fill_batch, harness.complete_edm,
+                                 harness.refined_block)
 
         def counted_fill(*args):
             placed, pinned, started = fill(*args)
@@ -253,22 +265,25 @@ class TestRunExperiment:
             seen["complete_edm"] += 1
             return complete(*args, **kwargs)
 
-        def recorded_refine(*args):
-            estimates = refine(*args)
-            seen["outcomes"] += estimates
-            return estimates
+        def recorded_solve(*args):
+            (rotations, translations), failed = solve(*args)
+            seen["outcomes"] += [
+                err if err is not None
+                else bool(np.isfinite(rotations[t]).all() and np.isfinite(translations[t]).all())
+                for t, err in enumerate(failed)]
+            return (rotations, translations), failed
 
         monkeypatch.setattr(harness, "_congruent_fill_batch", counted_fill)
         monkeypatch.setattr(harness, "complete_edm", counted_complete)
-        monkeypatch.setattr(harness, "refine_poses", recorded_refine)
+        monkeypatch.setattr(harness, "refined_block", recorded_solve)
         cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
                           sensor_counts=[8], missing_fraction=[0.7], trials=20)
         row, = run_experiment(cfg).rows
         assert seen["complete_edm"] == seen["no_start"] > 0
         assert row.trials == 20 == len(seen["outcomes"])
-        assert all(isinstance(est, (PoseEstimate, InsufficientMeasurementsError,
-                                    DegenerateGeometryError))
-                   for est in seen["outcomes"])
+        assert all(outcome is True or isinstance(outcome, (InsufficientMeasurementsError,
+                                                           DegenerateGeometryError))
+                   for outcome in seen["outcomes"])
 
     @pytest.mark.parametrize("error", [NonEuclideanMatrixError,
                                        DegenerateGeometryError])
@@ -353,23 +368,43 @@ class TestRunExperiment:
             assert ra.rotation_rmse == rb.rotation_rmse
 
 
-def public_statistics(trials, trial_rng, anchors, conf, spread, sigma,
-                      fraction=0.0, weighted=True):
+def uniform_draw(anchors, spread):
+    """The sweeps' pose draw: a random rotation, then a translation uniform
+    within ``spread`` meters per axis of the anchor centroid."""
+    center = anchors.positions.mean(axis=0)
+    return lambda rng: (random_rotation(rng, anchors.dim),
+                        center + rng.uniform(-spread, spread, anchors.dim))
+
+
+def anchorless_draw(dim):
+    """``anchorless_two_body``'s pose draw: a random rotation, then a
+    translation 8-12 m from body 1 in a random direction."""
+    def draw(rng):
+        rotation = random_rotation(rng, dim)
+        direction = rng.normal(size=dim)
+        return rotation, (10.0 + rng.uniform(-2.0, 2.0)) * (direction
+                                                          / np.linalg.norm(direction))
+    return draw
+
+
+def public_statistics(trials, trial_rng, anchors, conf, draw_pose, sigma,
+                      fraction=0.0, estimate=None):
     """(translation RMSE, SE, rotation RMSE, SE, failures) of a Monte-Carlo
     run rebuilt trial by trial from the public calls, each trial drawing
-    in the order the blocks draw: rotation, translation, noise, drops."""
-    center = anchors.positions.mean(axis=0)
+    in the order the blocks draw: rotation, translation, noise, drops.
+    ``estimate(ranges)`` returns the trial's ``PoseEstimate`` or raises
+    (default: ``rbl_two_stage``)."""
+    estimate = estimate or (lambda ranges: rbl_two_stage(anchors, ranges, conf))
     t_sq, r_sq, failures = [], [], 0
     for trial in range(trials):
         rng = trial_rng(trial)
-        pose = Pose(random_rotation(rng, conf.dim),
-                    center + rng.uniform(-spread, spread, conf.dim))
+        pose = Pose(*draw_pose(rng))
         ranges = simulate_ranges(anchors, apply_pose(conf, pose), sigma, None, rng)
         if fraction > 0:
             mask = ranges.mask & (rng.random(ranges.shape) >= fraction)
             ranges = MaskedRangeMatrix(np.where(mask, ranges.values, np.nan), mask)
         try:
-            est = rbl_two_stage(anchors, ranges, conf, weighted)
+            est = estimate(ranges)
         except placement.TRIAL_FAILURES:
             failures += 1
             continue
@@ -377,6 +412,16 @@ def public_statistics(trials, trial_rng, anchors, conf, spread, sigma,
         t_sq.append(t_err)
         r_sq.append(r_err)
     return (*placement.rmse_and_se(t_sq), *placement.rmse_and_se(r_sq), failures)
+
+
+def refined(anchors, conf, filled, observed):
+    """``rbl_two_stage_batch`` on ``filled``, then ``refine_poses`` on
+    ``observed``, for one trial; raises the estimation error."""
+    est, = refine_poses(anchors, [observed], conf,
+                        rbl_two_stage_batch(anchors, [filled], conf))
+    if isinstance(est, ValueError):
+        raise est
+    return est
 
 
 def row_statistics(row):
@@ -387,7 +432,9 @@ def row_statistics(row):
 class TestBlocksMatchThePublicCalls:
     """The sweeps draw, check, estimate and score each block of trials as
     arrays; every row equals, bit for bit, the trial-by-trial run through
-    ``Pose``, ``simulate_ranges``, ``rbl_two_stage`` and ``pose_errors``."""
+    ``Pose``, ``simulate_ranges``, the one-trial estimators and
+    ``pose_errors``: ``rbl_two_stage``, or for the refined sweeps the fill
+    of that trial alone, ``rbl_two_stage_batch`` and ``refine_poses``."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("fraction", [0.0, 0.3])
@@ -401,7 +448,8 @@ class TestBlocksMatchThePublicCalls:
             conf = box_vehicle_conformation(row.params["sensors"], dim)
             want = public_statistics(
                 cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
-                anchors, conf, harness.POSE_SPREAD, row.params["sigma"], fraction)
+                anchors, conf, uniform_draw(anchors, harness.POSE_SPREAD),
+                row.params["sigma"], fraction)
             assert row_statistics(row) == want, row.params
         if fraction > 0:
             assert sum(row.failures for row in rows) > 0
@@ -415,7 +463,57 @@ class TestBlocksMatchThePublicCalls:
         got = placement.evaluate_placement(anchors, conf, 0.1, 60, seed)
         assert row_statistics(got) == public_statistics(
             60, lambda t: np.random.default_rng((*entropy, t)), anchors, conf,
-            placement.EVALUATION_POSE_SPREAD, 0.1)
+            uniform_draw(anchors, placement.EVALUATION_POSE_SPREAD), 0.1)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_completion_benchmark(self, dim):
+        """At 70% missing some trials cannot start the congruent fill and
+        take the ``complete_edm`` fallback."""
+        cfg = tiny_config(scenario="completion_benchmark", dim=dim, sigma_list=[0.0, 0.1],
+                          sensor_counts=[4, 8], missing_fraction=[0.7], trials=30,
+                          master_seed=13)
+        anchors = cube_anchor_layout(8, dim)
+        m = anchors.num_anchors
+        fallbacks = []
+        for sweep_idx, row in enumerate(run_experiment(cfg).rows):
+            conf = box_vehicle_conformation(row.params["sensors"], dim)
+            sigma = row.params["sigma"]
+
+            def estimate(ranges):
+                placed, _, started = _congruent_fill_batch(
+                    anchors.positions, conf.coords, ranges.values[None], ranges.mask[None])
+                if started[0]:
+                    fill = np.sqrt(squared_distances(anchors.positions, placed[0]))
+                else:
+                    fallbacks.append(sweep_idx)
+                    partial = assemble_partial_edm(anchors, conf, ranges)
+                    fill = np.sqrt(complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
+                                   .completed[:m, m:])
+                filled = MaskedRangeMatrix(np.where(ranges.mask, ranges.values, fill))
+                return refined(anchors, conf, filled, ranges)
+            want = public_statistics(
+                cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
+                anchors, conf, uniform_draw(anchors, harness.POSE_SPREAD), sigma, 0.7,
+                estimate)
+            np.testing.assert_equal(row_statistics(row), want, str(row.params))
+        assert fallbacks
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_anchorless_two_body(self, dim):
+        """Body 1 of ``dim`` nodes gives no body-2 node the dim+1 ranges
+        stage 1 needs, so every trial of that row fails."""
+        cfg = tiny_config(scenario="anchorless_two_body", dim=dim, sigma_list=[0.0, 0.1],
+                          sensor_counts=[dim, 5, 8], trials=30, master_seed=17)
+        rows = run_experiment(cfg).rows
+        for sweep_idx, row in enumerate(rows):
+            conf = box_vehicle_conformation(row.params["sensors"], dim)
+            body1 = AnchorSet(conf.coords)
+            want = public_statistics(
+                cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
+                body1, conf, anchorless_draw(dim), row.params["sigma"],
+                estimate=lambda ranges: refined(body1, conf, ranges, ranges))
+            np.testing.assert_equal(row_statistics(row), want, str(row.params))
+        assert [row.failures for row in rows if row.params["sensors"] == dim] == [30, 30]
 
 
 class TestEmitResults:

@@ -4,20 +4,20 @@ and the only import inside a function is the lazy ``scipy.spatial`` one
 that keeps scipy out of ``import rigidloc``; the
 Gauss-Newton settings are read by one solver loop only; the congruent
 start has one pin loop; each numeric kernel has one copy; the estimators
-reach an observation pattern's anchor geometry through one cache; and the
-package keeps the names the benchmark's tracer patches, and the harness
-the poses its gate checks."""
+reach an observation pattern's anchor geometry through one cache; stage 3
+has one array core, which the harness reaches through its block solver;
+and the package keeps the names the benchmark's tracer patches, and the
+harness the poses its gate checks."""
 
 import ast
 import importlib
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import rigidloc
 from rigidloc import estimators, harness
-from rigidloc.estimators import PoseEstimate, rbl_two_stage
+from rigidloc.estimators import rbl_two_stage
 from rigidloc.geometry import Pose, apply_pose, random_rotation
 from rigidloc.measurement import HullOcclusion, simulate_ranges
 
@@ -160,6 +160,16 @@ def test_one_copy_of_each_numeric_kernel():
     assert users("ORTHOGONALITY_TOL") == {"geometry._check_poses"}
 
 
+def test_one_stage_3_path():
+    """Stage 3 has one array core, which ``refine_poses`` wraps, and the
+    harness reaches it through the block solver, not through the list
+    API's per-trial objects."""
+    modules = parse_modules()
+    assert readers(modules["estimators"], "_pose_model") == {"_refine"}
+    for name in ("refine_poses", "rbl_two_stage_batch"):
+        assert readers(modules["harness"], name) == set()
+
+
 def test_pattern_geometry_goes_through_the_cache():
     """In ``estimators`` the affine rank and the linear factor of an
     observation pattern's points are computed only by the cached helper;
@@ -237,10 +247,10 @@ def test_benchmark_gate_catches_a_wrong_completion_pose(monkeypatch):
     workloads = importlib.import_module("workloads")
     gate = workloads.build("mc_completion", 3, workloads.SMOKE)
     assert gate.spot_check() == []
-    real = harness.refine_poses
+    real = harness.refined_block
 
     def shifted(*args):
-        return [replace(est, pose=Pose(est.pose.rotation, est.pose.translation + 1e-3))
-                if isinstance(est, PoseEstimate) else est for est in real(*args)]
-    monkeypatch.setattr(harness, "refine_poses", shifted)
+        (rotations, translations), failed = real(*args)
+        return (rotations, translations + 1e-3), failed
+    monkeypatch.setattr(harness, "refined_block", shifted)
     assert any("pose error" in problem for problem in gate.spot_check())
