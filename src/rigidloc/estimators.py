@@ -636,8 +636,9 @@ def _rigid_range_rows(rotated, u):
     broadcast against u."""
     if u.shape[-1] == 2:
         spin = (u[..., 1] * rotated[..., 0] - u[..., 0] * rotated[..., 1])[..., None]
-    else:
-        spin = np.cross(rotated, u)
+    else:  # q x u term by term, as np.cross computes it, without its call overhead
+        spin = (rotated[..., [1, 2, 0]] * u[..., [2, 0, 1]]
+                - rotated[..., [2, 0, 1]] * u[..., [1, 2, 0]])
     return np.concatenate([spin, u], axis=-1)
 
 
@@ -874,19 +875,39 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
                                 not est.ambiguous_nodes)
 
 
-def _motion_design(anchors: AnchorSet, pose: Pose, conf: Conformation,
-                   rates: np.ndarray, obs: np.ndarray):
-    """Linear system of the range-rate model, one row per observed
-    (anchor, node) pair in row-major order: ``_rigid_range_rows`` of the
-    rotated body-frame node offsets against the unknowns (omega, t_dot).
-    """
-    n, m = np.nonzero(obs)
-    rotated = (conf.coords @ pose.rotation.T)[m]
-    diff = apply_pose(conf, pose).positions[m] - anchors.positions[n]
-    dist = np.sqrt((diff**2).sum(axis=1))
-    if np.any(dist <= 0):
-        raise DegenerateGeometryError("node coincides with an anchor; rate undefined")
-    return _rigid_range_rows(rotated, diff / dist[:, None]), rates[n, m]
+def _motion_fits(anchors: AnchorSet, conf: Conformation, rotations: np.ndarray,
+                 translations: np.ndarray, rates: np.ndarray, mask: np.ndarray):
+    """Array core of ``estimate_motion`` for B bodies at known poses (B x D x D,
+    B x D): per trial one least-squares solve on the ``_rigid_range_rows``
+    of its B x M x K range-rates where ``mask`` is True, in row-major order.
+    Returns the omegas (B x 1 or B x 3), t_dots and residual RMS values, NaN
+    where a trial failed, and per trial None or its estimation error."""
+    dim, unknowns = conf.dim, 3 if conf.dim == 2 else 6
+    rotated = conf.coords @ np.swapaxes(rotations, -1, -2)
+    diff = (rotated + translations[:, None])[:, None] - anchors.positions[:, None]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    coincide = (mask & (dist <= 0.0)).any(axis=(1, 2))
+    # a coincident pair's row is never solved: its trial fails or masks it
+    rows = _rigid_range_rows(rotated[:, None], diff / np.where(dist > 0, dist, 1.0)[..., None])
+    theta, rms = np.full((len(rates), unknowns), np.nan), np.full(len(rates), np.nan)
+    failed = []
+    for b, observed in enumerate(mask):
+        count, err = int(observed.sum()), None
+        if count < unknowns:
+            err = InsufficientMeasurementsError(
+                f"{count} range-rates cannot fix {unknowns} velocity unknowns")
+        elif coincide[b]:
+            err = DegenerateGeometryError("node coincides with an anchor; rate undefined")
+        else:
+            design, rhs = rows[b][observed], rates[b][observed]
+            fit, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
+            if rank < unknowns:
+                err = DegenerateGeometryError(
+                    "range-rate geometry does not separate rotation from translation")
+            else:
+                theta[b], rms[b] = fit, np.sqrt(np.mean((design @ fit - rhs) ** 2))
+        failed.append(err)
+    return theta[:, :-dim], theta[:, -dim:], rms, failed
 
 
 def estimate_motion(anchors: AnchorSet, pose: Pose, conf: Conformation,
@@ -896,7 +917,7 @@ def estimate_motion(anchors: AnchorSet, pose: Pose, conf: Conformation,
     With the pose known, each observed range-rate is linear in the unknown
     (omega, t_dot), so the estimate is a single linear least-squares solve.
     ``range_rates`` is M x K; NaN, or a False bit of an M x K ``mask``,
-    marks unobserved pairs.
+    marks unobserved pairs. This is the one-trial case of ``_motion_fits``.
     """
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")
@@ -905,22 +926,10 @@ def estimate_motion(anchors: AnchorSet, pose: Pose, conf: Conformation,
     rates = np.asarray(range_rates, dtype=float)
     if rates.shape != (anchors.num_anchors, conf.num_nodes):
         raise ValueError("range-rate matrix shape must be (num_anchors, num_nodes)")
-    obs = _observed(rates, mask)
-    dim = conf.dim
-    n_unknowns = 3 if dim == 2 else 6
-    if obs.sum() < n_unknowns:
-        raise InsufficientMeasurementsError(
-            f"{int(obs.sum())} range-rates cannot fix {n_unknowns} velocity unknowns")
-
-    design, rhs = _motion_design(anchors, pose, conf, rates, obs)
-    theta, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < n_unknowns:
-        raise DegenerateGeometryError(
-            "range-rate geometry does not separate rotation from translation")
-    resid = design @ theta - rhs
-    rms = float(np.sqrt(np.mean(resid**2)))
-    if dim == 2:
-        motion = BodyMotion(float(theta[0]), theta[1:])
-    else:
-        motion = BodyMotion(theta[:3], theta[3:])
-    return MotionEstimate(motion, rms)
+    omega, t_dot, rms, (err,) = _motion_fits(anchors, conf, pose.rotation[None],
+                                             pose.translation[None], rates[None],
+                                             _observed(rates, mask)[None])
+    if err is not None:
+        raise err
+    return MotionEstimate(BodyMotion(omega[0, 0] if conf.dim == 2 else omega[0], t_dot[0]),
+                          float(rms[0]))

@@ -434,12 +434,20 @@ def body_velocities(conf: Conformation, pose: Pose, motion: BodyMotion) -> np.nd
     """
     if not (conf.dim == pose.dim == motion.dim):
         raise ValueError("conformation, pose and motion dimensions differ")
-    rotated = conf.coords @ pose.rotation.T
-    if conf.dim == 2:
-        spin = motion.omega * rotated @ _J2.T
+    omega = motion.omega if conf.dim == 3 else np.array([motion.omega])
+    return _node_velocities(conf.coords, pose.rotation, omega, motion.t_dot)
+
+
+def _node_velocities(coords, rotations, omegas, t_dots):
+    """``body_velocities`` of the K x D ``coords`` under one rotation and
+    motion or a stack of B: rotations (B x) D x D, omegas (B x) 1 in 2D or
+    3 in 3D, t_dots (B x) D."""
+    rotated = coords @ rotations.swapaxes(-1, -2)
+    if coords.shape[1] == 2:
+        spin = omegas[..., None] * rotated @ _J2.T
     else:
-        spin = rotated @ cross_matrix(motion.omega).T
-    return spin + motion.t_dot
+        spin = rotated @ _skew(omegas).swapaxes(-1, -2)
+    return spin + t_dots[..., None, :]
 
 
 def geometric_center(body: PlacedBody | Conformation) -> np.ndarray:

@@ -21,28 +21,17 @@ from pathlib import Path
 import numpy as np
 
 from .completion import _congruent_fill_batch, complete_edm
-from .estimators import estimate_motion
+from .estimators import _motion_fits
 from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
-from .geometry import (
-    BodyMotion,
-    Conformation,
-    Pose,
-    random_rotation,
-    squared_distances,
-)
-from .measurement import (
-    AnchorSet,
-    MaskedRangeMatrix,
-    assemble_partial_edm,
-    simulate_range_rates,
-)
+from .geometry import Conformation, random_rotation, squared_distances
+from .geometry import _check_poses, _node_velocities, _place
+from .measurement import AnchorSet, MaskedRangeMatrix, _range_rates, assemble_partial_edm
 from .measurement import simulate_ranges  # noqa: F401 - callers wrap harness.simulate_ranges
 from .placement import (
     TRIAL_FAILURES,
     PlacementProblem,
     error_statistics,
     evaluate_placement,
-    one_at_a_time,
     optimize_placement,
     range_blocks,
     refined_block,
@@ -109,22 +98,6 @@ def box_vehicle_conformation(num_nodes: int, dim: int = 3) -> Conformation:
     return Conformation(nodes[:num_nodes])
 
 
-def _cube_vertices_3d() -> np.ndarray:
-    # tetrad subset first so any prefix of >= 4 anchors is non-coplanar
-    return np.array([
-        (+1, +1, +1), (+1, -1, -1), (-1, +1, -1), (-1, -1, +1),
-        (-1, -1, -1), (-1, +1, +1), (+1, -1, +1), (+1, +1, -1),
-    ], dtype=float)
-
-
-def _cube_edge_midpoints_3d() -> np.ndarray:
-    return np.array([
-        (0, -1, -1), (0, +1, -1), (0, +1, +1), (0, -1, +1),
-        (+1, 0, -1), (-1, 0, -1), (+1, 0, +1), (-1, 0, +1),
-        (+1, -1, 0), (+1, +1, 0), (-1, +1, 0), (-1, -1, 0),
-    ], dtype=float)
-
-
 def cube_anchor_layout(num_anchors: int, dim: int = 3,
                        span: float = 60.0) -> AnchorSet:
     """Default anchor geometry: vertices of a cube (square in 2D) of side
@@ -132,7 +105,15 @@ def cube_anchor_layout(num_anchors: int, dim: int = 3,
     if span <= 0:
         raise ValueError("span must be positive")
     if dim == 3:
-        pts = np.vstack([_cube_vertices_3d(), _cube_edge_midpoints_3d()])
+        # cube vertices, the tetrad subset first so any prefix of >= 4
+        # anchors is non-coplanar, then the edge midpoints
+        pts = np.array([
+            (+1, +1, +1), (+1, -1, -1), (-1, +1, -1), (-1, -1, +1),
+            (-1, -1, -1), (-1, +1, +1), (+1, -1, +1), (+1, +1, -1),
+            (0, -1, -1), (0, +1, -1), (0, +1, +1), (0, -1, +1),
+            (+1, 0, -1), (-1, 0, -1), (+1, 0, +1), (-1, 0, +1),
+            (+1, -1, 0), (+1, +1, 0), (-1, +1, 0), (-1, -1, 0),
+        ], dtype=float)
     elif dim == 2:
         pts = np.array([(+1, +1), (+1, -1), (-1, +1), (-1, -1),
                         (0, +1), (0, -1), (+1, 0), (-1, 0)], dtype=float)
@@ -509,36 +490,46 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
         body1, conf, data[0], *data, config.estimator["weighted"]))
 
 
-def _motion_errors(estimates, motions):
-    """Squared translational and angular velocity errors per trial, NaN
-    where the estimate is None."""
-    sq = np.full((len(motions), 2), np.nan)
-    for t, (est, motion) in enumerate(zip(estimates, motions)):
-        if est is not None:
-            omega_err = np.asarray(est.motion.omega) - np.asarray(motion.omega)
-            sq[t] = (float(((est.motion.t_dot - motion.t_dot) ** 2).sum()),
-                     float((omega_err**2).sum()))
-    return sq[:, 0], sq[:, 1]
+def _motion_errors(estimate, truth):
+    """Squared translational and angular velocity errors of each trial of
+    a block of (omegas, t_dots). A planar omega error is squared by pow()
+    on a Python float, as one trial's scalar omega always was."""
+    (est_omega, est_t_dot), (omega, t_dot) = estimate, truth
+    omega_err = est_omega - omega
+    omega_sq = (omega_err**2).sum(axis=-1) if omega.shape[1] == 3 \
+        else np.array([w**2 for w in omega_err[:, 0].tolist()])
+    return ((est_t_dot - t_dot) ** 2).sum(axis=-1), omega_sq
 
 
 def _point_motion(config, anchors, sweep_idx, sigma, sensors):
+    """Each trial draws its rotation, translation, omega, t_dot and rate
+    noise; each block is checked as ``Pose`` and ``BodyMotion`` check, one
+    check at a time, and its rates simulated and fitted at the true poses."""
     conf = _resolve_conformation(config, sensors)
     draw_pose = uniform_pose(anchors.positions.mean(axis=0), POSE_SPREAD)
+    shape = (anchors.num_anchors, conf.num_nodes)
 
     def draw(rng):
-        pose = Pose(*draw_pose(rng))
-        omega = rng.uniform(-0.5, 0.5, 3) if config.dim == 3 \
-            else float(rng.uniform(-0.5, 0.5))
-        motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, config.dim))
-        return motion, (pose, simulate_range_rates(anchors, conf, pose, motion,
-                                                   sigma, None, rng))
+        return (*draw_pose(rng), rng.uniform(-0.5, 0.5, 3 if config.dim == 3 else 1),
+                rng.uniform(-15.0, 15.0, config.dim),
+                rng.normal(0.0, sigma, size=shape) if sigma > 0 else None)
 
-    blocks = (tuple(zip(*block)) for block in trial_blocks(
-        conf, config.trials, functools.partial(_trial_rng, config.master_seed, sweep_idx),
-        draw))
-    return error_statistics(blocks, one_at_a_time(
-        lambda data: estimate_motion(anchors, data[0], conf, data[1])),
-        _motion_errors)
+    def blocks():
+        trial_rng = functools.partial(_trial_rng, config.master_seed, sweep_idx)
+        for rot, trans, omegas, t_dots, noise in trial_blocks(conf, config.trials,
+                                                              trial_rng, draw):
+            _check_poses(rot, trans)
+            for name, values in (("t_dot", t_dots), ("omega", omegas)):
+                if not np.isfinite(values).all():
+                    raise ValueError(f"{name} must be finite")
+            rates = _range_rates(anchors.positions, _place(conf.coords, rot, trans),
+                                 _node_velocities(conf.coords, rot, omegas, t_dots))
+            yield (omegas, t_dots), (rot, trans, rates if noise is None else rates + noise)
+
+    def solve(data):
+        omegas, t_dots, _, failed = _motion_fits(anchors, conf, *data, np.isfinite(data[2]))
+        return (omegas, t_dots), failed
+    return error_statistics(blocks(), solve, _motion_errors)
 
 
 def placement_problem(config: ExperimentConfig):

@@ -404,23 +404,32 @@ def simulate_range_rates(anchors: AnchorSet, conf: Conformation, pose: Pose,
     """Range-rate (Doppler) matrix in m/s; NaN marks blocked pairs.
 
     The rate toward a node is the radial component of that node's velocity
-    along the anchor-to-node line.
+    along the anchor-to-node line. This is the one-trial case of
+    ``_range_rates``.
     """
     if sigma < 0:
         raise ValueError("sigma must be non-negative")
+    if anchors.dim != conf.dim:
+        raise ValueError("anchor and conformation dimensions differ")
     body = apply_pose(conf, pose)
-    diff = body.positions[None, :, :] - anchors.positions[:, None, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    if dist.min() <= 0.0:
-        raise ValueError("node coincides with an anchor; rate undefined")
-    vel = body_velocities(conf, pose, motion)
-    rates = (diff * vel[None, :, :]).sum(axis=2) / dist
+    rates = _range_rates(anchors.positions, body.positions,
+                         body_velocities(conf, pose, motion))
     if sigma > 0:
         if rng is None:
             rng = np.random.default_rng()
         rates = rates + rng.normal(0.0, sigma, size=rates.shape)
-    mask = _visibility_mask(anchors, body, visibility)
-    return np.where(mask, rates, np.nan)
+    return np.where(_visibility_mask(anchors, body, visibility), rates, np.nan)
+
+
+def _range_rates(anchors: np.ndarray, points: np.ndarray, velocities: np.ndarray):
+    """Range-rates from the M x D ``anchors`` to the K x D ``points`` moving
+    at ``velocities``, or to each of a B x K x D stack of them; raises
+    ValueError where a point coincides with an anchor."""
+    diff = points[..., None, :, :] - anchors[:, None]
+    dist = np.sqrt((diff**2).sum(axis=-1))
+    if dist.min() <= 0.0:
+        raise ValueError("node coincides with an anchor; rate undefined")
+    return (diff * velocities[..., None, :, :]).sum(axis=-1) / dist
 
 
 @dataclass(frozen=True)

@@ -222,25 +222,24 @@ def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
         return (*draw_pose(rng), rng.normal(0.0, sigma, size=shape) if sigma > 0 else None,
                 rng.random(shape) if fraction > 0 else None)
 
-    for block in trial_blocks(conf, trials, trial_rng, draw):
-        rotations, translations, noise, draws = zip(*block)
-        rotations, translations = np.stack(rotations), np.stack(translations)
+    for rotations, translations, noise, draws in trial_blocks(conf, trials, trial_rng, draw):
         _check_poses(rotations, translations)
-        values = _ranges(anchors.positions, _place(conf.coords, rotations, translations),
-                         np.stack(noise) if sigma > 0 else None)
-        mask = np.stack(draws) >= fraction if fraction > 0 \
-            else np.ones(values.shape, dtype=bool)
+        values = _ranges(anchors.positions, _place(conf.coords, rotations, translations), noise)
+        mask = draws >= fraction if fraction > 0 else np.ones(values.shape, dtype=bool)
         values[~mask] = np.nan
         _check_observed(values, mask, nonnegative=True)
         yield (rotations, translations), (values, mask)
 
 
 def trial_blocks(conf: Conformation, trials: int, trial_rng, draw):
-    """Monte-Carlo draws in blocks of ``trials_per_block(conf)`` trials: per
-    block, the list of ``draw(trial_rng(t))`` of its trials t, in order."""
+    """Monte-Carlo draws in blocks of ``trials_per_block(conf)`` trials:
+    ``draw(trial_rng(t))`` returns a tuple of arrays or Nones for trial t,
+    and each block yields, per tuple field, its trials' arrays stacked in
+    trial order, or None."""
     size = trials_per_block(conf)
     for first in range(0, trials, size):
-        yield [draw(trial_rng(t)) for t in range(first, min(first + size, trials))]
+        fields = zip(*[draw(trial_rng(t)) for t in range(first, min(first + size, trials))])
+        yield [None if field[0] is None else np.stack(field) for field in fields]
 
 
 def pose_errors(est_pose: Pose, true_pose: Pose):
@@ -293,23 +292,6 @@ def error_statistics(blocks, solve, errors=None) -> PlacementEvaluation:
     t_rmse, t_se = rmse_and_se(np.concatenate(t_sq) if t_sq else [])
     r_rmse, r_se = rmse_and_se(np.concatenate(r_sq) if r_sq else [])
     return PlacementEvaluation(t_rmse, r_rmse, t_se, r_se, failures, trials)
-
-
-def one_at_a_time(solve):
-    """Block solver for ``error_statistics`` from a one-trial solver whose
-    ``TRIAL_FAILURES`` mark that trial as failed: the estimates of a list
-    of items, None where one failed, and the failures."""
-    def solve_block(items):
-        estimates, failed = [], []
-        for item in items:
-            try:
-                estimates.append(solve(item))
-                failed.append(None)
-            except TRIAL_FAILURES as err:
-                estimates.append(None)
-                failed.append(err)
-        return estimates, failed
-    return solve_block
 
 
 def trials_per_block(conf: Conformation) -> int:

@@ -1,7 +1,7 @@
 """Batched estimation: ``multilaterate`` on range matrices, the batched
-two-stage estimator, the stage-3 pose refinement, the batched congruent
-start, the stacked pose and range checks, and their agreement with
-one-at-a-time calls."""
+two-stage estimator, the stage-3 pose refinement, the velocity fit, the
+batched congruent start, the stacked pose and range checks, and their
+agreement with one-at-a-time calls."""
 
 from dataclasses import replace
 
@@ -14,7 +14,7 @@ from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
     _cached_subset,
-    _motion_design,
+    _motion_fits,
     _pattern_groups,
     _subset_geometry,
     multilaterate,
@@ -29,6 +29,8 @@ from rigidloc.geometry import (
     _apply_linear_factor,
     _check_poses,
     _linear_factor,
+    _node_velocities,
+    _place,
     apply_pose,
     random_rotation,
     rotation_2d,
@@ -40,6 +42,7 @@ from rigidloc.measurement import (
     AnchorSet,
     MaskedRangeMatrix,
     _check_observed,
+    _range_rates,
     simulate_ranges,
 )
 from rigidloc.placement import range_blocks
@@ -368,14 +371,24 @@ class TestRefinePoses:
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_motion_design_matches_explicit_rows(dim):
+def test_motion_design_matches_explicit_rows(dim, monkeypatch):
+    """``_motion_fits`` solves a trial on one row per observed (anchor,
+    node) pair, in row-major order."""
     rng = np.random.default_rng(60 + dim)
     anchors = cube_anchor_layout(8 if dim == 3 else 4, dim=dim, span=60.0)
     conf = box_vehicle_conformation(8, dim=dim)
     pose = Pose(random_rotation(rng, dim), rng.uniform(-5, 5, dim))
     rates = rng.normal(size=(anchors.num_anchors, conf.num_nodes))
     obs = rng.random(rates.shape) > 0.3
-    design, rhs = _motion_design(anchors, pose, conf, rates, obs)
+    solves, lstsq = [], np.linalg.lstsq
+
+    def recorded(design, rhs, rcond):
+        solves.append((design, rhs))
+        return lstsq(design, rhs, rcond=rcond)
+    monkeypatch.setattr(np.linalg, "lstsq", recorded)
+    _motion_fits(anchors, conf, pose.rotation[None], pose.translation[None], rates[None],
+                 obs[None])
+    (design, rhs), = solves
     body = apply_pose(conf, pose).positions
     rows, expected_rhs = [], []
     for n in range(anchors.num_anchors):
@@ -553,6 +566,39 @@ class TestBatchIndependence:
         started = {outcome[2] for outcome in solve(np.arange(len(ranges)))}
         assert started == {True, False}
         self.assert_block_independent(solve, len(ranges))
+
+    @pytest.mark.parametrize("dim,m,k", SHAPES)
+    def test_motion_fits(self, dim, m, k):
+        """Every fifth trial observes two rates, too few, and every
+        seventh one node only, which cannot fix the spin (with five anchors
+        in 3D, also too few rates)."""
+        anchors, conf, ranges = self.scene(dim, m, k)
+        rng = np.random.default_rng((dim, m, k, 1))
+        count = len(ranges)
+        rotations = np.stack([random_rotation(rng, dim) for _ in range(count)])
+        translations = rng.uniform(-5.0, 5.0, (count, dim))
+        omegas = rng.uniform(-0.5, 0.5, (count, 1 if dim == 2 else 3))
+        t_dots = rng.uniform(-15.0, 15.0, (count, dim))
+        rates = _range_rates(anchors.positions, _place(conf.coords, rotations, translations),
+                             _node_velocities(conf.coords, rotations, omegas, t_dots))
+        rates += rng.normal(0.0, 0.05, rates.shape)
+        mask = rng.random(rates.shape) >= 0.3
+        mask[4::5] = False
+        mask[4::5, 0, :2] = True
+        mask[6::7] = False
+        mask[6::7, :, 0] = True
+        rates[~mask] = np.nan
+
+        def solve(trials):
+            omega, t_dot, rms, failed = _motion_fits(anchors, conf, rotations[trials],
+                                                     translations[trials], rates[trials],
+                                                     mask[trials])
+            return [(type(err), omega[i], t_dot[i], rms[i]) for i, err in enumerate(failed)]
+        errors = {outcome[0] for outcome in solve(np.arange(count))}
+        assert errors == {type(None), InsufficientMeasurementsError,
+                          InsufficientMeasurementsError if m < 3 * (dim - 1)
+                          else DegenerateGeometryError}
+        self.assert_block_independent(solve, count)
 
 
 def raised(call, *args):

@@ -10,11 +10,13 @@ from rigidloc.completion import NonEuclideanMatrixError, _congruent_fill_batch, 
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
+    estimate_motion,
     rbl_two_stage,
     rbl_two_stage_batch,
     refine_poses,
 )
 from rigidloc.geometry import (
+    BodyMotion,
     Conformation,
     Pose,
     apply_pose,
@@ -37,6 +39,7 @@ from rigidloc.measurement import (
     AnchorSet,
     MaskedRangeMatrix,
     assemble_partial_edm,
+    simulate_range_rates,
     simulate_ranges,
 )
 
@@ -200,7 +203,9 @@ class TestRunExperiment:
                     master_seed=3),
         tiny_config(scenario="anchorless_two_body", sigma_list=[0.1],
                     sensor_counts=[5, 8], trials=20, master_seed=4),
-    ], ids=["sensors", "noise_missing", "completion", "anchorless"])
+        tiny_config(scenario="motion_tracking", dim=2, sigma_list=[0.1],
+                    sensor_counts=[3, 8], trials=20, master_seed=6),
+    ], ids=["sensors", "noise_missing", "completion", "anchorless", "motion"])
     def test_block_size_does_not_change_results(self, cfg, monkeypatch, tmp_path):
         """Blocks of 16 node fixes and one block per sweep point give
         byte-identical CSVs."""
@@ -320,6 +325,36 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="programming error"):
             run_experiment(tiny_config(sigma_list=[0.1], trials=4))
 
+    def test_motion_node_on_an_anchor(self, monkeypatch):
+        """A node on an anchor is a fault of the draw, not a failed trial:
+        the motion sweep raises what ``simulate_range_rates`` raises for
+        that trial, and the velocity fit fails it as ``estimate_motion``
+        does."""
+        anchors, conf = cube_anchor_layout(8), box_vehicle_conformation(4)
+        offset = anchors.positions[0] - conf.coords[0]
+        assert np.array_equal(conf.coords[0] + offset, anchors.positions[0])
+        pose, motion = Pose(np.eye(3), offset), BodyMotion(np.ones(3), np.ones(3))
+        draw_pose, drawn = harness.uniform_pose, []
+
+        def on_anchor_third(center, spread):
+            def draw(rng):
+                drawn.append(draw_pose(center, spread)(rng))
+                return (pose.rotation, offset) if len(drawn) == 3 else drawn[-1]
+            return draw
+        monkeypatch.setattr(harness, "uniform_pose", on_anchor_third)
+        with pytest.raises(ValueError) as swept:
+            run_experiment(tiny_config(scenario="motion_tracking", sigma_list=[0.1],
+                                       sensor_counts=[4], trials=6))
+        with pytest.raises(ValueError) as alone:
+            simulate_range_rates(anchors, conf, pose, motion)
+        assert (type(swept.value), str(swept.value)) == (ValueError, str(alone.value))
+        with pytest.raises(DegenerateGeometryError) as fitted:
+            estimate_motion(anchors, pose, conf, np.zeros((8, 4)))
+        *_, failed = estimators._motion_fits(anchors, conf, np.eye(3)[None], offset[None],
+                                             np.zeros((1, 8, 4)), np.ones((1, 8, 4), bool))
+        assert [(type(err), str(err)) for err in failed] == [
+            (DegenerateGeometryError, str(fitted.value))]
+
     def test_anchorless_scenario(self):
         cfg = tiny_config(scenario="anchorless_two_body", sigma_list=[0.0],
                           sensor_counts=[5], trials=5)
@@ -434,7 +469,9 @@ class TestBlocksMatchThePublicCalls:
     arrays; every row equals, bit for bit, the trial-by-trial run through
     ``Pose``, ``simulate_ranges``, the one-trial estimators and
     ``pose_errors``: ``rbl_two_stage``, or for the refined sweeps the fill
-    of that trial alone, ``rbl_two_stage_batch`` and ``refine_poses``."""
+    of that trial alone, ``rbl_two_stage_batch`` and ``refine_poses``. The
+    motion sweep's rows equal the run through ``Pose``, ``BodyMotion``,
+    ``simulate_range_rates`` and ``estimate_motion``."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("fraction", [0.0, 0.3])
@@ -514,6 +551,44 @@ class TestBlocksMatchThePublicCalls:
                 estimate=lambda ranges: refined(body1, conf, ranges, ranges))
             np.testing.assert_equal(row_statistics(row), want, str(row.params))
         assert [row.failures for row in rows if row.params["sensors"] == dim] == [30, 30]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_motion_tracking(self, dim):
+        """Each trial is rebuilt through ``Pose``, ``BodyMotion``,
+        ``simulate_range_rates`` and ``estimate_motion`` at the true pose,
+        drawing the rotation, translation, omega, t_dot and rate noise in
+        that order. Two nodes in 3D cannot separate rotation from
+        translation, so every trial of those rows fails."""
+        cfg = tiny_config(scenario="motion_tracking", dim=dim, sigma_list=[0.0, 0.1],
+                          sensor_counts=[2, 4, 8], trials=50, master_seed=3)
+        anchors = cube_anchor_layout(8, dim)
+        draw_pose = uniform_draw(anchors, harness.POSE_SPREAD)
+        rows = run_experiment(cfg).rows
+        for sweep_idx, row in enumerate(rows):
+            conf = box_vehicle_conformation(row.params["sensors"], dim)
+            t_sq, r_sq, failures = [], [], 0
+            for trial in range(cfg.trials):
+                rng = harness._trial_rng(cfg.master_seed, sweep_idx, trial)
+                pose = Pose(*draw_pose(rng))
+                omega = rng.uniform(-0.5, 0.5, 3) if dim == 3 \
+                    else float(rng.uniform(-0.5, 0.5))
+                motion = BodyMotion(omega, rng.uniform(-15.0, 15.0, dim))
+                rates = simulate_range_rates(anchors, conf, pose, motion,
+                                             row.params["sigma"], None, rng)
+                try:
+                    est = estimate_motion(anchors, pose, conf, rates).motion
+                except placement.TRIAL_FAILURES:
+                    failures += 1
+                    continue
+                # a planar omega is a scalar, squared by pow() as one float
+                omega_err = np.asarray(est.omega) - np.asarray(motion.omega)
+                t_sq.append(float(((est.t_dot - motion.t_dot) ** 2).sum()))
+                r_sq.append(float((omega_err**2).sum()))
+            want = (*placement.rmse_and_se(t_sq), *placement.rmse_and_se(r_sq), failures)
+            np.testing.assert_equal(row_statistics(row), want, str(row.params))
+        assert all(row.failures < cfg.trials for row in rows if row.params["sensors"] > 2)
+        if dim == 3:
+            assert [row.failures for row in rows if row.params["sensors"] == 2] == [50, 50]
 
 
 class TestEmitResults:

@@ -491,6 +491,15 @@ class TestRangeRates:
                                      sigma=0.1, rng=rng)
         assert np.isfinite(rates).all()
 
+    def test_anchor_dimension_mismatch_raises(self):
+        """2D anchors and a 3D body fail as ``simulate_ranges`` and
+        ``estimate_motion`` fail, not in a numpy broadcast."""
+        anchors = AnchorSet([[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0], [0.0, -10.0]])
+        conf = Conformation([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        motion = BodyMotion([0.0, 0.0, 0.3], [1.0, 2.0, 0.0])
+        with pytest.raises(ValueError, match="anchor and conformation dimensions differ"):
+            simulate_range_rates(anchors, conf, Pose.identity(3), motion)
+
 
 class TestPartialEdm:
     def make_partial(self):

@@ -13,7 +13,6 @@ from rigidloc.placement import (
     error_statistics,
     evaluate_placement,
     frame_potential,
-    one_at_a_time,
     optimize_placement,
 )
 
@@ -177,25 +176,16 @@ class TestTrialFailures:
 
     @pytest.mark.parametrize("error", CLASSIFIED)
     def test_classified_errors_are_counted(self, error):
-        def fail(item):
-            raise error("no fix")
-
         def fail_all(items):
             return None, [error("no fix")] * len(items)
         stats = error_statistics(self.blocks(), fail_all)
         assert (stats.failures, stats.trials) == (4, 4)
-        assert error_statistics(self.blocks(), one_at_a_time(fail)).failures == 4
 
     def test_other_errors_propagate(self):
         def broken_block(items):
             return None, [ValueError("bug")] * len(items)
         with pytest.raises(ValueError, match="bug"):
             error_statistics(self.blocks(), broken_block)
-
-        def broken(item):
-            raise ValueError("bug")
-        with pytest.raises(ValueError, match="bug"):
-            error_statistics(self.blocks(), one_at_a_time(broken))
 
 
 @pytest.mark.parametrize("dim", [2, 3])

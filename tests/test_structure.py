@@ -6,7 +6,8 @@ Gauss-Newton settings are read by one solver loop only; the congruent
 start has one pin loop; each numeric kernel has one copy; the estimators
 reach an observation pattern's anchor geometry through one cache; stage 3
 has one array core, which the harness reaches through its block solver;
-and the package keeps the names the benchmark's tracer patches, and the
+the velocity fit has one array core, on which the motion sweep runs; and
+the package keeps the names the benchmark's tracer patches, and the
 harness the poses its gate checks."""
 
 import ast
@@ -145,8 +146,8 @@ def test_one_pin_loop():
 def test_one_copy_of_each_numeric_kernel():
     """The package's SVDs are the affine hull, the linearized fix's factor
     and the nearest proper rotation (Kabsch and ``Pose.from_matrix``); the
-    rotation exp map is the one ``np.sinc`` user; ``estimate_motion``
-    takes its rank from the solve instead of a second SVD; and one stacked
+    rotation exp map is the one ``np.sinc`` user; the velocity fit takes
+    its rank from the solve instead of a second SVD; and one stacked
     helper, which ``Pose`` and the Monte-Carlo blocks call, checks
     rotations against the orthogonality tolerance."""
     modules = parse_modules()
@@ -156,7 +157,8 @@ def test_one_copy_of_each_numeric_kernel():
     assert users("np.linalg.svd") == {"geometry.affine_basis", "geometry._linear_factor",
                                       "geometry._proper_svd"}
     assert users("np.sinc") == {"geometry._exp_rotations"}
-    assert "estimators.estimate_motion" not in users("np.linalg.matrix_rank")
+    assert not users("np.linalg.matrix_rank") & {"estimators.estimate_motion",
+                                                  "estimators._motion_fits"}
     assert users("ORTHOGONALITY_TOL") == {"geometry._check_poses"}
 
 
@@ -168,6 +170,21 @@ def test_one_stage_3_path():
     assert readers(modules["estimators"], "_pose_model") == {"_refine"}
     for name in ("refine_poses", "rbl_two_stage_batch"):
         assert readers(modules["harness"], name) == set()
+
+
+def test_one_velocity_path():
+    """The velocity fit has one array core, which ``estimate_motion``
+    wraps: it and the stage-3 model are the two users of the range rows,
+    and the motion sweep solves its blocks on the core, not through a
+    per-trial adapter or the one-trial objects."""
+    modules = parse_modules()
+    assert {node.name for node in modules["estimators"].body
+            if isinstance(node, ast.FunctionDef)
+            and readers(node, "_rigid_range_rows")} == {"_pose_model", "_motion_fits"}
+    assert not any(isinstance(node, ast.FunctionDef) and node.name == "one_at_a_time"
+                   for node in ast.walk(modules["placement"]))
+    for name in ("Pose", "BodyMotion", "estimate_motion", "simulate_range_rates"):
+        assert readers(modules["harness"], name) == set(), name
 
 
 def test_pattern_geometry_goes_through_the_cache():
