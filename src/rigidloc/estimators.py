@@ -3,7 +3,8 @@
 The main pipeline localizes each body node from its anchor ranges
 (Gauss-Newton multilateration) and then fits the rigid pose to the node
 fixes with a weighted orthogonal Procrustes alignment; a third stage can
-refine that pose by Gauss-Newton over all observed ranges. Anchorless
+refine that pose, or a joint linear fit of the pose to every observed
+range, by Gauss-Newton over all observed ranges. Anchorless
 body-to-body relative pose is the same pipeline run in one body's frame,
 with that body's nodes as the anchors. Companions cover hybrid
 range+angle point fixes and linear velocity estimation from range-rates.
@@ -29,6 +30,8 @@ from .geometry import (
     _exp_rotations,
     _freeze,
     _linear_factor,
+    _proper_svd,
+    _pseudo_inverse,
     _weighted_kabsch,
 )
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
@@ -44,6 +47,12 @@ WEIGHT_EPSILON = 1e-12
 # points has at most 2**M observation patterns, and a tracked body repeats
 # a few dozen (71 distinct in 2000 frames of 8 anchors and a 14-node body).
 PATTERN_CACHE_SIZE = 1024
+
+# Range rows (trials x M x K) of one stacked SVD in ``_joint_start``. The
+# solve holds about four rows x unknowns arrays at once; a whole
+# completion block of 32 trials x 64 rows made that the sweep's memory
+# peak (+0.6 MB RSS), and this bound keeps it below stage 3's.
+JOINT_START_ROWS = 512
 
 
 class InsufficientMeasurementsError(ValueError):
@@ -685,6 +694,59 @@ def _refine(anchors: AnchorSet, conf: Conformation, rotations: np.ndarray,
     x, _, iterations, converged = _gauss_newton(start, *_pose_model(
         anchors.positions, conf.coords, rotations, np.where(mask, values, 0.0), mask))
     return _exp_rotations(x[:, :-dim]) @ rotations, x[:, -dim:], iterations, converged
+
+
+def _joint_start(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
+                 mask: np.ndarray):
+    """Start poses of B trials from one linear least-squares fit per trial
+    over every observed range of its B x M x K ``values`` (observed where
+    ``mask`` is True), for stage 3 to refine.
+
+    Each squared range is linear in θ = (vec R, t, w = Rᵀt, τ = |t|²):
+    d²ₘₖ − |aₘ|² − |cₖ|² = −2 aₘᵀ R cₖ − 2 aₘᵀ t + 2 cₖᵀ w + τ, which lifts
+    the range equations of Chepuri, Leus & van der Veen, "Rigid Body
+    Localization Using Sensor Networks" (IEEE TSP 2014) as Beck, Stoica &
+    Li, "Exact and approximate solutions of source localization problems"
+    (IEEE TSP 2008) lift |x|². That is D² + 2D + 1 unknowns (16 in 3D, 9
+    in 2D) whatever K is. A masked range is a zero row, so the trials are
+    solved as stacks of pseudo-inverses, JOINT_START_ROWS range rows at a
+    time. The start is the proper rotation nearest the fitted R and the
+    fitted t. Returns the rotations (B x D x D), the translations (B x D),
+    NaN where a trial failed, and per trial None or its error:
+    InsufficientMeasurementsError below D² + 2D + 1 observed ranges,
+    DegenerateGeometryError when the observed rows do not have full rank.
+    """
+    a, c = anchors.positions, conf.coords
+    count, (m, dim), k = len(values), a.shape, conf.num_nodes
+    unknowns = dim * dim + 2 * dim + 1
+    # one row per (anchor, node) pair, in row-major order: the coefficients
+    # of R (row-major, a_i c_j for R_ij), t, w and τ
+    design = np.concatenate([
+        -2.0 * (a[:, None, :, None] * c[None, :, None, :]).reshape(m * k, dim * dim),
+        np.repeat(-2.0 * a, k, axis=0), np.tile(2.0 * c, (m, 1)), np.ones((m * k, 1))],
+        axis=1)
+    observed = mask.reshape(count, m * k)
+    rhs = np.where(mask, values**2 - (a**2).sum(axis=1)[:, None] - (c**2).sum(axis=1),
+                   0.0).reshape(count, m * k)
+    theta, rank = np.empty((count, unknowns)), np.empty(count, dtype=int)
+    step = max(1, JOINT_START_ROWS // (m * k))
+    for first in range(0, count, step):
+        part = slice(first, first + step)
+        pinv, rank[part] = _pseudo_inverse(np.where(observed[part, :, None], design, 0.0))
+        theta[part] = (pinv * rhs[part, None, :]).sum(axis=-1)
+    n_obs, ok = observed.sum(axis=1), rank == unknowns
+    failed = [None] * count
+    for b in np.flatnonzero(~ok):
+        failed[b] = (InsufficientMeasurementsError(
+            f"{n_obs[b]} observed ranges cannot fix the {unknowns} unknowns "
+            f"of a joint start in {dim}D") if n_obs[b] < unknowns else
+            DegenerateGeometryError("observed ranges do not determine a joint start"))
+    rotations = np.full((count, dim, dim), np.nan)
+    translations = np.full((count, dim), np.nan)
+    u, vt = _proper_svd(theta[ok, :dim * dim].reshape(-1, dim, dim))
+    rotations[ok] = u @ vt
+    translations[ok] = theta[ok, dim * dim:dim * dim + dim]
+    return rotations, translations, failed
 
 
 def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,

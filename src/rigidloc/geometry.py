@@ -101,15 +101,24 @@ def _linear_factor(anchors):
     right-hand side (read-only), and its rank with the cutoff ``lstsq``
     applies; ``_apply_linear_factor`` finishes the least-squares fixes."""
     first, rest = anchors[..., :1, :], anchors[..., 1:, :]
-    lhs = 2.0 * (rest - first)
+    pinv, rank = _pseudo_inverse(2.0 * (rest - first))
+    base = (rest**2).sum(axis=-1) - (first**2).sum(axis=-1)
+    return _freeze(pinv), _freeze(base), rank
+
+
+def _pseudo_inverse(lhs):
+    """Pseudo-inverse of a matrix or of each matrix of a stack, and its
+    rank, with the cutoff ``lstsq`` applies: a singular value at most eps
+    times the larger dimension times the largest singular value counts as
+    0. Apply it as ``(pinv * rhs[..., None, :]).sum(axis=-1)``, which keeps
+    the reduction rule."""
     u, svals, vt = np.linalg.svd(lhs, full_matrices=False)
     keep = svals > (np.finfo(float).eps * max(lhs.shape[-2:])
                     * svals.max(axis=-1, keepdims=True))
     # a singular value below the cutoff divides to an exact 0
     pinv = (np.swapaxes(vt, -1, -2) / np.where(keep, svals, np.inf)[..., None, :]
             @ np.swapaxes(u, -1, -2))
-    base = (rest**2).sum(axis=-1) - (first**2).sum(axis=-1)
-    return _freeze(pinv), _freeze(base), keep.sum(axis=-1)
+    return pinv, keep.sum(axis=-1)
 
 
 def _apply_linear_factor(factor, dists):

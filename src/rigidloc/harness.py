@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .completion import _congruent_fill_batch, complete_edm
-from .estimators import _motion_fits
+from .estimators import _joint_start, _motion_fits
 from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
 from .geometry import Conformation, random_rotation, squared_distances
 from .geometry import _check_poses, _node_velocities, _place
@@ -436,21 +436,27 @@ def _point_rmse_vs(config, anchors, sweep_idx, sigma, sensors):
 
 
 def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
-    """Each block of trials fills its missing ranges from one batched
-    congruent start on the known anchor and body coordinates, or by
-    ``complete_edm`` for a trial it cannot start, then ``refined_block``
-    estimates on the filled ranges and refines on the observed ones."""
+    """Each block of trials starts from ``_joint_start``, one linear fit of
+    each trial's pose to all its observed ranges. A trial without a full
+    rank fit fills its missing ranges instead, from one batched congruent
+    start on the known anchor and body coordinates or, where that cannot
+    start either, by ``complete_edm``. ``refined_block`` then runs
+    two-stage on the filled ranges and refines every pose on the observed
+    ones."""
     conf = _resolve_conformation(config, sensors)
     m = anchors.num_anchors
 
     def solve(data):
         values, mask = data
+        start = _joint_start(anchors, conf, values, mask)
+        rest = np.flatnonzero([err is not None for err in start[2]])
+        filled = np.full(values.shape, np.nan)
         placed, _, started = _congruent_fill_batch(anchors.positions, conf.coords,
-                                                   values, mask)
-        filled = np.where(mask, values,
-                          np.sqrt(squared_distances(anchors.positions, placed)))
+                                                   values[rest], mask[rest])
+        filled[rest] = np.where(mask[rest], values[rest],
+                                np.sqrt(squared_distances(anchors.positions, placed)))
         fill_errors = {}
-        for t in np.flatnonzero(~started):
+        for t in rest[~started]:
             try:
                 partial = assemble_partial_edm(anchors, conf,
                                                MaskedRangeMatrix(values[t], mask[t]))
@@ -459,7 +465,7 @@ def _point_completion(config, anchors, sweep_idx, sigma, sensors, fraction):
             except TRIAL_FAILURES as err:
                 fill_errors[t], filled[t] = err, np.nan
         poses, failed = refined_block(anchors, conf, filled, values, mask,
-                                      config.estimator["weighted"])
+                                      config.estimator["weighted"], start)
         return poses, [fill_errors.get(t, err) for t, err in enumerate(failed)]
 
     blocks = _range_blocks(config, anchors, conf, sweep_idx, sigma, fraction)

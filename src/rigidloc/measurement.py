@@ -23,6 +23,7 @@ from .geometry import (
     body_velocities,
     squared_distances,
 )
+from .geometry import _freeze
 
 # Minimum anchor separation: coincident anchors carry no extra information
 # and break direction computations.
@@ -205,6 +206,21 @@ class HullOcclusion:
             raise ValueError("at least one occluding body is required")
         self.bodies = tuple(bodies)
         self.hulls = tuple(_hull_equations(body.positions) for body in self.bodies)
+        self._last = None
+
+    def _visible(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Read-only M x K mask, True where no hull blocks the segment from
+        ``starts[m]`` to ``ends[k]``. The latest mask is kept, keyed on the
+        bytes and shapes of both point sets, so simulating the ranges and
+        the range-rates of one placed body tests its lines of sight once,
+        and other points are always tested afresh."""
+        key = (starts.shape, starts.tobytes(), ends.shape, ends.tobytes())
+        if self._last is None or self._last[0] != key:
+            blocked = np.zeros((len(starts), len(ends)), dtype=bool)
+            for hull in self.hulls:
+                blocked |= _segments_blocked(starts, ends, hull)
+            self._last = (key, _freeze(~blocked))
+        return self._last[1]
 
 
 def _hull_equations(points: np.ndarray):
@@ -323,11 +339,9 @@ def line_of_sight_blocked(p, q, occluder: PlacedBody) -> bool:
 
 
 def _visibility_mask(anchors: AnchorSet, body: PlacedBody, visibility) -> np.ndarray:
-    blocked = np.zeros((anchors.num_anchors, body.num_nodes), dtype=bool)
-    if visibility is not None:
-        for hull in visibility.hulls:
-            blocked |= _segments_blocked(anchors.positions, body.positions, hull)
-    return ~blocked
+    if visibility is None:
+        return np.ones((anchors.num_anchors, body.num_nodes), dtype=bool)
+    return visibility._visible(anchors.positions, body.positions)
 
 
 def simulate_ranges(anchors: AnchorSet, body: PlacedBody, sigma: float,

@@ -316,16 +316,31 @@ def _checked(fit):
 
 
 def refined_block(anchors: AnchorSet, conf: Conformation, filled, values, mask,
-                  weighted: bool):
-    """Block solver of the refined sweeps: two-stage on the ``filled``
-    ranges (B x M x K, NaN where unknown), checked once as
-    ``MaskedRangeMatrix`` checks them, then stage 3 on the observed
-    ``values`` where ``mask`` is True for each unique rotation."""
-    known = np.isfinite(filled)
-    _check_observed(filled, known, nonnegative=True)
-    fit = _two_stage(anchors, conf, filled, known, weighted)
-    (rotations, translations), failed = _checked(fit)
-    todo = fit.rotation_unique
+                  weighted: bool, start=None):
+    """Block solver of the refined sweeps: stage 3 on the observed
+    ``values`` where ``mask`` is True (B x M x K), from a start pose per
+    trial. ``start``, when given, is what ``estimators._joint_start``
+    returns for the block; the trials it started refine from its poses and
+    skip stages 1-2. Every other trial starts from two-stage on its
+    ``filled`` ranges (NaN where unknown), checked once as
+    ``MaskedRangeMatrix`` checks them, and is refined where its rotation
+    is unique."""
+    count, dim = len(values), conf.dim
+    rotations, translations = np.full((count, dim, dim), np.nan), np.full((count, dim), np.nan)
+    ready = np.zeros(count, dtype=bool)
+    if start is not None:
+        ready = np.array([err is None for err in start[2]], dtype=bool)
+        rotations[ready], translations[ready] = start[0][ready], start[1][ready]
+    failed, todo, rest = [None] * count, ready.copy(), np.flatnonzero(~ready)
+    if rest.size:
+        ranges = filled[rest]
+        known = np.isfinite(ranges)
+        _check_observed(ranges, known, nonnegative=True)
+        fit = _two_stage(anchors, conf, ranges, known, weighted)
+        (rotations[rest], translations[rest]), fit_failed = _checked(fit)
+        for t, err in zip(rest, fit_failed):
+            failed[t] = err
+        todo[rest] = fit.rotation_unique
     rot, trans, _, _ = _refine(anchors, conf, rotations[todo], translations[todo],
                                values[todo], mask[todo])
     _check_poses(rot, trans)

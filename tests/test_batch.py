@@ -1,7 +1,7 @@
 """Batched estimation: ``multilaterate`` on range matrices, the batched
-two-stage estimator, the stage-3 pose refinement, the velocity fit, the
-batched congruent start, the stacked pose and range checks, and their
-agreement with one-at-a-time calls."""
+two-stage estimator, the stage-3 pose refinement, the joint start, the
+velocity fit, the batched congruent start, the stacked pose and range
+checks, and their agreement with one-at-a-time calls."""
 
 from dataclasses import replace
 
@@ -14,6 +14,7 @@ from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
     _cached_subset,
+    _joint_start,
     _motion_fits,
     _pattern_groups,
     _subset_geometry,
@@ -565,6 +566,25 @@ class TestBatchIndependence:
                                                    cross[trials], mask[trials])))
         started = {outcome[2] for outcome in solve(np.arange(len(ranges)))}
         assert started == {True, False}
+        self.assert_block_independent(solve, len(ranges))
+
+    @pytest.mark.parametrize("dim,m,k", SHAPES)
+    def test_joint_start(self, dim, m, k):
+        """Every fourth trial observes one anchor only: too few ranges for
+        the joint start with 5 or 6 nodes, rank-deficient with 20."""
+        anchors, conf, ranges = self.scene(dim, m, k)
+        values = np.stack([r.values for r in ranges])
+        mask = np.stack([r.mask for r in ranges])
+        mask[3::4] = False
+        mask[3::4, 0] = True
+
+        def solve(trials):
+            rotations, translations, failed = _joint_start(anchors, conf, values[trials],
+                                                           mask[trials])
+            return [(type(err), rotations[i], translations[i]) for i, err in enumerate(failed)]
+        errors = {outcome[0] for outcome in solve(np.arange(len(ranges)))}
+        assert errors >= {type(None), InsufficientMeasurementsError if k < 16
+                          else DegenerateGeometryError}
         self.assert_block_independent(solve, len(ranges))
 
     @pytest.mark.parametrize("dim,m,k", SHAPES)

@@ -7,6 +7,7 @@ import pytest
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
+    _joint_start,
     estimate_motion,
     fit_pose_procrustes,
     localize_point_hybrid,
@@ -298,6 +299,65 @@ class TestTwoStage:
                                                        pose.rotation))
             errs[nodes] = np.median(samples)
         assert errs[8] < errs[4]
+
+
+class TestJointStart:
+    """The linear start of the completion sweep: one least-squares fit of
+    (vec R, t, Rᵀt, |t|²) to every observed squared range of a trial."""
+
+    @staticmethod
+    def block(dim, nodes, trials, fraction, seed):
+        rng = np.random.default_rng(seed)
+        anchors = cube_anchor_layout(8, dim)
+        conf = box_vehicle_conformation(nodes, dim)
+        poses = [Pose(random_rotation(rng, dim), rng.uniform(-5, 5, dim))
+                 for _ in range(trials)]
+        values = np.stack([simulate_ranges(anchors, apply_pose(conf, p), 0.0).values
+                           for p in poses])
+        mask = rng.random(values.shape) >= fraction
+        return anchors, conf, poses, np.where(mask, values, np.nan), mask
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("fraction", [0.0, 0.3, 0.5])
+    def test_exact_on_noiseless_ranges(self, dim, fraction):
+        anchors, conf, poses, values, mask = self.block(dim, 8, 20, fraction, 60)
+        rotations, translations, failed = _joint_start(anchors, conf, values, mask)
+        assert failed == [None] * 20
+        for pose, rot, trans in zip(poses, rotations, translations):
+            assert np.allclose(rot, pose.rotation, atol=1e-9)
+            assert np.allclose(trans, pose.translation, atol=1e-9)
+            assert np.isclose(np.linalg.det(rot), 1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_too_few_ranges(self, dim):
+        """D² + 2D + 1 unknowns need as many observed ranges."""
+        anchors, conf, _, values, mask = self.block(dim, 8, 1, 0.0, 61)
+        unknowns = dim * dim + 2 * dim + 1
+        keep = np.zeros(mask.size, dtype=bool)
+        keep[:unknowns - 1] = True
+        rotations, translations, (err,) = _joint_start(
+            anchors, conf, values, keep.reshape(mask.shape))
+        assert isinstance(err, InsufficientMeasurementsError)
+        assert np.isnan(rotations).all() and np.isnan(translations).all()
+
+    def test_coplanar_body(self):
+        """Nodes in a plane leave the R column along its normal unseen."""
+        anchors = cube_anchor_layout(8, 3)
+        plate = box_vehicle_conformation(16, 2).coords
+        conf = Conformation(np.column_stack([plate, np.full(16, 0.4)]))
+        assert conf.affine_rank() == 2
+        values = simulate_ranges(anchors, apply_pose(conf, Pose.identity(3)), 0.0).values
+        _, _, (err,) = _joint_start(anchors, conf, values[None],
+                                    np.ones((1,) + values.shape, dtype=bool))
+        assert isinstance(err, DegenerateGeometryError)
+
+    def test_ranges_from_one_anchor(self):
+        """Twenty ranges from one anchor outnumber the 16 unknowns, but
+        cannot separate R, t and Rᵀt."""
+        anchors, conf, _, values, mask = self.block(3, 20, 1, 0.0, 62)
+        mask[:, 1:] = False
+        _, _, (err,) = _joint_start(anchors, conf, values, mask)
+        assert isinstance(err, DegenerateGeometryError)
 
 
 class TestHybrid:

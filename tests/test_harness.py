@@ -10,6 +10,8 @@ from rigidloc.completion import NonEuclideanMatrixError, _congruent_fill_batch, 
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
+    PoseEstimate,
+    _joint_start,
     estimate_motion,
     rbl_two_stage,
     rbl_two_stage_batch,
@@ -44,14 +46,20 @@ from rigidloc.measurement import (
 )
 
 
-def without_congruent_start(monkeypatch):
-    """Send every completion trial to the ``complete_edm`` fallback."""
-    start = harness._congruent_fill_batch
+def without_starts(monkeypatch):
+    """Send every completion trial to the ``complete_edm`` fallback: neither
+    the joint start nor the congruent fill starts any."""
+    joint, fill = harness._joint_start, harness._congruent_fill_batch
 
-    def no_start(*args):
-        placed, pinned, started = start(*args)
+    def no_joint_start(*args):
+        rotations, translations, failed = joint(*args)
+        return rotations, translations, [DegenerateGeometryError("no start")] * len(failed)
+
+    def no_fill(*args):
+        placed, pinned, started = fill(*args)
         return placed, pinned, np.zeros_like(started)
-    monkeypatch.setattr(harness, "_congruent_fill_batch", no_start)
+    monkeypatch.setattr(harness, "_joint_start", no_joint_start)
+    monkeypatch.setattr(harness, "_congruent_fill_batch", no_fill)
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -295,7 +303,7 @@ class TestRunExperiment:
     def test_completion_counts_classified_errors(self, error, monkeypatch):
         def fail(*args):
             raise error("cannot complete")
-        without_congruent_start(monkeypatch)
+        without_starts(monkeypatch)
         monkeypatch.setattr(harness, "assemble_partial_edm", fail)
         cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
                           sensor_counts=[6], missing_fraction=[0.3], trials=4)
@@ -305,7 +313,7 @@ class TestRunExperiment:
     def test_completion_raises_other_errors(self, monkeypatch):
         def fail(*args):
             raise ValueError("programming error")
-        without_congruent_start(monkeypatch)
+        without_starts(monkeypatch)
         monkeypatch.setattr(harness, "assemble_partial_edm", fail)
         cfg = tiny_config(scenario="completion_benchmark", sigma_list=[0.1],
                           sensor_counts=[6], missing_fraction=[0.3], trials=4)
@@ -468,10 +476,12 @@ class TestBlocksMatchThePublicCalls:
     """The sweeps draw, check, estimate and score each block of trials as
     arrays; every row equals, bit for bit, the trial-by-trial run through
     ``Pose``, ``simulate_ranges``, the one-trial estimators and
-    ``pose_errors``: ``rbl_two_stage``, or for the refined sweeps the fill
-    of that trial alone, ``rbl_two_stage_batch`` and ``refine_poses``. The
-    motion sweep's rows equal the run through ``Pose``, ``BodyMotion``,
-    ``simulate_range_rates`` and ``estimate_motion``."""
+    ``pose_errors``: ``rbl_two_stage``, or for the refined sweeps
+    ``refine_poses`` from the trial's own ``_joint_start`` or, where the
+    completion sweep takes the fill, from ``rbl_two_stage_batch`` on the
+    fill of that trial alone. The motion sweep's rows equal the run
+    through ``Pose``, ``BodyMotion``, ``simulate_range_rates`` and
+    ``estimate_motion``."""
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("fraction", [0.0, 0.3])
@@ -504,8 +514,10 @@ class TestBlocksMatchThePublicCalls:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_completion_benchmark(self, dim):
-        """At 70% missing some trials cannot start the congruent fill and
-        take the ``complete_edm`` fallback."""
+        """A trial whose joint start has full rank is refined from it; at
+        70% missing some trials have no such start and take the fill:
+        the congruent fill, or the ``complete_edm`` fallback where that
+        cannot start either."""
         cfg = tiny_config(scenario="completion_benchmark", dim=dim, sigma_list=[0.0, 0.1],
                           sensor_counts=[4, 8], missing_fraction=[0.7], trials=30,
                           master_seed=13)
@@ -517,12 +529,18 @@ class TestBlocksMatchThePublicCalls:
             sigma = row.params["sigma"]
 
             def estimate(ranges):
+                rotation, translation, (err,) = _joint_start(
+                    anchors, conf, ranges.values[None], ranges.mask[None])
+                if err is None:
+                    start = PoseEstimate(Pose(rotation[0], translation[0]), 0.0, 0.0, 0)
+                    est, = refine_poses(anchors, [ranges], conf, [start])
+                    return est
+                fallbacks.append(sweep_idx)
                 placed, _, started = _congruent_fill_batch(
                     anchors.positions, conf.coords, ranges.values[None], ranges.mask[None])
                 if started[0]:
                     fill = np.sqrt(squared_distances(anchors.positions, placed[0]))
                 else:
-                    fallbacks.append(sweep_idx)
                     partial = assemble_partial_edm(anchors, conf, ranges)
                     fill = np.sqrt(complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
                                    .completed[:m, m:])

@@ -386,6 +386,38 @@ class TestOcclusionMask:
         simulate_range_rates(anchors, conf, pose, motion, 0.05, occlusion, rng)
         assert calls == [14, 6]
 
+    def test_visibility_is_tested_once_per_placed_body(self, monkeypatch):
+        """Ranges and range-rates of one placed body share its line-of-sight
+        test; a body placed elsewhere is tested afresh, never given the
+        stale mask."""
+        calls = []
+        segments_blocked = measurement._segments_blocked
+
+        def counted(starts, ends, hull):
+            calls.append(len(ends))
+            return segments_blocked(starts, ends, hull)
+
+        monkeypatch.setattr(measurement, "_segments_blocked", counted)
+        rng = np.random.default_rng(809)
+        conf = Conformation(rng.uniform(-1, 1, (14, 3)))
+        anchors = AnchorSet(rng.uniform(-6, 6, (8, 3)))
+        pose = Pose(random_rotation(rng, 3), np.zeros(3))
+        body = apply_pose(conf, pose)
+        occlusion = HullOcclusion(body)
+        ranges = simulate_ranges(anchors, body, 0.1, occlusion, rng)
+        motion = BodyMotion([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
+        rates = simulate_range_rates(anchors, conf, pose, motion, 0.05, occlusion, rng)
+        assert calls == [14]
+        assert not ranges.mask.all()
+        assert np.array_equal(np.isfinite(rates), ranges.mask)
+        moved = Pose(pose.rotation, [0.0, 0.0, 0.5])
+        moved_rates = simulate_range_rates(anchors, conf, moved, motion, 0.0, occlusion)
+        assert calls == [14, 14]
+        monkeypatch.setattr(measurement, "_segments_blocked", segments_blocked)
+        fresh = simulate_range_rates(anchors, conf, moved, motion, 0.0, HullOcclusion(body))
+        assert np.array_equal(moved_rates, fresh, equal_nan=True)
+        assert not np.array_equal(np.isfinite(moved_rates), ranges.mask)
+
     def test_errors(self):
         body = PlacedBody(CUBE)
         anchors = AnchorSet([[5.0, 0.0, 0.0], [0.5, 0.5, 0.5]])  # one on a node
