@@ -39,6 +39,13 @@ from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
 GN_STEP_TOL = 1e-10
 GN_MAX_ITER = 100
 
+# Relative rise of a Gauss-Newton objective that a step may cause and still
+# pass the step test. Near a minimum the objective's rounding error is about
+# eps * range / residual, 1e-14 to 3e-14 at 0.1 m noise, so a step that only
+# rounds upward passes, while a real overshoot is still halved; over
+# GN_MAX_ITER steps the objective can rise by less than 1e-10 of itself.
+GN_OBJECTIVE_RTOL = 1e-12
+
 # Regularizer added to stage-1 residual variances so noiseless nodes do not
 # produce infinite weights.
 WEIGHT_EPSILON = 1e-12
@@ -241,26 +248,30 @@ def _normal_step(jtj, rhs, jac, resid):
     return step
 
 
-def _backtrack(x, step, residuals, rows, obj):
-    """Per-problem step scale: the first of 1, 1/2, ..., 2**-29 at which
-    the objective of problems ``rows`` does not increase, else 2**-30, so
-    badly conditioned geometry cannot launch an iterate off to overflow.
+def _backtrack(x, step, residuals, rows, obj, objective):
+    """Per-problem step scale. A step passes the test when the objective
+    of its problem (of ``rows``) at the new point is at most
+    obj * (1 + GN_OBJECTIVE_RTOL), which lets rounding through. The scale is
+    1 when ``objective``, the objective at x + step, passes, else the first
+    of 1/2, ..., 2**-29 that passes, else 2**-30, so badly conditioned
+    geometry cannot launch an iterate off to overflow.
 
-    A scale at which the step drops below GN_STEP_TOL is taken without a
-    test: that step ends the iteration whatever it does to the objective,
-    which near the minimum changes only by rounding. All the halvings a
-    problem may need are tested in one batched evaluation. Returns the
-    scales, the objective at each and the problems (indices into ``x``)
-    whose scale was taken without a test: their objective is not computed.
+    A scale at which the step is below GN_STEP_TOL is taken without a test,
+    the full step included: that step ends the iteration whatever it does
+    to the objective, which near the minimum changes only by rounding. All
+    the halvings a problem may need are tested in one batched evaluation of
+    ``residuals``. Returns the scales, the objective at each (``objective``
+    updated in place) and the problems (indices into ``x``) whose halved
+    scale was taken without a test: their objective is not computed.
     """
     scale = np.ones(x.shape[0])
-    objective = _objective(residuals, x + step, rows)
-    rejected = np.flatnonzero(~(objective <= obj))
+    bound = obj * (1.0 + GN_OBJECTIVE_RTOL)
+    norm = np.sqrt((step**2).sum(axis=1))
+    rejected = np.flatnonzero(~(objective <= bound) & ~(norm < GN_STEP_TOL))
     if rejected.size == 0:
         return scale, objective, rejected
     halvings = 0.5 ** np.arange(1, 31)
-    norm = np.sqrt((step[rejected] ** 2).sum(axis=1))
-    accept = halvings * norm[:, None] < GN_STEP_TOL
+    accept = halvings * norm[rejected, None] < GN_STEP_TOL
     # each problem tests its halvings before the first one below tolerance
     count = np.where(accept.any(axis=1), accept.argmax(axis=1), 29)
     owner = np.repeat(np.arange(rejected.size), count)
@@ -268,7 +279,7 @@ def _backtrack(x, step, residuals, rows, obj):
     tried = rejected[owner]
     tried_objective = _objective(residuals, x[tried] + halvings[k, None] * step[tried],
                                  rows[tried])
-    ok = tried_objective <= obj[tried]
+    ok = tried_objective <= bound[tried]
     accept[owner[ok], k[ok]] = True
     accept[:, -1] = True
     first = accept.argmax(axis=1)
@@ -286,38 +297,54 @@ def _gauss_newton(x, residuals, linearize):
 
     Problem b starts from the point x[b]. ``residuals(x, rows)`` returns
     the residual vectors of problems ``rows`` (an index array) at the
-    points ``x``, one row per point; ``linearize(x, rows)`` returns those
+    points ``x``, one row per point; ``linearize(x, rows)`` returns the same
     residuals with their Jacobians (points x residuals x D). An unobserved
-    measurement is a residual that is zero with a zero Jacobian row. Each
-    problem backtracks on its own and stops once its step norm drops below
-    GN_STEP_TOL or after GN_MAX_ITER iterations. Returns positions, final
-    sums of squared residuals, iteration counts and convergence flags, one
-    per problem.
+    measurement is a residual that is zero with a zero Jacobian row.
+
+    The model is evaluated once per iteration: every live problem is
+    linearized at its full step, which gives the objective the step test
+    of ``_backtrack`` needs and, when the step passes, the next iteration's
+    residuals and Jacobian. Only a problem whose step was halved evaluates
+    ``residuals`` at its halvings, and is linearized again at the point it
+    moved to if it goes on. Each problem stops once its step norm drops
+    below GN_STEP_TOL or after GN_MAX_ITER iterations. Returns positions,
+    final sums of squared residuals, iteration counts and convergence
+    flags, one per problem.
     """
     x = np.array(x, dtype=float)
     iterations = np.zeros(x.shape[0], dtype=int)
     converged = np.zeros(x.shape[0], dtype=bool)
     live = np.arange(x.shape[0])
-    obj = _objective(residuals, x, live)
+    resid, jac = linearize(x, live)
+    obj = (resid**2).sum(axis=-1)
     for iteration in range(1, GN_MAX_ITER + 1):
         if live.size == 0:
             break
         x_live = x[live]
-        resid, jac = linearize(x_live, live)
         jac_t = np.swapaxes(jac, -1, -2)
         jtj = jac_t @ jac
         rhs = -(jac_t @ resid[..., None])[..., 0]
         step = _normal_step(jtj, rhs, jac, resid)
-        scale, objective, untested = _backtrack(x_live, step, residuals, live, obj[live])
+        resid, jac = linearize(x_live + step, live)
+        scale, objective, untested = _backtrack(x_live, step, residuals, live, obj[live],
+                                                (resid**2).sum(axis=-1))
         moved = scale[:, None] * step
         x_live = x_live + moved
         x[live] = x_live
-        if untested.size:
-            objective[untested] = _objective(residuals, x_live[untested], live[untested])
-        obj[live] = objective
         iterations[live] = iteration
         done = np.sqrt((moved**2).sum(axis=1)) < GN_STEP_TOL
         converged[live[done]] = True
+        # a halved step's problem that goes on is linearized where it moved,
+        # which also gives the objective of a scale taken without a test
+        again = np.flatnonzero(~done & (scale < 1.0))
+        if again.size:
+            resid[again], jac[again] = linearize(x_live[again], live[again])
+            objective[again] = (resid[again] ** 2).sum(axis=-1)
+        untested = untested[done[untested]]
+        if untested.size:
+            objective[untested] = _objective(residuals, x_live[untested], live[untested])
+        obj[live] = objective
+        resid, jac = resid[~done], jac[~done]
         live = live[~done]
     return x, obj, iterations, converged
 
@@ -908,8 +935,9 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
     unique) or when both bodies lie in one hyperplane (ranges within it
     leave each node's offset out of it unobservable).
 
-    One call is one trial of the batched kernels, about 6-12 ms for
-    4-14 nodes per body on a 2-vCPU VM (median of 40 calls), mostly
+    One call is one trial of the batched kernels, about 3-4 ms for
+    4-14 nodes per body at 0.1 m noise on a 2-vCPU VM (median of 40
+    draws, three calls each), mostly
     stage-3 Gauss-Newton; many pairs are cheaper solved together, by
     ``rbl_two_stage_batch`` and ``refine_poses`` on lists of them.
     """

@@ -371,6 +371,145 @@ class TestRefinePoses:
             refine_poses(anchors, ranges[:1], conf, start)
 
 
+class TestGaussNewtonKernel:
+    """``estimators._gauss_newton`` evaluates its model once per iteration,
+    and ``_backtrack`` halves only the steps that raise the objective by
+    more than rounding."""
+
+    @staticmethod
+    def count_evaluations(monkeypatch, model_name):
+        """Wrap the model ``model_name`` builds and ``_backtrack``; returns
+        per-problem counts: ``linearized``, ``evaluated`` (calls of
+        ``residuals`` that include the problem), ``backtracked`` (halved
+        steps) and ``resumed`` (halved steps after which the problem goes
+        on)."""
+        counts = {}
+        build, backtrack = getattr(estimators, model_name), estimators._backtrack
+
+        def counting_model(*args):
+            residuals, linearize = build(*args)
+            size = len(args[-1])
+            for name in ("linearized", "evaluated", "backtracked", "resumed"):
+                counts[name] = np.zeros(size, dtype=int)
+
+            def counted_residuals(x, rows):
+                np.add.at(counts["evaluated"], np.unique(rows), 1)
+                return residuals(x, rows)
+
+            def counted_linearize(x, rows):
+                np.add.at(counts["linearized"], rows, 1)
+                return linearize(x, rows)
+            return counted_residuals, counted_linearize
+
+        def counting_backtrack(x, step, residuals, rows, obj, objective):
+            scale, *rest = backtrack(x, step, residuals, rows, obj, objective)
+            halved = scale < 1.0
+            moved = scale * np.sqrt((step**2).sum(axis=1))
+            np.add.at(counts["backtracked"], rows[halved], 1)
+            np.add.at(counts["resumed"], rows[halved & (moved >= estimators.GN_STEP_TOL)], 1)
+            return scale, *rest
+
+        monkeypatch.setattr(estimators, model_name, counting_model)
+        monkeypatch.setattr(estimators, "_backtrack", counting_backtrack)
+        return counts
+
+    @staticmethod
+    def assert_one_evaluation_per_iteration(counts, iterations, converged):
+        assert np.array_equal(counts["linearized"], iterations + 1 + counts["resumed"])
+        assert np.all(counts["evaluated"] <= 2 * counts["backtracked"])
+        # near a minimum at 0.1 m noise a step changes the objective by
+        # rounding, which the step test lets through
+        assert counts["backtracked"][converged].sum() <= 0.01 * iterations[converged].sum()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stage1_linearizes_once_per_iteration(self, dim, monkeypatch):
+        anchors = cube_anchor_layout(8, dim=dim, span=60.0)
+        rng = np.random.default_rng((5, dim))
+        points = rng.uniform(-10.0, 10.0, (300, dim))
+        values = (np.sqrt(((points[:, None] - anchors.positions) ** 2).sum(axis=-1))
+                  + rng.normal(0.0, 0.1, (300, 8)))
+        counts = self.count_evaluations(monkeypatch, "_range_model")
+        fix = multilaterate(anchors, values.T)
+        assert fix.converged
+        self.assert_one_evaluation_per_iteration(counts, fix.point_iterations,
+                                                 fix.point_converged)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stage3_linearizes_once_per_iteration(self, dim, monkeypatch):
+        anchors, conf, _, ranges = TestRefinePoses().scene(dim, 60, 0.1)
+        start = rbl_two_stage_batch(anchors, ranges, conf)
+        counts = self.count_evaluations(monkeypatch, "_pose_model")
+        refined = refine_poses(anchors, ranges, conf, start)
+        self.assert_one_evaluation_per_iteration(
+            counts, np.array([est.iterations - first.iterations
+                              for est, first in zip(refined, start)]),
+            np.array([est.stage3_converged for est in refined]))
+
+    @staticmethod
+    def scalar_model(resid, slope):
+        """Residuals ``resid(x)`` (one row per problem) of scalar problems,
+        with the Jacobian column ``slope(x)``."""
+        def linearize(x, rows):
+            return resid(x), slope(x)[..., None]
+        return lambda x, rows: resid(x), linearize
+
+    def test_overshooting_step_is_halved(self, monkeypatch):
+        """x³ = 1 from x = 0.1: the full step lands near 33 and raises the
+        objective about 1e9-fold; the second problem starts near the root."""
+        residuals, linearize = self.scalar_model(lambda x: x**3 - 1.0,
+                                                 lambda x: 3.0 * x**2)
+        start = np.array([[0.1], [1.05]])
+        monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
+        x, obj, _, _ = estimators._gauss_newton(start, residuals, linearize)
+        step = -(start**3 - 1.0) / (3.0 * start**2)
+        scale = 1.0
+        while ((start[0] + scale * step[0]) ** 3 - 1.0) ** 2 > (start[0] ** 3 - 1.0) ** 2:
+            scale /= 2
+        assert scale < 1.0
+        assert (x - start)[:, 0] / step[:, 0] == pytest.approx([scale, 1.0])
+        assert obj[0] < (start[0, 0] ** 3 - 1.0) ** 2
+        monkeypatch.setattr(estimators, "GN_MAX_ITER", 100)
+        x, obj, _, converged = estimators._gauss_newton(start, residuals, linearize)
+        assert converged.all()
+        assert np.allclose(x, 1.0)
+
+    @pytest.mark.parametrize("rise", [0.1, 10.0])
+    def test_step_test_allows_rounding_only(self, rise, monkeypatch):
+        """A Jacobian of the wrong sign doubles x = 1e-5 in one step, which
+        raises the objective of the residuals (x, c) by 3x². Chosen against
+        c², that rise is ``rise`` times the allowance: within it the step is
+        taken whole, beyond it halved."""
+        x0 = 1e-5
+        offset = np.sqrt(3.0 * x0**2 / (rise * estimators.GN_OBJECTIVE_RTOL) - x0**2)
+        residuals, linearize = self.scalar_model(
+            lambda x: np.hstack([x, np.full_like(x, offset)]),
+            lambda x: np.hstack([-np.ones_like(x), np.zeros_like(x)]))
+        monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
+        x, _, _, _ = estimators._gauss_newton(np.array([[x0]]), residuals, linearize)
+        if rise < 1.0:
+            assert x[0, 0] == 2.0 * x0
+        else:
+            assert x0 < x[0, 0] < 2.0 * x0
+
+    def test_step_below_tolerance_is_taken_whole(self):
+        """A full step below GN_STEP_TOL ends the fit at scale 1, though
+        it raises the objective, with no further evaluation."""
+        evaluated = []
+        residuals, linearize = self.scalar_model(lambda x: x, lambda x: -np.ones_like(x))
+
+        def counted(x, rows):
+            evaluated.append(len(x))
+            return residuals(x, rows)
+
+        x0 = 0.25 * estimators.GN_STEP_TOL
+        x, obj, iterations, converged = estimators._gauss_newton(
+            np.array([[x0]]), counted, linearize)
+        assert x[0, 0] == 2.0 * x0
+        assert obj[0] == (2.0 * x0) ** 2
+        assert iterations[0] == 1 and converged[0]
+        assert evaluated == []
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_motion_design_matches_explicit_rows(dim, monkeypatch):
     """``_motion_fits`` solves a trial on one row per observed (anchor,

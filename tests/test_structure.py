@@ -121,15 +121,16 @@ def readers(tree, name):
 
 def test_one_gauss_newton_loop():
     """Every point fix runs on one Gauss-Newton kernel: only it reads the
-    iteration cap, and only it and its backtracking read the step
-    tolerance."""
+    iteration cap, only it and its backtracking read the step tolerance,
+    and only its step test reads the rounding allowance."""
     modules = parse_modules()
-    iter_cap = {f"{m}.{f}" for m, tree in modules.items()
-                for f in readers(tree, "GN_MAX_ITER")}
-    step_tol = {f"{m}.{f}" for m, tree in modules.items()
-                for f in readers(tree, "GN_STEP_TOL")}
-    assert iter_cap == {"estimators._gauss_newton"}
-    assert step_tol == {"estimators._gauss_newton", "estimators._backtrack"}
+
+    def reading(name):
+        return {f"{m}.{f}" for m, tree in modules.items() for f in readers(tree, name)}
+
+    assert reading("GN_MAX_ITER") == {"estimators._gauss_newton"}
+    assert reading("GN_STEP_TOL") == {"estimators._gauss_newton", "estimators._backtrack"}
+    assert reading("GN_OBJECTIVE_RTOL") == {"estimators._backtrack"}
 
 
 def test_one_pin_loop():
