@@ -31,7 +31,6 @@ from .geometry import (
     _freeze,
     _linear_factor,
     _proper_svd,
-    _pseudo_inverse,
     _weighted_kabsch,
 )
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
@@ -55,11 +54,12 @@ WEIGHT_EPSILON = 1e-12
 # a few dozen (71 distinct in 2000 frames of 8 anchors and a 14-node body).
 PATTERN_CACHE_SIZE = 1024
 
-# Range rows (trials x M x K) of one stacked SVD in ``_joint_start``. The
-# solve holds about four rows x unknowns arrays at once; a whole
-# completion block of 32 trials x 64 rows made that the sweep's memory
-# peak (+0.6 MB RSS), and this bound keeps it below stage 3's.
-JOINT_START_ROWS = 512
+# Least ratio of the smallest to the largest eigenvalue of a trial's
+# column-equilibrated Gram matrix in ``_joint_start`` at which its fit has
+# full rank. A rank-deficient design leaves a ratio at rounding level
+# (below 1e-14); at the bound the normal equations still give about six
+# correct digits, and stage 3 refines the start anyway.
+JOINT_START_RCOND = 1e-10
 
 
 class InsufficientMeasurementsError(ValueError):
@@ -248,8 +248,9 @@ def _normal_step(jtj, rhs, jac, resid):
     return step
 
 
-def _backtrack(x, step, residuals, rows, obj, objective):
-    """Per-problem step scale. A step passes the test when the objective
+def _backtrack(x, step, norm, residuals, rows, obj, objective):
+    """Per-problem step scale of the steps ``step``, whose norms are
+    ``norm``. A step passes the test when the objective
     of its problem (of ``rows``) at the new point is at most
     obj * (1 + GN_OBJECTIVE_RTOL), which lets rounding through. The scale is
     1 when ``objective``, the objective at x + step, passes, else the first
@@ -266,7 +267,6 @@ def _backtrack(x, step, residuals, rows, obj, objective):
     """
     scale = np.ones(x.shape[0])
     bound = obj * (1.0 + GN_OBJECTIVE_RTOL)
-    norm = np.sqrt((step**2).sum(axis=1))
     rejected = np.flatnonzero(~(objective <= bound) & ~(norm < GN_STEP_TOL))
     if rejected.size == 0:
         return scale, objective, rejected
@@ -307,13 +307,17 @@ def _gauss_newton(x, residuals, linearize):
     residuals and Jacobian. Only a problem whose step was halved evaluates
     ``residuals`` at its halvings, and is linearized again at the point it
     moved to if it goes on. Each problem stops once its step norm drops
-    below GN_STEP_TOL or after GN_MAX_ITER iterations. Returns positions,
-    final sums of squared residuals, iteration counts and convergence
-    flags, one per problem.
+    below GN_STEP_TOL or after GN_MAX_ITER iterations. A step that ends
+    its problem untested (a full step below GN_STEP_TOL, or a halving
+    below it) is not evaluated in the loop; one call of ``residuals``
+    after it gives every such problem its final objective. Returns
+    positions, final sums of squared residuals, iteration counts and
+    convergence flags, one per problem.
     """
     x = np.array(x, dtype=float)
     iterations = np.zeros(x.shape[0], dtype=int)
     converged = np.zeros(x.shape[0], dtype=bool)
+    untested = []
     live = np.arange(x.shape[0])
     resid, jac = linearize(x, live)
     obj = (resid**2).sum(axis=-1)
@@ -325,14 +329,25 @@ def _gauss_newton(x, residuals, linearize):
         jtj = jac_t @ jac
         rhs = -(jac_t @ resid[..., None])[..., 0]
         step = _normal_step(jtj, rhs, jac, resid)
-        resid, jac = linearize(x_live + step, live)
-        scale, objective, untested = _backtrack(x_live, step, residuals, live, obj[live],
-                                                (resid**2).sum(axis=-1))
-        moved = scale[:, None] * step
-        x_live = x_live + moved
+        norm = np.sqrt((step**2).sum(axis=1))
+        ends = norm < GN_STEP_TOL
+        if not ends.any():
+            resid, jac = linearize(x_live + step, live)
+        else:
+            # such a step ends its problem whatever it does to the objective,
+            # so the problem is not evaluated there: its rows of resid and
+            # jac stay stale until it is dropped below
+            untested.append(live[ends])
+            ahead = np.flatnonzero(~ends)
+            if ahead.size:
+                resid[ahead], jac[ahead] = linearize((x_live + step)[ahead], live[ahead])
+        scale, objective, skipped = _backtrack(x_live, step, norm, residuals, live, obj[live],
+                                               (resid**2).sum(axis=-1))
+        x_live = x_live + scale[:, None] * step
         x[live] = x_live
         iterations[live] = iteration
-        done = np.sqrt((moved**2).sum(axis=1)) < GN_STEP_TOL
+        # a scale is a power of two, so this is the moved step's norm bit for bit
+        done = scale * norm < GN_STEP_TOL
         converged[live[done]] = True
         # a halved step's problem that goes on is linearized where it moved,
         # which also gives the objective of a scale taken without a test
@@ -340,12 +355,14 @@ def _gauss_newton(x, residuals, linearize):
         if again.size:
             resid[again], jac[again] = linearize(x_live[again], live[again])
             objective[again] = (resid[again] ** 2).sum(axis=-1)
-        untested = untested[done[untested]]
-        if untested.size:
-            objective[untested] = _objective(residuals, x_live[untested], live[untested])
+        if skipped.size:
+            untested.append(live[skipped[done[skipped]]])
         obj[live] = objective
         resid, jac = resid[~done], jac[~done]
         live = live[~done]
+    if untested:
+        rows = np.concatenate(untested)
+        obj[rows] = _objective(residuals, x[rows], rows)
     return x, obj, iterations, converged
 
 
@@ -735,33 +752,43 @@ def _joint_start(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
     Localization Using Sensor Networks" (IEEE TSP 2014) as Beck, Stoica &
     Li, "Exact and approximate solutions of source localization problems"
     (IEEE TSP 2008) lift |x|². That is D² + 2D + 1 unknowns (16 in 3D, 9
-    in 2D) whatever K is. A masked range is a zero row, so the trials are
-    solved as stacks of pseudo-inverses, JOINT_START_ROWS range rows at a
-    time. The start is the proper rotation nearest the fitted R and the
-    fitted t. Returns the rotations (B x D x D), the translations (B x D),
-    NaN where a trial failed, and per trial None or its error:
+    in 2D) whatever K is. The right side is uₘᵀ Θ vₖ with uₘ = (−2aₘ, 1),
+    vₖ = (cₖ, 1) and Θ = [[R, t], [2wᵀ, τ]], so the design row of range
+    (m, k) is uₘ ⊗ vₖ and each trial's normal equations are built from the
+    M + K outer products, not from its M·K rows. Their Gram matrix is
+    scaled to a unit diagonal; a trial whose eigenvalues span more than
+    1 / JOINT_START_RCOND has no full-rank fit, and the others are solved.
+    The start is the proper rotation nearest the fitted R and the fitted
+    t. Returns the rotations (B x D x D), the translations (B x D), NaN
+    where a trial failed, and per trial None or its error:
     InsufficientMeasurementsError below D² + 2D + 1 observed ranges,
-    DegenerateGeometryError when the observed rows do not have full rank.
+    DegenerateGeometryError when they do not have full rank.
     """
     a, c = anchors.positions, conf.coords
-    count, (m, dim), k = len(values), a.shape, conf.num_nodes
-    unknowns = dim * dim + 2 * dim + 1
-    # one row per (anchor, node) pair, in row-major order: the coefficients
-    # of R (row-major, a_i c_j for R_ij), t, w and τ
-    design = np.concatenate([
-        -2.0 * (a[:, None, :, None] * c[None, :, None, :]).reshape(m * k, dim * dim),
-        np.repeat(-2.0 * a, k, axis=0), np.tile(2.0 * c, (m, 1)), np.ones((m * k, 1))],
-        axis=1)
-    observed = mask.reshape(count, m * k)
-    rhs = np.where(mask, values**2 - (a**2).sum(axis=1)[:, None] - (c**2).sum(axis=1),
-                   0.0).reshape(count, m * k)
-    theta, rank = np.empty((count, unknowns)), np.empty(count, dtype=int)
-    step = max(1, JOINT_START_ROWS // (m * k))
-    for first in range(0, count, step):
-        part = slice(first, first + step)
-        pinv, rank[part] = _pseudo_inverse(np.where(observed[part, :, None], design, 0.0))
-        theta[part] = (pinv * rhs[part, None, :]).sum(axis=-1)
-    n_obs, ok = observed.sum(axis=1), rank == unknowns
+    count, dim = len(values), a.shape[1]
+    side = dim + 1
+    unknowns = side * side
+    u = np.hstack([-2.0 * a, np.ones((len(a), 1))])
+    v = np.hstack([c, np.ones((len(c), 1))])
+    n_obs = mask.reshape(count, -1).sum(axis=1)
+    ok = n_obs >= unknowns
+    rhs = np.where(mask[ok], values[ok]**2 - (a**2).sum(axis=1)[:, None] - (c**2).sum(axis=1),
+                   0.0)
+    # gram[(i, j), (i', j')] = Σₘ uₘᵢ uₘᵢ' Σₖ maskₘₖ vₖⱼ vₖⱼ', as stacked products
+    outer_u = np.ascontiguousarray((u[:, :, None] * u[:, None, :]).reshape(len(a), -1).T)
+    outer_v = (v[:, :, None] * v[:, None, :]).reshape(len(c), unknowns)
+    gram = (outer_u @ (mask[ok].astype(float) @ outer_v)).reshape(-1, side, side, side, side)
+    gram = gram.transpose(0, 1, 3, 2, 4).reshape(-1, unknowns, unknowns)
+    moment = (u.T @ (rhs @ v)).reshape(-1, unknowns)
+    diagonal = np.diagonal(gram, axis1=1, axis2=2)
+    scale = np.divide(1.0, np.sqrt(diagonal), out=np.zeros_like(diagonal), where=diagonal > 0.0)
+    gram *= scale[:, :, None] * scale[:, None, :]
+    eig = np.linalg.eigvalsh(gram)
+    full = eig[:, 0] > JOINT_START_RCOND * eig[:, -1]
+    ok[np.flatnonzero(ok)[~full]] = False
+    scale = scale[full]
+    theta = scale * np.linalg.solve(gram[full], (moment[full] * scale)[..., None])[..., 0]
+    theta = theta.reshape(-1, side, side)
     failed = [None] * count
     for b in np.flatnonzero(~ok):
         failed[b] = (InsufficientMeasurementsError(
@@ -770,9 +797,9 @@ def _joint_start(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
             DegenerateGeometryError("observed ranges do not determine a joint start"))
     rotations = np.full((count, dim, dim), np.nan)
     translations = np.full((count, dim), np.nan)
-    u, vt = _proper_svd(theta[ok, :dim * dim].reshape(-1, dim, dim))
-    rotations[ok] = u @ vt
-    translations[ok] = theta[ok, dim * dim:dim * dim + dim]
+    u_rot, vt = _proper_svd(theta[:, :dim, :dim])
+    rotations[ok] = u_rot @ vt
+    translations[ok] = theta[:, :dim, dim]
     return rotations, translations, failed
 
 

@@ -411,20 +411,37 @@ def random_rotation(rng: np.random.Generator, dim: int) -> np.ndarray:
 
     2D draws a uniform angle; 3D draws a uniform unit quaternion (normalized
     Gaussian 4-vector) and converts it. Deterministic given the generator
-    state.
+    state; ``_drawn_rotations`` builds the same matrices for a stack of
+    ``_rotation_draw`` draws.
     """
+    return _drawn_rotations(_rotation_draw(rng, dim)[None])[0]
+
+
+def _rotation_draw(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """The numbers ``random_rotation`` draws: a 1-vector holding an angle
+    uniform in [0, 2π) in 2D, four standard normals in 3D."""
     if dim == 2:
-        return rotation_2d(rng.uniform(0.0, 2.0 * np.pi))
+        return np.array([rng.uniform(0.0, 2.0 * np.pi)])
     if dim == 3:
-        q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        w, x, y, z = q
-        return np.array([
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ])
+        return rng.normal(size=4)
     raise ValueError("dim must be 2 or 3")
+
+
+def _drawn_rotations(draws: np.ndarray) -> np.ndarray:
+    """Rotations of B stacked ``_rotation_draw`` draws (B x 1 or B x 4):
+    each angle's planar rotation, or the rotation of each normalized
+    quaternion. The norm is a stacked dot product of each draw with
+    itself, which numpy computes as ``np.linalg.norm`` does (one BLAS dot
+    per draw)."""
+    if draws.shape[1] == 1:
+        return _exp_rotations(draws)
+    q = draws[:, None, :]
+    w, x, y, z = (draws / np.sqrt((q @ np.swapaxes(q, 1, 2))[:, 0])).T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    ], axis=-1).reshape(-1, 3, 3)
 
 
 def cross_matrix(omega) -> np.ndarray:

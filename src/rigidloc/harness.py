@@ -23,8 +23,8 @@ import numpy as np
 from .completion import _congruent_fill_batch, complete_edm
 from .estimators import _joint_start, _motion_fits
 from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
-from .geometry import Conformation, random_rotation, squared_distances
-from .geometry import _check_poses, _node_velocities, _place
+from .geometry import Conformation, squared_distances
+from .geometry import _check_poses, _drawn_rotations, _node_velocities, _place, _rotation_draw
 from .measurement import AnchorSet, MaskedRangeMatrix, _range_rates, assemble_partial_edm
 from .measurement import simulate_ranges  # noqa: F401 - callers wrap harness.simulate_ranges
 from .placement import (
@@ -484,7 +484,7 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
     body1 = AnchorSet(conf.coords)
 
     def draw_pose(rng):
-        rot = random_rotation(rng, config.dim)
+        rot = _rotation_draw(rng, config.dim)
         direction = rng.normal(size=config.dim)
         direction /= np.linalg.norm(direction)
         return rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction
@@ -508,9 +508,10 @@ def _motion_errors(estimate, truth):
 
 
 def _point_motion(config, anchors, sweep_idx, sigma, sensors):
-    """Each trial draws its rotation, translation, omega, t_dot and rate
-    noise; each block is checked as ``Pose`` and ``BodyMotion`` check, one
-    check at a time, and its rates simulated and fitted at the true poses."""
+    """Each trial draws its rotation (its ``_rotation_draw``), translation,
+    omega, t_dot and rate noise; each block builds its rotations at once,
+    is checked as ``Pose`` and ``BodyMotion`` check, one check at a time,
+    and has its rates simulated and fitted at the true poses."""
     conf = _resolve_conformation(config, sensors)
     draw_pose = uniform_pose(anchors.positions.mean(axis=0), POSE_SPREAD)
     shape = (anchors.num_anchors, conf.num_nodes)
@@ -524,6 +525,7 @@ def _point_motion(config, anchors, sweep_idx, sigma, sensors):
         trial_rng = functools.partial(_trial_rng, config.master_seed, sweep_idx)
         for rot, trans, omegas, t_dots, noise in trial_blocks(conf, config.trials,
                                                               trial_rng, draw):
+            rot = _drawn_rotations(rot)
             _check_poses(rot, trans)
             for name, values in (("t_dot", t_dots), ("omega", omegas)):
                 if not np.isfinite(values).all():

@@ -26,9 +26,10 @@ from .geometry import (
     Conformation,
     Pose,
     _check_poses,
+    _drawn_rotations,
     _place,
     _rotation_angles,
-    random_rotation,
+    _rotation_draw,
 )
 from .measurement import AnchorSet, _check_observed, _ranges
 
@@ -193,10 +194,11 @@ def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,
 
 
 def uniform_pose(center: np.ndarray, spread: float):
-    """Pose draw for ``range_blocks``: a uniform random rotation, then a
-    translation uniform within ``spread`` meters per axis of ``center``."""
+    """Pose draw for ``range_blocks``: the ``_rotation_draw`` of a uniform
+    random rotation, then a translation uniform within ``spread`` meters
+    per axis of ``center``."""
     dim = len(center)
-    return lambda rng: (random_rotation(rng, dim),
+    return lambda rng: (_rotation_draw(rng, dim),
                         center + rng.uniform(-spread, spread, dim))
 
 
@@ -206,9 +208,11 @@ def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
     ``trial_blocks``, for ``error_statistics``.
 
     Each trial draws its true rotation and translation by
-    ``draw_pose(rng)``, then, with ``sigma`` > 0, the noise of each of its
-    M x K ranges and, with ``fraction`` > 0, one uniform number per range,
-    which drops the range when below ``fraction``. Each block is then
+    ``draw_pose(rng)``, the rotation as its ``_rotation_draw``, then, with
+    ``sigma`` > 0, the noise of each of its M x K ranges and, with
+    ``fraction`` > 0, one uniform number per range, which drops the range
+    when below ``fraction``. Each block then builds its rotations with
+    ``_drawn_rotations``, as ``random_rotation`` builds each, and is
     placed, ranged and checked at once, as ``Pose`` and
     ``MaskedRangeMatrix`` check, and yields ((rotations, translations),
     (values, mask)): B x D x D, B x D and two B x M x K arrays, the values
@@ -223,6 +227,7 @@ def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
                 rng.random(shape) if fraction > 0 else None)
 
     for rotations, translations, noise, draws in trial_blocks(conf, trials, trial_rng, draw):
+        rotations = _drawn_rotations(rotations)
         _check_poses(rotations, translations)
         values = _ranges(anchors.positions, _place(conf.coords, rotations, translations), noise)
         mask = draws >= fraction if fraction > 0 else np.ones(values.shape, dtype=bool)

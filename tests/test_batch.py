@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rigidloc import estimators
+from rigidloc import estimators, placement
 from rigidloc.completion import _congruent_fill_batch
 from rigidloc.estimators import (
     DegenerateGeometryError,
@@ -46,7 +46,7 @@ from rigidloc.measurement import (
     _range_rates,
     simulate_ranges,
 )
-from rigidloc.placement import range_blocks
+from rigidloc.placement import range_blocks, uniform_pose
 
 
 def ranges_to(anchors, point):
@@ -373,23 +373,23 @@ class TestRefinePoses:
 
 class TestGaussNewtonKernel:
     """``estimators._gauss_newton`` evaluates its model once per iteration,
-    and ``_backtrack`` halves only the steps that raise the objective by
-    more than rounding."""
+    linearizes it only where the fit goes on, and ``_backtrack`` halves
+    only the steps that raise the objective by more than rounding."""
 
     @staticmethod
     def count_evaluations(monkeypatch, model_name):
         """Wrap the model ``model_name`` builds and ``_backtrack``; returns
         per-problem counts: ``linearized``, ``evaluated`` (calls of
         ``residuals`` that include the problem), ``backtracked`` (halved
-        steps) and ``resumed`` (halved steps after which the problem goes
-        on)."""
+        steps), ``resumed`` (halved steps after which the problem goes
+        on) and ``ended`` (full steps below GN_STEP_TOL)."""
         counts = {}
         build, backtrack = getattr(estimators, model_name), estimators._backtrack
 
         def counting_model(*args):
             residuals, linearize = build(*args)
             size = len(args[-1])
-            for name in ("linearized", "evaluated", "backtracked", "resumed"):
+            for name in ("linearized", "evaluated", "backtracked", "resumed", "ended"):
                 counts[name] = np.zeros(size, dtype=int)
 
             def counted_residuals(x, rows):
@@ -401,12 +401,14 @@ class TestGaussNewtonKernel:
                 return linearize(x, rows)
             return counted_residuals, counted_linearize
 
-        def counting_backtrack(x, step, residuals, rows, obj, objective):
-            scale, *rest = backtrack(x, step, residuals, rows, obj, objective)
+        def counting_backtrack(x, step, norm, residuals, rows, obj, objective):
+            assert np.array_equal(norm, np.sqrt((step**2).sum(axis=1)))
+            scale, *rest = backtrack(x, step, norm, residuals, rows, obj, objective)
             halved = scale < 1.0
-            moved = scale * np.sqrt((step**2).sum(axis=1))
             np.add.at(counts["backtracked"], rows[halved], 1)
-            np.add.at(counts["resumed"], rows[halved & (moved >= estimators.GN_STEP_TOL)], 1)
+            np.add.at(counts["resumed"],
+                      rows[halved & (scale * norm >= estimators.GN_STEP_TOL)], 1)
+            np.add.at(counts["ended"], rows[norm < estimators.GN_STEP_TOL], 1)
             return scale, *rest
 
         monkeypatch.setattr(estimators, model_name, counting_model)
@@ -415,8 +417,14 @@ class TestGaussNewtonKernel:
 
     @staticmethod
     def assert_one_evaluation_per_iteration(counts, iterations, converged):
-        assert np.array_equal(counts["linearized"], iterations + 1 + counts["resumed"])
-        assert np.all(counts["evaluated"] <= 2 * counts["backtracked"])
+        # a full step below tolerance ends the fit, so its problem is not
+        # linearized there; only a problem that ended at an untested point
+        # is evaluated once more, for its final objective
+        assert counts["ended"].sum() > 0
+        assert np.all(counts["ended"] <= converged)
+        assert np.array_equal(counts["linearized"],
+                              iterations + 1 + counts["resumed"] - counts["ended"])
+        assert np.all(counts["evaluated"] <= counts["backtracked"] + converged)
         # near a minimum at 0.1 m noise a step changes the objective by
         # rounding, which the step test lets through
         assert counts["backtracked"][converged].sum() <= 0.01 * iterations[converged].sum()
@@ -493,21 +501,51 @@ class TestGaussNewtonKernel:
 
     def test_step_below_tolerance_is_taken_whole(self):
         """A full step below GN_STEP_TOL ends the fit at scale 1, though
-        it raises the objective, with no further evaluation."""
-        evaluated = []
+        it raises the objective: its residuals are evaluated once, for the
+        final objective, and it is neither halved nor linearized."""
+        evaluated, linearized = [], []
         residuals, linearize = self.scalar_model(lambda x: x, lambda x: -np.ones_like(x))
 
         def counted(x, rows):
-            evaluated.append(len(x))
+            evaluated.append(x.copy())
             return residuals(x, rows)
+
+        def counted_linearize(x, rows):
+            linearized.append(x.copy())
+            return linearize(x, rows)
 
         x0 = 0.25 * estimators.GN_STEP_TOL
         x, obj, iterations, converged = estimators._gauss_newton(
-            np.array([[x0]]), counted, linearize)
+            np.array([[x0]]), counted, counted_linearize)
         assert x[0, 0] == 2.0 * x0
         assert obj[0] == (2.0 * x0) ** 2
         assert iterations[0] == 1 and converged[0]
-        assert evaluated == []
+        assert [p.tolist() for p in linearized] == [[[x0]]]
+        assert [p.tolist() for p in evaluated] == [[[2.0 * x0]]]
+
+    def test_only_going_problems_are_linearized(self):
+        """x³ = 1 from 1 + 1e-13 ends on its first step, which is below
+        GN_STEP_TOL, while the problem from 2 takes several: after the
+        start, every linearization is of the second problem alone, and the
+        first ends where Newton's step puts it."""
+        linearized = []
+        residuals, linearize = self.scalar_model(lambda x: x**3 - 1.0,
+                                                 lambda x: 3.0 * x**2)
+
+        def counted_linearize(x, rows):
+            linearized.append(rows.tolist())
+            return linearize(x, rows)
+
+        start = np.array([[1.0 + 1e-13], [2.0]])
+        x, obj, iterations, converged = estimators._gauss_newton(
+            start, residuals, counted_linearize)
+        assert converged.all() and iterations[0] == 1 and iterations[1] > 3
+        step = -(start[0, 0] ** 3 - 1.0) / (3.0 * start[0, 0] ** 2)
+        assert x[0, 0] == start[0, 0] + step
+        assert obj[0] == (x[0, 0] ** 3 - 1.0) ** 2
+        assert linearized[0] == [0, 1]
+        assert all(rows == [1] for rows in linearized[1:])
+        assert len(linearized) == iterations[1]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -838,13 +876,32 @@ class TestStackedChecks:
         assert raised(_check_observed, values, mask, True) == \
             raised(MaskedRangeMatrix, values[2], mask[2])
 
-    def test_range_blocks_check_the_drawn_poses(self):
-        """A block whose draw yields a reflection fails as ``Pose`` does."""
+    def test_range_blocks_check_the_drawn_poses(self, monkeypatch):
+        """A block whose rotations include a reflection fails as ``Pose``
+        does."""
         anchors, conf = cube_anchor_layout(8), box_vehicle_conformation(4)
         reflection = np.diag([1.0, 1.0, -1.0])
+        build = placement._drawn_rotations
 
-        def draw_pose(rng):
-            return (reflection if rng.random() < 0.1 else random_rotation(rng, 3),
-                    rng.uniform(-5.0, 5.0, 3))
-        blocks = range_blocks(anchors, conf, 100, np.random.default_rng, draw_pose, 0.1)
+        def with_reflections(draws):
+            rotations = build(draws)
+            rotations[draws[:, 0] < -1.5] = reflection
+            return rotations
+        monkeypatch.setattr(placement, "_drawn_rotations", with_reflections)
+        blocks = range_blocks(anchors, conf, 100, np.random.default_rng,
+                              uniform_pose(np.zeros(3), 5.0), 0.1)
         assert raised(lambda: list(blocks)) == raised(Pose, reflection, np.zeros(3))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_block_rotations_match_random_rotation(self, dim):
+        """``range_blocks`` builds each block's rotations at once from the
+        trials' draws, bit for bit as ``random_rotation`` builds each from
+        the same generator state."""
+        anchors = cube_anchor_layout(8, dim)
+        conf = box_vehicle_conformation(8, dim)
+        blocks = range_blocks(anchors, conf, 100, np.random.default_rng,
+                              uniform_pose(np.zeros(dim), 5.0), 0.1, 0.3)
+        rotations = np.concatenate([truth[0] for truth, _ in blocks])
+        assert len(rotations) == 100
+        assert np.array_equal(rotations, np.stack([
+            random_rotation(np.random.default_rng(t), dim) for t in range(100)]))

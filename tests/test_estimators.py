@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rigidloc.estimators import (
+    JOINT_START_RCOND,
     DegenerateGeometryError,
     InsufficientMeasurementsError,
     _joint_start,
@@ -350,6 +351,84 @@ class TestJointStart:
         _, _, (err,) = _joint_start(anchors, conf, values[None],
                                     np.ones((1,) + values.shape, dtype=bool))
         assert isinstance(err, DegenerateGeometryError)
+
+    @staticmethod
+    def lstsq_start(anchors, conf, values, mask):
+        """One trial's start by ``np.linalg.lstsq`` at its default cutoff,
+        on the design of one explicit row per observed range (R row-major,
+        t, w, τ): the error class (None where the rank is full), the proper
+        rotation nearest the fitted R, the fitted t and the equilibrated
+        design's squared singular value ratio."""
+        a, c = anchors.positions, conf.coords
+        dim = a.shape[1]
+        rows, rhs = [], []
+        for m, k in zip(*np.nonzero(mask)):
+            rows.append(np.concatenate([-2.0 * np.outer(a[m], c[k]).ravel(), -2.0 * a[m],
+                                        2.0 * c[k], [1.0]]))
+            rhs.append(values[m, k] ** 2 - a[m] @ a[m] - c[k] @ c[k])
+        design = np.array(rows).reshape(-1, dim * dim + 2 * dim + 1)
+        theta, _, rank, _ = np.linalg.lstsq(design, np.array(rhs), rcond=None)
+        norms = np.linalg.norm(design, axis=0)
+        svals = np.linalg.svd(design / np.where(norms > 0, norms, 1.0), compute_uv=False)
+        ratio = (svals[-1] / svals[0]) ** 2 if len(svals) == design.shape[1] else 0.0
+        if len(rows) < design.shape[1]:
+            return InsufficientMeasurementsError, None, None, ratio
+        if rank < design.shape[1]:
+            return DegenerateGeometryError, None, None, ratio
+        u, _, vt = np.linalg.svd(theta[:dim * dim].reshape(dim, dim))
+        u[:, -1] *= np.sign(np.linalg.det(u @ vt))
+        return type(None), u @ vt, theta[dim * dim:dim * dim + dim], ratio
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("nodes", [4, 8])
+    @pytest.mark.parametrize("fraction", [0.3, 0.5, 0.7])
+    def test_matches_lstsq(self, dim, nodes, fraction):
+        """Trial by trial on noisy masked blocks, the start classifies as
+        ``lstsq`` does and, where both start, gives the same pose."""
+        anchors, conf, _, values, mask = self.block(dim, nodes, 120, fraction, 63)
+        values = np.abs(values + np.random.default_rng(64).normal(0.0, 0.1, values.shape))
+        rotations, translations, failed = _joint_start(anchors, conf, values, mask)
+        kinds = set()
+        for t, err in enumerate(failed):
+            kind, rot, trans, _ = self.lstsq_start(anchors, conf, values[t], mask[t])
+            assert type(err) is kind
+            kinds.add(kind)
+            if err is None:
+                assert np.allclose(rotations[t], rot, rtol=0.0, atol=1e-9)
+                assert np.allclose(translations[t], trans, rtol=0.0, atol=1e-9)
+        # these cells mix starting, too few and rank-deficient trials
+        if (dim, nodes, fraction) in {(2, 4, 0.7), (3, 4, 0.5), (3, 8, 0.7)}:
+            assert kinds == {type(None), InsufficientMeasurementsError,
+                             DegenerateGeometryError}
+
+    def test_conditioning_bound_decides_near_singular_trials(self):
+        """A plate body is singular; lifting one node by ε out of its plane
+        makes the equilibrated design's squared singular value ratio grow
+        as ε². At 0.9 and 1.1 times the ε where that ratio reaches
+        JOINT_START_RCOND, ``lstsq`` starts both trials; the bound starts
+        only the one above it."""
+        anchors = cube_anchor_layout(8, 3)
+        plate = np.column_stack([box_vehicle_conformation(16, 2).coords, np.full(16, 0.4)])
+
+        def trial(eps):
+            coords = plate.copy()
+            coords[0, 2] += eps
+            conf = Conformation(coords)
+            values = simulate_ranges(anchors, apply_pose(conf, Pose.identity(3)), 0.0).values
+            mask = np.ones(values.shape, dtype=bool)
+            return conf, values, mask, self.lstsq_start(anchors, conf, values, mask)
+
+        low, high = 1e-9, 1.0
+        for _ in range(60):
+            mid = np.sqrt(low * high)
+            low, high = (mid, high) if trial(mid)[3][3] < JOINT_START_RCOND else (low, mid)
+        for eps, starts in ((0.9 * low, False), (1.1 * low, True)):
+            conf, values, mask, (kind, _, _, ratio) = trial(eps)
+            assert kind is type(None)
+            assert (ratio > 1.1 * JOINT_START_RCOND) if starts \
+                else (ratio < 0.9 * JOINT_START_RCOND)
+            _, _, (err,) = _joint_start(anchors, conf, values[None], mask[None])
+            assert (err is None) if starts else isinstance(err, DegenerateGeometryError)
 
     def test_ranges_from_one_anchor(self):
         """Twenty ranges from one anchor outnumber the 16 unknowns, but

@@ -345,9 +345,11 @@ class TestRunExperiment:
         draw_pose, drawn = harness.uniform_pose, []
 
         def on_anchor_third(center, spread):
+            # the quaternion (1, 0, 0, 0) draws the identity rotation
             def draw(rng):
                 drawn.append(draw_pose(center, spread)(rng))
-                return (pose.rotation, offset) if len(drawn) == 3 else drawn[-1]
+                return (np.array([1.0, 0.0, 0.0, 0.0]), offset) if len(drawn) == 3 \
+                    else drawn[-1]
             return draw
         monkeypatch.setattr(harness, "uniform_pose", on_anchor_third)
         with pytest.raises(ValueError) as swept:

@@ -145,9 +145,10 @@ def test_one_pin_loop():
 
 
 def test_one_copy_of_each_numeric_kernel():
-    """The package's SVDs are the affine hull, the pseudo-inverse (of the
-    linearized fix's factor and of the joint start) and the nearest proper
-    rotation (Kabsch, ``Pose.from_matrix`` and the joint start); the
+    """The package's SVDs are the affine hull, the pseudo-inverse of the
+    linearized fix's factor and the nearest proper rotation (Kabsch,
+    ``Pose.from_matrix`` and the joint start, which solves its normal
+    equations and reads one conditioning bound); the
     rotation exp map is the one ``np.sinc`` user; the velocity fit takes
     its rank from the solve instead of a second SVD; and one stacked
     helper, which ``Pose`` and the Monte-Carlo blocks call, checks
@@ -158,7 +159,8 @@ def test_one_copy_of_each_numeric_kernel():
         return {f"{m}.{f}" for m, tree in modules.items() for f in readers(tree, name)}
     assert users("np.linalg.svd") == {"geometry.affine_basis", "geometry._pseudo_inverse",
                                       "geometry._proper_svd"}
-    assert users("_pseudo_inverse") == {"geometry._linear_factor", "estimators._joint_start"}
+    assert users("_pseudo_inverse") == {"geometry._linear_factor"}
+    assert users("JOINT_START_RCOND") == {"estimators._joint_start"}
     assert users("np.sinc") == {"geometry._exp_rotations"}
     assert not users("np.linalg.matrix_rank") & {"estimators.estimate_motion",
                                                   "estimators._motion_fits"}
