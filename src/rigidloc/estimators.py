@@ -408,45 +408,69 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
         live[i] = False
 
     hits = obs & (dists == 0.0) & live[:, None]
-    exact = np.flatnonzero(hits.any(axis=1))
-    position[exact] = anchors[hits[exact].argmax(axis=1)]
-    rms[exact] = np.sqrt((_range_residuals(
-        position[exact], anchors, dists[exact], obs[exact]) ** 2).sum(axis=-1)
-        / n_obs[exact])
-    converged[exact] = True
-    live[exact] = False
+    if hits.any():
+        exact = np.flatnonzero(hits.any(axis=1))
+        position[exact] = anchors[hits[exact].argmax(axis=1)]
+        rms[exact] = np.sqrt((_range_residuals(
+            position[exact], anchors, dists[exact], obs[exact]) ** 2).sum(axis=-1)
+            / n_obs[exact])
+        converged[exact] = True
+        live[exact] = False
 
-    # Per observation pattern, by the rank of the observed anchors: full
-    # rank starts Gauss-Newton from the linearized fix, one short starts it
-    # from both mirror candidates, anything less cannot be fixed.
+    # Per rank and count of the observed anchors, over every pattern that
+    # shares them: full rank starts Gauss-Newton from the linearized fix,
+    # one short starts it from both mirror candidates, anything less cannot
+    # be fixed. Each problem applies its own pattern's cached geometry.
     owner, second, start = [], [], []
     todo = np.flatnonzero(live)
-    patterns, which, keys = _pattern_groups(obs[todo])
-    for p, (pattern, key) in enumerate(zip(patterns, keys)):
-        cols = todo[which == p]
-        # selecting columns leaves the rows strided; the sums need them contiguous
-        d_obs = np.ascontiguousarray(dists[cols][:, pattern])
-        sub = _subset_geometry(anchors, key)
-        if sub.rank == dim:
-            owner.append(cols)
-            second.append(np.zeros(cols.size, dtype=bool))
-            start.append(_apply_linear_factor(sub.factor, d_obs)[0])
-        elif sub.rank == dim - 1:
-            # solve within the anchors' hyperplane, then place the
-            # out-of-plane component on both sides
-            y = _apply_linear_factor(sub.plane_factor, d_obs)[0]
-            off = squared_distances(y, sub.plane_points)
-            z = np.sqrt(np.maximum((d_obs**2 - off).sum(axis=-1) / sub.points.shape[0],
-                                   0.0))[:, None]
-            base = sub.points[0] + (y[:, None, :] @ sub.in_plane)[:, 0]
-            owner += [cols, cols]
-            second += [np.zeros(cols.size, dtype=bool), np.ones(cols.size, dtype=bool)]
-            start += [base + z * sub.normal, base - z * sub.normal]
-            ambiguous[cols] = True
-        else:
+    _, which, keys = _pattern_groups(obs[todo])
+    subs = [_subset_geometry(anchors, key) for key in keys]
+    groups = {}
+    for p, sub in enumerate(subs):
+        groups.setdefault((sub.rank, sub.points.shape[0]), []).append(p)
+    group_of, slot = np.empty((2, len(subs)), dtype=int)
+    for g, members in enumerate(groups.values()):
+        group_of[members], slot[members] = g, np.arange(len(members))
+    col_group = group_of[which]
+    for g, ((rank, count), members) in enumerate(groups.items()):
+        chosen = col_group == g
+        cols = todo[chosen]
+        if rank < dim - 1:
             for i in cols:
                 errors[i] = DegenerateGeometryError(
                     "observed anchors span too few dimensions for a point fix")
+            continue
+        pick = slot[which[chosen]]
+
+        def per_problem(arrays):
+            # one array per pattern to one per problem; a lone pattern's
+            # array broadcasts as it is
+            return arrays[0] if len(arrays) == 1 else np.stack(arrays)[pick]
+
+        group = [subs[p] for p in members]
+        d_obs = dists[cols][obs[cols]].reshape(-1, count)
+        if rank == dim:
+            factor = (per_problem([sub.factor[0] for sub in group]),
+                      per_problem([sub.factor[1] for sub in group]), rank)
+            owner.append(cols)
+            second.append(np.zeros(cols.size, dtype=bool))
+            start.append(_apply_linear_factor(factor, d_obs)[0])
+        else:
+            # solve within the anchors' hyperplane, then place the
+            # out-of-plane component on both sides
+            factor = (per_problem([sub.plane_factor[0] for sub in group]),
+                      per_problem([sub.plane_factor[1] for sub in group]), rank)
+            y = _apply_linear_factor(factor, d_obs)[0]
+            off = squared_distances(
+                y[:, None], per_problem([sub.plane_points for sub in group]))[:, 0]
+            z = np.sqrt(np.maximum((d_obs**2 - off).sum(axis=-1) / count, 0.0))[:, None]
+            base = (per_problem([sub.points[0] for sub in group])
+                    + (y[:, None, :] @ per_problem([sub.in_plane for sub in group]))[:, 0])
+            normal = per_problem([sub.normal for sub in group])
+            owner += [cols, cols]
+            second += [np.zeros(cols.size, dtype=bool), np.ones(cols.size, dtype=bool)]
+            start += [base + z * normal, base - z * normal]
+            ambiguous[cols] = True
 
     if owner:
         owner, second = np.concatenate(owner), np.concatenate(second)

@@ -8,6 +8,8 @@ measurement for a distance of zero.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,6 +30,15 @@ from .geometry import _freeze
 # Minimum anchor separation: coincident anchors carry no extra information
 # and break direction computations.
 MIN_ANCHOR_SEPARATION = 1e-9
+
+# Tolerances of the occlusion hull relative to the body's extent E (see
+# ``_hull_equations``): a point within HULL_RTOL * E of a candidate facet
+# plane counts as on it, and r points span a candidate plane only when its
+# normal (a difference in 2D, a cross product in 3D) is at least
+# HULL_SPAN_RTOL * E**(r - 1) long. The normal of coincident or collinear
+# points is rounding, about 1e-15 * E**(r - 1), and so is its direction.
+HULL_RTOL = 1e-9
+HULL_SPAN_RTOL = 1e-6
 
 
 def wrap_angle(angle):
@@ -197,8 +208,9 @@ class AngleMeasurements:
 class HullOcclusion:
     """Visibility model where the convex hull of each body blocks the path.
 
-    Each body's hull is computed once, here, and shared by every
-    anchor-to-node segment tested against it.
+    Each body's hull is computed once, here, in numpy (``_hull_equations``
+    enumerates its facet planes), and shared by every anchor-to-node
+    segment tested against it.
     """
 
     def __init__(self, *bodies: PlacedBody):
@@ -232,27 +244,99 @@ def _hull_equations(points: np.ndarray):
     equations [n | c] whose values n.x + c are the coordinates of x off
     the set's affine hull, and ``facets`` bound the set within that hull,
     their normals in it (none for a point).
-    """
-    # scipy.spatial takes most of the package's import time and only
-    # occlusion needs it.
-    from scipy.spatial import ConvexHull, QhullError
 
-    try:
-        return ConvexHull(points).equations, None
-    except QhullError:
-        pass
-    center, directions, rank = affine_basis(points, tol=1e-12)
-    inside, outside = directions[:rank], directions[rank:]
-    coords = (points - center) @ inside.T
-    if rank > 1:
-        equations = ConvexHull(coords).equations
-    elif rank == 1:
-        equations = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+    The facets are enumerated (``_supporting_planes``): the plane through
+    every r-subset of the K points is tested against all K of them, so the
+    cost is C(K, r) * K plane evaluations, 1,140 planes x 20 points for the
+    largest built-in body (the 20-node box vehicle). The tolerances scale
+    with the set's extent, its largest coordinate offset from the first
+    point. A set is flat when some candidate plane has every point on it;
+    its rank and hull are then found the same way in its principal axes
+    (``affine_basis``), a rod's as its two end points.
+    """
+    origin = points[0]
+    shifted = points - origin
+    extent = np.abs(shifted).max()
+    planes = _supporting_planes(shifted, extent)
+    if planes is not None:
+        normals, offsets = planes
+        return np.column_stack([normals, offsets - normals @ origin]), None
+    dim = points.shape[1]
+    center, directions, _ = affine_basis(points)
+    coords = (points - center) @ directions.T
+    planes = _supporting_planes(coords[:, :2], extent) if dim == 3 else None
+    if planes is not None:
+        rank, (normals, offsets) = 2, planes
     else:
-        equations = np.zeros((0, 1))
-    normals = equations[:, :-1] @ inside
-    facets = np.column_stack([normals, equations[:, -1] - normals @ center])
+        lo, hi = coords[:, 0].min(), coords[:, 0].max()
+        rank = int(hi - lo > HULL_RTOL * extent)
+        normals = np.array([[1.0], [-1.0]]) if rank else np.zeros((0, 0))
+        offsets = np.array([-hi, lo]) if rank else np.zeros(0)
+    inside, outside = directions[:rank], directions[rank:]
+    normals = normals @ inside
+    facets = np.column_stack([normals, offsets - normals @ center])
     return facets, np.column_stack([outside, -outside @ center])
+
+
+@functools.lru_cache(maxsize=32)
+def _subset_terms(k: int, r: int):
+    """Index arrays of the candidate facet planes of K points in r = 2 or 3
+    dimensions, one plane per r-subset i < j (< m), in the order
+    ``itertools.combinations`` gives them. ``terms`` picks the rows of
+    ``_supporting_planes``'s table whose sum is each plane's normal,
+    n = perp(p_j) - perp(p_i) in 2D and n = p_i x p_j + p_j x p_m +
+    p_m x p_i in 3D; ``first`` is the flat index, in a K x C array of
+    values, of each plane's first point. Both are read-only."""
+    subsets = np.array(list(itertools.combinations(range(k), r)),
+                       dtype=np.intp).reshape(-1, r)
+    if r == 2:
+        terms = np.stack([subsets[:, 1], k + subsets[:, 0]])
+    else:
+        i, j, m = subsets.T
+        terms = np.stack([i * k + j, j * k + m, m * k + i])
+    first = subsets[:, 0] * len(subsets) + np.arange(len(subsets))
+    return _freeze(terms), _freeze(first)
+
+
+def _supporting_planes(coords: np.ndarray, extent: float):
+    """Unit outward normals (F x r) and offsets (F) of the facets of the K
+    points ``coords`` (K x r, r = 2 or 3) of the given ``extent``, or None
+    when they span less than r dimensions (or are fewer than r + 1).
+
+    A candidate is the plane through an r-subset whose normal is at least
+    HULL_SPAN_RTOL * extent**(r - 1) long. It is a facet when every point
+    lies on one side of it within HULL_RTOL * extent, and the set is flat
+    when all points lie on one. Of the facets with the same points on them
+    (within that tolerance), the one with the longest normal is kept.
+    """
+    k, r = coords.shape
+    terms, first = _subset_terms(k, r)
+    if r == 2:
+        perp = coords[:, ::-1] * [1.0, -1.0]
+        table = np.concatenate([perp, -perp])
+    else:
+        # every pairwise cross product p_a x p_b, row a * K + b
+        a, b = coords[:, [1, 2, 0]], coords[:, [2, 0, 1]]
+        table = (a[:, None] * b - b[:, None] * a).reshape(-1, 3)
+    normals = table.take(terms, axis=0).sum(axis=0)
+    size = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    values = coords @ normals.T
+    at_first = values.take(first)
+    values -= at_first
+    lim = HULL_RTOL * extent * size
+    above = values.max(axis=0) > lim
+    below = values.min(axis=0) < -lim
+    spans = size > HULL_SPAN_RTOL * extent ** (r - 1)
+    facets = np.flatnonzero(spans & (above != below))
+    if not facets.size or (spans & ~above & ~below).any():
+        return None
+    facets = facets[np.argsort(-size[facets], kind="stable")]
+    # the points on each plane, packed to bytes, one row per plane
+    on = np.packbits(np.abs(values[:, facets]).T <= lim[facets, None], axis=1)
+    facets = facets[np.unique(on.view(np.dtype((np.void, on.shape[1]))).ravel(),
+                              return_index=True)[1]]
+    scale = np.where(above[facets], -1.0, 1.0) / size[facets]
+    return normals[facets] * scale[:, None], -at_first[facets] * scale
 
 
 def _facet_values(normals, offsets, points) -> np.ndarray:

@@ -3,6 +3,7 @@ two-stage estimator, the stage-3 pose refinement, the joint start, the
 velocity fit, the batched congruent start, the stacked pose and range
 checks, and their agreement with one-at-a-time calls."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -137,6 +138,44 @@ class TestMatrixMultilaterate:
         assert kinds == expected
         solved = [e is None for e in fix.errors]
         assert fix.iterations == int(fix.point_iterations[solved].sum())
+
+    def test_one_linear_start_per_rank_and_count(self, monkeypatch):
+        """Columns whose observed anchors differ but share their rank and
+        count take their linearized starts together, each from its own
+        pattern's factor: one call for 21 patterns of five anchors in
+        general position, one for 15 of four, one for the 4 mirror patterns
+        of three anchors in a plane, and every column is fixed as a
+        one-column call fixes it."""
+        rng = np.random.default_rng(112)
+        anchors = AnchorSet(np.concatenate([rng.uniform(-20, 20, (7, 3)),
+                                            np.column_stack([rng.uniform(-20, 20, (4, 2)),
+                                                             np.zeros(4)])]))
+        general, plane = np.arange(7), np.arange(7, 11)
+        picks = ([list(c) for c in itertools.combinations(general, 5)]
+                 + [list(c) for c in itertools.combinations(general[:6], 4)]
+                 + [list(c) for c in itertools.combinations(plane, 3)])
+        mask = np.zeros((11, len(picks)), dtype=bool)
+        for b, pick in enumerate(picks):
+            mask[pick, b] = True
+        truth = rng.uniform(-5, 5, (len(picks), 3)) + [0.0, 0.0, 3.0]
+        values = np.linalg.norm(anchors.positions[:, None] - truth, axis=2)
+        values = np.where(mask, values + rng.normal(0, 0.05, values.shape), np.nan)
+        calls = []
+        apply_factor = estimators._apply_linear_factor
+
+        def counted(factor, dists):
+            calls.append(len(dists))
+            return apply_factor(factor, dists)
+
+        monkeypatch.setattr(estimators, "_apply_linear_factor", counted)
+        fix = multilaterate(anchors, values, mask)
+        assert sorted(calls) == [4, 15, 21]
+        assert fix.ambiguous.sum() == 4
+        monkeypatch.setattr(estimators, "_apply_linear_factor", apply_factor)
+        for b in range(len(picks)):
+            one = multilaterate(anchors, values[:, b], mask[:, b])
+            assert np.array_equal(fix.position[b], one.position)
+            assert fix.residual_rms[b] == one.residual_rms
 
     def test_vector_is_the_one_column_case(self):
         anchors = AnchorSet([[0.0, 0.0], [4.0, 0.0], [0.0, 3.0]])

@@ -17,10 +17,12 @@ from rigidloc.geometry import (
     Conformation,
     PlacedBody,
     Pose,
+    affine_basis,
     apply_pose,
     cross_matrix,
     random_rotation,
 )
+from rigidloc.harness import box_vehicle_conformation
 from rigidloc.measurement import (
     AngleMeasurements,
     AnchorSet,
@@ -270,6 +272,117 @@ class TestLineOfSight:
         assert checked > 60
 
 
+def qhull_equations(points):
+    """(facets, flat) of a point set's hull from Qhull: of the points
+    themselves, or of their coordinates in their affine hull when they
+    are flat; a rod is bounded by its end points, a point by nothing."""
+    dim = points.shape[1]
+    center, directions, rank = affine_basis(points, tol=1e-12)
+    if rank == dim:
+        return ConvexHull(points).equations, None
+    inside, outside = directions[:rank], directions[rank:]
+    coords = (points - center) @ inside.T
+    if rank > 1:
+        equations = ConvexHull(coords).equations
+    elif rank == 1:
+        equations = np.array([[1.0, -coords.max()], [-1.0, coords.min()]])
+    else:
+        equations = np.zeros((0, 1))
+    normals = equations[:, :-1] @ inside
+    facets = np.column_stack([normals, equations[:, -1] - normals @ center])
+    return facets, np.column_stack([outside, -outside @ center])
+
+
+def assert_same_planes(ours, theirs, center):
+    """Every plane [a | b] of each set lies within 1e-9 of one of the
+    other's once both are scaled to a unit normal and their offsets are
+    taken from ``center``. (A plane 10 km out carries the rounding of its
+    points' coordinates, about 2e-12 m, times 10 km in its offset from the
+    origin. Qhull splits a face into triangles, so it may list one plane
+    several times.)"""
+    assert ours.shape[1:] == theirs.shape[1:]
+    if not len(ours) or not len(theirs):
+        assert len(ours) == len(theirs) == 0
+        return
+
+    def unit(eq):
+        eq = eq / np.linalg.norm(eq[:, :-1], axis=1, keepdims=True)
+        return np.column_stack([eq[:, :-1], eq[:, -1] + eq[:, :-1] @ center])
+
+    gap = np.abs(unit(ours)[:, None] - unit(theirs)[None]).max(axis=2)
+    assert gap.min(axis=1).max() <= 1e-9
+    assert gap.min(axis=0).max() <= 1e-9
+
+
+def assert_matches_qhull(points, rng):
+    """The hull's planes match Qhull's, and so does every segment's
+    blockage: from anchors around the set to its own points (endpoints
+    on the hull or inside it) and to points near it."""
+    ours, theirs = measurement._hull_equations(points), qhull_equations(points)
+    dim = points.shape[1]
+    center = points.mean(axis=0)
+    assert (ours[1] is None) == (theirs[1] is None)
+    assert_same_planes(ours[0], theirs[0], center)
+    if ours[1] is not None:
+        assert_same_planes(ours[1], theirs[1], center)
+    spread = np.abs(points - center).max()
+    starts = center + rng.uniform(-4.0, 4.0, (12, dim)) * max(spread, 1.0)
+    ends = np.concatenate([points, center + rng.uniform(-1.5, 1.5, (12, dim)) * spread])
+    blocked = measurement._segments_blocked(starts, ends, ours)
+    assert np.array_equal(blocked, measurement._segments_blocked(starts, ends, theirs))
+    return blocked
+
+
+class TestHullEquations:
+    """The enumerated hull against Qhull (``scipy.spatial``, used by the
+    tests only): the same facet planes, within 1e-9, and the same blocked
+    segments."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_random_sets(self, dim):
+        rng = np.random.default_rng(910 + dim)
+        blocked = 0
+        for k in range(dim + 1, 21):
+            for draw in (rng.uniform(-1.0, 1.0, (k, dim)), rng.normal(size=(k, dim))):
+                blocked += assert_matches_qhull(draw * rng.uniform(0.1, 5.0), rng).sum()
+        assert blocked > 100
+
+    @pytest.mark.parametrize("dim,largest", [(2, 16), (3, 20)])
+    def test_box_vehicles(self, dim, largest):
+        """The built-in bodies, whose edge midpoints and quarter points lie
+        on the faces and edges of their box: one plane per face."""
+        rng = np.random.default_rng(920 + dim)
+        for k in range(4, largest + 1):
+            conf = box_vehicle_conformation(k, dim)
+            pose = Pose(random_rotation(rng, dim), rng.uniform(-20.0, 20.0, dim))
+            points = apply_pose(conf, pose).positions
+            assert_matches_qhull(points, rng)
+        facets, _ = measurement._hull_equations(points)
+        assert len(facets) == 2 * dim
+
+    def test_far_from_origin(self):
+        """A body 10 km out: the tolerances follow its extent, not its
+        distance from the origin."""
+        rng = np.random.default_rng(930)
+        for k in (8, 14, 20):
+            pose = Pose(random_rotation(rng, 3), [1e4, -3e3, 2.0])
+            points = apply_pose(box_vehicle_conformation(k), pose).positions
+            assert assert_matches_qhull(points, rng).any()
+
+    def test_flat_sets(self):
+        """Plates (one with collinear points on its edges), rods, and a
+        single point, in 2D and 3D."""
+        rng = np.random.default_rng(940)
+        rectangle = np.column_stack([box_vehicle_conformation(16, 2).coords,
+                                     np.zeros(16)])
+        sets = [rectangle @ random_rotation(rng, 3).T + [5.0, 1.0, -2.0]]
+        sets += [flat_points(rng, 3, 2, num) for num in (3, 4, 9)]
+        sets += [flat_points(rng, dim, 1, num) for dim in (2, 3) for num in (2, 5)]
+        sets += [rng.uniform(-2.0, 2.0, (1, dim)) for dim in (2, 3)]
+        for points in sets:
+            assert_matches_qhull(points, rng)
+
+
 def occlusion_mask(anchors, body, *occluders):
     return simulate_ranges(anchors, body, 0.0, HullOcclusion(*occluders)).mask
 
@@ -432,15 +545,31 @@ class TestOcclusionMask:
         with pytest.raises(ValueError, match="segment endpoints must be finite"):
             line_of_sight_blocked([np.inf, 0.0, 0.0], [1.0, 0.0, 0.0], body)
 
-    def test_import_leaves_scipy_spatial_out(self):
-        """Only occlusion needs scipy.spatial, so importing the package
-        does not load it."""
+    def test_occluded_frame_leaves_scipy_out(self):
+        """The package runs on numpy alone: simulating one self-occluded
+        frame (hull, ranges and range-rates) loads no part of scipy."""
         src = str(Path(measurement.__file__).resolve().parents[1])
-        code = "import sys, rigidloc; print('scipy.spatial' in sys.modules)"
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from rigidloc import (BodyMotion, HullOcclusion, Pose, apply_pose,\n"
+            "                      box_vehicle_conformation, cube_anchor_layout,\n"
+            "                      random_rotation, simulate_range_rates, simulate_ranges)\n"
+            "rng = np.random.default_rng(3)\n"
+            "anchors, conf = cube_anchor_layout(8), box_vehicle_conformation(14)\n"
+            "pose = Pose(random_rotation(rng, 3), np.zeros(3))\n"
+            "body = apply_pose(conf, pose)\n"
+            "occlusion = HullOcclusion(body)\n"
+            "ranges = simulate_ranges(anchors, body, 0.1, occlusion, rng)\n"
+            "simulate_range_rates(anchors, conf, pose, BodyMotion([0.0, 0.0, 1.0],\n"
+            "                     [1.0, 0.0, 0.0]), 0.05, occlusion, rng)\n"
+            "print(int((~ranges.mask).sum()), 'scipy' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                              text=True, check=True,
                              env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.strip() == "False"
+        blocked, scipy_loaded = out.stdout.split()
+        assert int(blocked) > 0
+        assert scipy_loaded == "False"
 
 
 class TestSimulateAoa:

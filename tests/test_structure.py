@@ -1,7 +1,6 @@
 """Structure of the package: intra-package imports sit at module
 level and form no cycle, the estimators import nothing from completion,
-and the only import inside a function is the lazy ``scipy.spatial`` one
-that keeps scipy out of ``import rigidloc``; the
+and no module imports inside a function; the
 Gauss-Newton settings are read by one solver loop only; the congruent
 start has one pin loop; each numeric kernel has one copy; the estimators
 reach an observation pattern's anchor geometry through one cache; stage 3
@@ -24,7 +23,6 @@ from rigidloc.measurement import HullOcclusion, simulate_ranges
 
 PACKAGE = Path(rigidloc.__file__).parent
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-LAZY_IMPORTS = {"scipy.spatial"}
 
 
 def parse_modules():
@@ -58,10 +56,10 @@ def imported_name(node):
 
 
 def test_only_lazy_imports_are_nested():
+    """There are no lazy imports: no module imports inside a function."""
     nested = {f"{name}:{node.lineno} {imported_name(node)}"
               for name, tree in parse_modules().items()
-              for node in nested_imports(tree)
-              if imported_name(node) not in LAZY_IMPORTS}
+              for node in nested_imports(tree)}
     assert nested == set()
 
 
