@@ -31,6 +31,7 @@ from .geometry import (
     _freeze,
     _linear_factor,
     _proper_svd,
+    _squared_norms,
     _weighted_kabsch,
 )
 from .measurement import AnchorSet, MaskedRangeMatrix, wrap_angle
@@ -407,15 +408,21 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
             f"{n_obs[i]} observed ranges cannot fix a point in {dim}D")
         live[i] = False
 
+    # An observed range of 0 puts the point on its anchor. When every range
+    # fits that anchor exactly it is the fix; otherwise the 0 is a noisy
+    # range clamped at zero, and Gauss-Newton starts from the anchor.
     hits = obs & (dists == 0.0) & live[:, None]
+    clamped = np.zeros(b, dtype=bool)
+    hit_anchor = np.empty((b, dim))
     if hits.any():
-        exact = np.flatnonzero(hits.any(axis=1))
-        position[exact] = anchors[hits[exact].argmax(axis=1)]
-        rms[exact] = np.sqrt((_range_residuals(
-            position[exact], anchors, dists[exact], obs[exact]) ** 2).sum(axis=-1)
-            / n_obs[exact])
-        converged[exact] = True
-        live[exact] = False
+        cols = np.flatnonzero(hits.any(axis=1))
+        hit_anchor[cols] = anchors[hits[cols].argmax(axis=1)]
+        exact = (_range_residuals(hit_anchor[cols], anchors, dists[cols], obs[cols]) == 0.0
+                 ).all(axis=1)
+        clamped[cols[~exact]] = True
+        cols = cols[exact]
+        position[cols], rms[cols], converged[cols] = hit_anchor[cols], 0.0, True
+        live[cols] = False
 
     # Per rank and count of the observed anchors, over every pattern that
     # shares them: full rank starts Gauss-Newton from the linearized fix,
@@ -473,9 +480,13 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
             ambiguous[cols] = True
 
     if owner:
-        owner, second = np.concatenate(owner), np.concatenate(second)
+        owner, second, start = (np.concatenate(v) for v in (owner, second, start))
+        if clamped.any():
+            # a clamped column that is not a mirror pair starts from its anchor
+            moved = clamped[owner] & ~ambiguous[owner]
+            start[moved] = hit_anchor[owner[moved]]
         x, fit_obj, fit_iters, fit_conv = _gauss_newton(
-            np.concatenate(start), *_range_model(anchors, dists[owner], obs[owner]))
+            start, *_range_model(anchors, dists[owner], obs[owner]))
         fit_rms = np.sqrt(fit_obj / n_obs[owner])
         first, cols = ~second, owner[~second]
         position[cols] = x[first]
@@ -503,9 +514,11 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None) -> PointFix:
     ``mask`` shaped like ``ranges``, marks unobserved entries. With
     observed anchors spanning the space, Gauss-Newton refines a linearized
     closed-form start until the step norm drops below 1e-10 (at most 100
-    iterations). When the observed
-    anchors span only a hyperplane, both mirror candidates are computed
-    and flagged. All columns are solved together in one batched
+    iterations). A range of 0 puts the point on its anchor: the fix is
+    that anchor when every observed range fits it exactly, and otherwise
+    (a noisy range clamped at zero) Gauss-Newton starts from it. When the
+    observed anchors span only a hyperplane, both mirror candidates are
+    computed and flagged. All columns are solved together in one batched
     iteration; a vector is the one-column case. A vector whose point
     cannot be fixed raises; for a matrix the error is returned per column
     (see ``PointFix``).
@@ -706,17 +719,24 @@ def rbl_two_stage(anchors: AnchorSet, ranges: MaskedRangeMatrix,
     return result
 
 
-def _rigid_range_rows(rotated, u):
+def _rigid_range_rows(rotated, diff, dist):
     """Derivative of an anchor-to-node range in the body's (ω, t): the
     row [q x u, u] in 3D and [u . (J2 q), u] in 2D, with q the rotated
-    body-frame node offset and u the unit anchor-to-node vector; q may
-    broadcast against u."""
-    if u.shape[-1] == 2:
-        spin = (u[..., 1] * rotated[..., 0] - u[..., 0] * rotated[..., 1])[..., None]
-    else:  # q x u term by term, as np.cross computes it, without its call overhead
-        spin = (rotated[..., [1, 2, 0]] * u[..., [2, 0, 1]]
-                - rotated[..., [2, 0, 1]] * u[..., [1, 2, 0]])
-    return np.concatenate([spin, u], axis=-1)
+    body-frame node offset and u = diff / dist the unit anchor-to-node
+    vector (``dist`` is ``diff`` without its last axis); q broadcasts
+    against u. Each column is written into one array from per-coordinate
+    views, q x u with the products np.cross takes."""
+    dim = diff.shape[-1]
+    rows = np.empty(diff.shape[:-1] + (3 * dim - 3,))
+    u = np.divide(diff, dist[..., None], out=rows[..., -dim:])
+    if dim == 2:
+        np.subtract(u[..., 1] * rotated[..., 0], u[..., 0] * rotated[..., 1], out=rows[..., 0])
+    else:
+        for c in range(3):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            np.subtract(rotated[..., a] * u[..., b], rotated[..., b] * u[..., a],
+                        out=rows[..., c])
+    return rows
 
 
 def _pose_model(anchors, coords, rot0, dists, obs):
@@ -730,12 +750,15 @@ def _pose_model(anchors, coords, rot0, dists, obs):
     same fits."""
     dim = coords.shape[1]
     count = obs.shape[1] * obs.shape[2]
+    # every anchor once per node (M x K x D), so that each difference below
+    # runs along whole (node, coordinate) rows instead of D at a time
+    grid = np.ascontiguousarray(np.broadcast_to(anchors[:, None], obs.shape[1:] + (dim,)))
 
     def place(x, rows):
         rot = _exp_rotations(x[:, :-dim]) @ rot0[rows]
         rotated = coords @ np.swapaxes(rot, -1, -2)
-        diff = (rotated + x[:, None, -dim:])[:, None] - anchors[:, None]
-        return rotated, diff, np.maximum(np.sqrt((diff**2).sum(axis=-1)), 1e-300)
+        diff = (rotated + x[:, None, -dim:])[:, None] - grid
+        return rotated, diff, np.maximum(np.sqrt(_squared_norms(diff)), 1e-300)
 
     def residuals(x, rows):
         dist = place(x, rows)[2]
@@ -745,7 +768,7 @@ def _pose_model(anchors, coords, rot0, dists, obs):
         rotated, diff, dist = place(x, rows)
         observed = obs[rows]
         resid = np.where(observed, dist - dists[rows], 0.0)
-        jac = _rigid_range_rows(rotated[:, None], diff / dist[..., None])
+        jac = _rigid_range_rows(rotated[:, None], diff, dist)
         jac[~observed] = 0.0
         return resid.reshape(-1, count), jac.reshape(-1, count, jac.shape[-1])
 
@@ -1026,10 +1049,10 @@ def _motion_fits(anchors: AnchorSet, conf: Conformation, rotations: np.ndarray,
     dim, unknowns = conf.dim, 3 if conf.dim == 2 else 6
     rotated = conf.coords @ np.swapaxes(rotations, -1, -2)
     diff = (rotated + translations[:, None])[:, None] - anchors.positions[:, None]
-    dist = np.sqrt((diff**2).sum(axis=-1))
+    dist = np.sqrt(_squared_norms(diff))
     coincide = (mask & (dist <= 0.0)).any(axis=(1, 2))
     # a coincident pair's row is never solved: its trial fails or masks it
-    rows = _rigid_range_rows(rotated[:, None], diff / np.where(dist > 0, dist, 1.0)[..., None])
+    rows = _rigid_range_rows(rotated[:, None], diff, np.where(dist > 0, dist, 1.0))
     theta, rms = np.full((len(rates), unknowns), np.nan), np.full(len(rates), np.nan)
     failed = []
     for b, observed in enumerate(mask):

@@ -9,11 +9,14 @@ Batched kernels here and in ``estimators`` and ``completion`` give each
 problem the same result whichever batch it is solved in. They keep one
 rule: reduce with ``.sum(axis=-1)`` over a C-contiguous last axis, or with
 a stacked ``np.matmul`` whose batch is a stack axis; numpy then sums each
-row from its own values alone. Never reduce over a strided or non-last
-axis (an array made by selecting columns is copied contiguous first), and
-never use a 2-D matrix product whose rows are the batch: its blocking can
-change a row's result with the number of rows. ``TestBatchIndependence``
-in ``tests/test_batch.py`` checks the property.
+row from its own values alone. A sum over 2 or 3 coordinates may also be
+taken as element-wise additions of the per-coordinate terms, left to right
+(``_squared_norms``), which gives the ``.sum(axis=-1)`` bit for bit and
+runs along whole arrays instead of D values at a time. Never reduce over
+a strided or non-last axis (an array made by selecting columns is copied
+contiguous first), and never use a 2-D matrix product whose rows are the
+batch: its blocking can change a row's result with the number of rows.
+``TestBatchIndependence`` in ``tests/test_batch.py`` checks the property.
 """
 
 from __future__ import annotations
@@ -51,6 +54,18 @@ def affine_basis(points: np.ndarray, tol: float = 1e-9):
     svals = np.concatenate([svals, np.zeros(points.shape[1] - len(svals))])
     scale = max(svals.max(initial=0.0), 1.0)
     return center, vt, int(np.sum(svals > tol * scale))
+
+
+def _squared_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared norms over the last axis of ``diff`` (2 or 3 coordinates),
+    summed left to right from per-coordinate products: bit for bit
+    ``(diff**2).sum(axis=-1)``, without numpy's per-row loop over a short
+    axis."""
+    squares = diff * diff
+    total = squares[..., 0] + squares[..., 1]
+    for c in range(2, diff.shape[-1]):
+        total += squares[..., c]
+    return total
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -43,10 +43,10 @@ DESCENT_MAX_ITER = 2000
 DESCENT_TOL = 1e-15
 
 # Monte-Carlo trials are drawn and solved in blocks of at most this many
-# node fixes (trials x nodes), which bounds the memory of a long run. The
-# value kept the peak RSS of a harness sweep within 5% of solving trial by
-# trial (see README, "Batched estimation").
-BLOCK_NODE_FIXES = 256
+# node fixes (trials x nodes), which bounds the memory of a long run. It is
+# the largest power of two that keeps the peak RSS of a harness sweep within
+# 5% of one trial per block (see README, "Batched estimation").
+BLOCK_NODE_FIXES = 1024
 
 # The estimation errors that fail a Monte-Carlo trial; any other error is a
 # fault of the program and propagates.

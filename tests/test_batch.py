@@ -18,6 +18,7 @@ from rigidloc.estimators import (
     _joint_start,
     _motion_fits,
     _pattern_groups,
+    _rigid_range_rows,
     _subset_geometry,
     multilaterate,
     rbl_two_stage,
@@ -33,6 +34,7 @@ from rigidloc.geometry import (
     _linear_factor,
     _node_velocities,
     _place,
+    _squared_norms,
     apply_pose,
     random_rotation,
     rotation_2d,
@@ -56,7 +58,8 @@ def ranges_to(anchors, point):
 
 def mixed_columns(dim, rng, count):
     """Range columns of every kind for a fixed anchor set: full rank,
-    noisy, mirror pairs, exact hits, too few anchors and (3D) degenerate."""
+    noisy, mirror pairs, anchor hits (exact, or a range clamped at 0 that
+    the others do not fit), too few anchors and (3D) degenerate."""
     if dim == 3:
         # the first four anchors are one face of a cube; the last three
         # are collinear
@@ -82,8 +85,10 @@ def mixed_columns(dim, rng, count):
         elif kind == 2:
             mask = face.copy()
             d = np.abs(d + rng.normal(0, 0.05 * (i % 2), m))
-        elif kind == 3:
+        elif kind == 3 and (i // 6) % 2:
             d[rng.integers(m)] = 0.0
+        elif kind == 3:
+            d = ranges_to(anchors, anchors.positions[rng.integers(m)])
         elif kind == 4:
             mask[: m - dim + 1] = False
         elif kind == 5 and line is not None:
@@ -624,6 +629,47 @@ def test_motion_design_matches_explicit_rows(dim, monkeypatch):
     assert np.array_equal(rhs, np.array(expected_rhs))
 
 
+class TestPerCoordinateKernels:
+    """The per-coordinate kernels give what numpy's own reductions and
+    ``np.cross`` give, bit for bit, so that writing a model with them
+    leaves every output unchanged."""
+
+    @staticmethod
+    def mixed(rng, shape):
+        """Signed values over 40 orders of magnitude, with exact zeros."""
+        values = rng.normal(size=shape) * 10.0 ** rng.uniform(-20.0, 20.0, shape)
+        values[rng.random(shape) < 0.05] = 0.0
+        return values
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_squared_norms_match_sum(self, dim):
+        rng = np.random.default_rng(80 + dim)
+        for shape in [(200_000, dim), (1, dim), (6, 8, 14, dim)]:
+            diff = self.mixed(rng, shape)
+            assert np.array_equal(_squared_norms(diff), (diff**2).sum(axis=-1))
+        # a strided view, as the model's coordinates are
+        diff = self.mixed(rng, (1000, 2 * dim))[:, ::2]
+        assert np.array_equal(_squared_norms(diff), (diff**2).sum(axis=-1))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rigid_range_rows_match_cross_product(self, dim):
+        """Rotated offsets (B x 1 x K x D) broadcast against differences
+        (B x M x K x D): the rows are [q x u, u] as ``np.cross`` and a
+        concatenation build them, and the planar [u . (J2 q), u]."""
+        rng = np.random.default_rng(90 + dim)
+        rotated = self.mixed(rng, (5, 1, 7, dim))
+        diff = self.mixed(rng, (5, 4, 7, dim))
+        dist = np.sqrt((diff**2).sum(axis=-1)) + 1e-300
+        u = diff / dist[..., None]
+        if dim == 3:
+            spin = np.cross(np.broadcast_to(rotated, u.shape), u)
+        else:
+            spin = (u[..., 1] * rotated[..., 0] - u[..., 0] * rotated[..., 1])[..., None]
+        rows = _rigid_range_rows(rotated, diff, dist)
+        assert rows.shape == (5, 4, 7, 3 * dim - 3)
+        assert np.array_equal(rows, np.concatenate([spin, u], axis=-1))
+
+
 def test_linear_trilaterate_rejects_rank_deficient_rows():
     flat = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
                      [1.0, 1.0, 0.0]])
@@ -722,8 +768,9 @@ class TestBatchIndependence:
 
     @pytest.mark.parametrize("dim,m,k", SHAPES)
     def test_multilaterate(self, dim, m, k):
-        """Four columns in six are replaced by exact ranges of one kind
-        each: an exact anchor hit, too few anchors, ``dim`` anchors in a
+        """Four columns in six are replaced by noiseless ranges of one kind
+        each: an anchor hit (exact, or every other time a range clamped at
+        0 that the others do not fit), too few anchors, ``dim`` anchors in a
         hyperplane (a mirror pair) and the collinear anchors alone (a mirror
         pair in 2D, degenerate in 3D)."""
         anchors, _, ranges = self.scene(dim, m, k)
@@ -739,7 +786,10 @@ class TestBatchIndependence:
             values[:, col] = ranges_to(anchors, rng.uniform(-5.0, 5.0, dim))
             mask[:, col] = kind == 1
             if kind == 1:
-                values[rng.integers(m), col] = 0.0
+                hit = rng.integers(m)
+                if (col // 6) % 2 == 0:
+                    values[:, col] = ranges_to(anchors, anchors.positions[hit])
+                values[hit, col] = 0.0
             else:
                 mask[observed[kind], col] = True
         assert not values.flags.c_contiguous

@@ -56,11 +56,40 @@ class TestMultilaterate:
         assert np.allclose(fix.position, target, atol=1e-8)
 
     def test_zero_range_returns_anchor(self):
+        """Noiseless ranges of a point on an anchor fix it at that anchor
+        bit for bit, with RMS 0 and no iteration, in 2D and 3D."""
         anchors = AnchorSet([[1.0, 2.0], [5.0, 2.0], [1.0, 7.0]])
         d = ranges_to(anchors, [1.0, 2.0])
         fix = multilaterate(anchors, d)
         assert np.array_equal(fix.position, [1.0, 2.0])
         assert fix.converged
+        assert (fix.residual_rms, fix.iterations) == (0.0, 0)
+        anchors = AnchorSet(np.random.default_rng(3).uniform(-20.0, 20.0, (6, 3)))
+        ranges = simulate_ranges(anchors, PlacedBody(anchors.positions[4:5]), 0.0)
+        fix = multilaterate(anchors, ranges.values[:, 0])
+        assert np.array_equal(fix.position, anchors.positions[4])
+        assert (fix.residual_rms, fix.iterations) == (0.0, 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_clamped_zero_range_is_refined(self, dim):
+        """A node near an anchor whose noisy range to it was clamped at 0 is
+        fitted from that anchor by Gauss-Newton: it ends at a stationary
+        point of the objective, below the anchor's objective and within the
+        noise of the node."""
+        rng = np.random.default_rng(10 + dim)
+        anchors = AnchorSet(rng.uniform(-20.0, 20.0, (6, dim)))
+        node = anchors.positions[2] + 0.05
+        d = ranges_to(anchors, node) + rng.normal(0.0, 0.05, 6)
+        d[2] = 0.0
+        fix = multilaterate(anchors, d)
+        ranges = ranges_to(anchors, fix.position)
+        gradient = ((ranges - d) / ranges) @ (fix.position - anchors.positions)
+        objective = fix.residual_rms**2 * 6
+        assert fix.iterations > 0
+        assert objective < ((ranges_to(anchors, anchors.positions[2]) - d) ** 2).sum()
+        assert np.isclose(objective, ((ranges - d) ** 2).sum(), rtol=1e-9)
+        assert np.linalg.norm(gradient) < 1e-6
+        assert np.linalg.norm(fix.position - node) < 0.3
 
     def test_mirror_pair_2d(self):
         # collinear anchors: the point and its mirror across the baseline
