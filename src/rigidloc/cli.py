@@ -18,6 +18,7 @@ import numpy as np
 
 from .completion import complete_edm
 from .harness import (
+    PLACEMENT_WEIGHTED,
     ConfigError,
     check_sources,
     emit_results,
@@ -103,6 +104,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_placement(args) -> int:
     config = load_config(args.config)
+    if not config.estimator["weighted"]:
+        raise ConfigError(PLACEMENT_WEIGHTED)
     config = _apply_overrides(config, args.seed, args.trials)
     problem, conf = placement_problem(config)
     result = optimize_placement(problem)

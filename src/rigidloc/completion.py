@@ -181,13 +181,15 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
     Alternates a rank-(dim+2+rank_slack) eigentruncation with restoring the
     known entries and projecting onto hollow symmetric non-negative
     matrices, until the relative Frobenius change drops below
-    COMPLETION_TOL or COMPLETION_MAX_ITER is reached. ``rank_slack``
-    loosens the rank cap for noisy data. Known entries are returned
-    bit-exact.
+    COMPLETION_TOL or COMPLETION_MAX_ITER is reached. ``rank_slack``, a
+    non-negative count, loosens the rank cap for noisy data. Known entries
+    are returned bit-exact.
     ``converged`` requires both a stalled iteration and a final objective
     at or below COMPLETION_STALL_THRESHOLD; inconsistent known entries
     leave the objective stuck above it.
     """
+    if rank_slack < 0:
+        raise ValueError("rank_slack must be non-negative")
     known = partial.mask.copy()
     target = np.where(known, partial.values_sq, 0.0)
     if known.all():

@@ -262,15 +262,14 @@ def _backtrack(x, step, norm, residuals, rows, obj, objective):
     the full step included: that step ends the iteration whatever it does
     to the objective, which near the minimum changes only by rounding. All
     the halvings a problem may need are tested in one batched evaluation of
-    ``residuals``. Returns the scales, the objective at each (``objective``
-    updated in place) and the problems (indices into ``x``) whose halved
-    scale was taken without a test: their objective is not computed.
+    ``residuals``. Returns the scales and ``objective``, updated in place
+    to the objective at each scale that was tested.
     """
     scale = np.ones(x.shape[0])
     bound = obj * (1.0 + GN_OBJECTIVE_RTOL)
     rejected = np.flatnonzero(~(objective <= bound) & ~(norm < GN_STEP_TOL))
     if rejected.size == 0:
-        return scale, objective, rejected
+        return scale, objective
     halvings = 0.5 ** np.arange(1, 31)
     accept = halvings * norm[rejected, None] < GN_STEP_TOL
     # each problem tests its halvings before the first one below tolerance
@@ -288,9 +287,7 @@ def _backtrack(x, step, norm, residuals, rows, obj, objective):
     # a tested scale is taken before any untested one, so it is the first
     taken = ok & (k == first[owner])
     objective[tried[taken]] = tried_objective[taken]
-    tested = np.zeros(rejected.size, dtype=bool)
-    tested[owner[taken]] = True
-    return scale, objective, rejected[~tested]
+    return scale, objective
 
 
 def _gauss_newton(x, residuals, linearize):
@@ -308,17 +305,14 @@ def _gauss_newton(x, residuals, linearize):
     residuals and Jacobian. Only a problem whose step was halved evaluates
     ``residuals`` at its halvings, and is linearized again at the point it
     moved to if it goes on. Each problem stops once its step norm drops
-    below GN_STEP_TOL or after GN_MAX_ITER iterations. A step that ends
-    its problem untested (a full step below GN_STEP_TOL, or a halving
-    below it) is not evaluated in the loop; one call of ``residuals``
-    after it gives every such problem its final objective. Returns
-    positions, final sums of squared residuals, iteration counts and
-    convergence flags, one per problem.
+    below GN_STEP_TOL or after GN_MAX_ITER iterations; a full step below
+    GN_STEP_TOL ends its problem with no evaluation at all. Returns
+    positions, iteration counts and convergence flags, one per problem;
+    a caller that needs a fit's residuals evaluates them at its position.
     """
     x = np.array(x, dtype=float)
     iterations = np.zeros(x.shape[0], dtype=int)
     converged = np.zeros(x.shape[0], dtype=bool)
-    untested = []
     live = np.arange(x.shape[0])
     resid, jac = linearize(x, live)
     obj = (resid**2).sum(axis=-1)
@@ -338,12 +332,11 @@ def _gauss_newton(x, residuals, linearize):
             # such a step ends its problem whatever it does to the objective,
             # so the problem is not evaluated there: its rows of resid and
             # jac stay stale until it is dropped below
-            untested.append(live[ends])
             ahead = np.flatnonzero(~ends)
             if ahead.size:
                 resid[ahead], jac[ahead] = linearize((x_live + step)[ahead], live[ahead])
-        scale, objective, skipped = _backtrack(x_live, step, norm, residuals, live, obj[live],
-                                               (resid**2).sum(axis=-1))
+        scale, objective = _backtrack(x_live, step, norm, residuals, live, obj,
+                                      (resid**2).sum(axis=-1))
         x_live = x_live + scale[:, None] * step
         x[live] = x_live
         iterations[live] = iteration
@@ -356,15 +349,9 @@ def _gauss_newton(x, residuals, linearize):
         if again.size:
             resid[again], jac[again] = linearize(x_live[again], live[again])
             objective[again] = (resid[again] ** 2).sum(axis=-1)
-        if skipped.size:
-            untested.append(live[skipped[done[skipped]]])
-        obj[live] = objective
-        resid, jac = resid[~done], jac[~done]
+        resid, jac, obj = resid[~done], jac[~done], objective[~done]
         live = live[~done]
-    if untested:
-        rows = np.concatenate(untested)
-        obj[rows] = _objective(residuals, x[rows], rows)
-    return x, obj, iterations, converged
+    return x, iterations, converged
 
 
 def _range_model(anchors, dists, obs):
@@ -485,9 +472,10 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
             # a clamped column that is not a mirror pair starts from its anchor
             moved = clamped[owner] & ~ambiguous[owner]
             start[moved] = hit_anchor[owner[moved]]
-        x, fit_obj, fit_iters, fit_conv = _gauss_newton(
-            start, *_range_model(anchors, dists[owner], obs[owner]))
-        fit_rms = np.sqrt(fit_obj / n_obs[owner])
+        fit_dists, fit_obs = dists[owner], obs[owner]
+        x, fit_iters, fit_conv = _gauss_newton(start, *_range_model(anchors, fit_dists, fit_obs))
+        fit_rms = np.sqrt((_range_residuals(x, anchors, fit_dists, fit_obs) ** 2).sum(axis=-1)
+                          / n_obs[owner])
         first, cols = ~second, owner[~second]
         position[cols] = x[first]
         rms[cols] = fit_rms[first]
@@ -543,30 +531,18 @@ def multilaterate(anchors: AnchorSet, ranges, mask=None) -> PointFix:
 
 def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
     """Weighted Procrustes fits of one conformation onto T point sets
-    (T x K x D, weights T x K). Returns per fit None or the ValueError
-    ``fit_pose_procrustes`` raises for it, then the rotations,
-    translations, stage-2 RMS values and rotation-unique flags of the fits
-    without one, in order."""
-    failed = [None] * points.shape[0]
-    bad_points = ~np.isfinite(points).all(axis=(1, 2))
-    bad_weights = (weights < 0).any(axis=1) | ~np.isfinite(weights).all(axis=1)
-    for t in np.flatnonzero(bad_points | bad_weights | (weights.sum(axis=1) <= 0)):
-        if bad_points[t]:
-            failed[t] = ValueError("points must be finite")
-        elif bad_weights[t]:
-            failed[t] = ValueError("weights must be non-negative and finite")
-        else:
-            failed[t] = ValueError("at least one positive weight required")
-    ok = np.array([f is None for f in failed], dtype=bool)
+    (T x K x D, finite, with finite non-negative weights T x K, at least
+    one positive per set). Returns the rotations, translations, stage-2 RMS
+    values and rotation-unique flags of the fits."""
     # a Kabsch rotation is a product of orthogonal SVD factors, so it is a
     # proper rotation to rounding and needs no re-orthonormalization
-    rot, trans, rms = _weighted_kabsch(conf.coords, points[ok], weights[ok])
+    rot, trans, rms = _weighted_kabsch(conf.coords, points, weights)
     # the proper rotation is unique when the weighted nodes span at least a
     # hyperplane: the one missing direction is fixed by the determinant
-    _, which, keys = _pattern_groups(weights[ok] > 0)
+    _, which, keys = _pattern_groups(weights > 0)
     unique = np.array([_subset_geometry(conf.coords, key).rank >= conf.dim - 1
                        for key in keys], dtype=bool)[which]
-    return failed, rot, trans, rms, unique
+    return rot, trans, rms, unique
 
 
 def fit_pose_procrustes(conf: Conformation, points, weights=None) -> PoseEstimate:
@@ -589,9 +565,11 @@ def fit_pose_procrustes(conf: Conformation, points, weights=None) -> PoseEstimat
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (conf.num_nodes,):
         raise ValueError("one weight per node required")
-    failed, rot, trans, rms, unique = _fit_poses(conf, points[None], weights[None])
-    if failed[0] is not None:
-        raise failed[0]
+    if not (np.isfinite(weights) & (weights >= 0)).all():
+        raise ValueError("weights must be non-negative and finite")
+    if weights.sum() <= 0:
+        raise ValueError("at least one positive weight required")
+    rot, trans, rms, unique = _fit_poses(conf, points[None], weights[None])
     return PoseEstimate(Pose(rot[0], trans[0]), stage1_rms=0.0, stage2_rms=float(rms[0]),
                         iterations=0, rotation_unique=bool(unique[0]))
 
@@ -660,11 +638,8 @@ def _two_stage(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
     unique = np.zeros(t_count, dtype=bool)
     solvable = np.flatnonzero([f is None for f in failed])
     if solvable.size:
-        fit_failed, *fits = _fit_poses(conf, points[solvable], weights[solvable])
-        for t, err in zip(solvable, fit_failed):
-            failed[t] = err
-        fitted = solvable[[err is None for err in fit_failed]]
-        rot[fitted], trans[fitted], stage2_rms[fitted], unique[fitted] = fits
+        rot[solvable], trans[solvable], stage2_rms[solvable], unique[solvable] = _fit_poses(
+            conf, points[solvable], weights[solvable])
     # a trial without usable nodes has failed; its 0 / 1 keeps the division quiet
     stage1_rms = np.sqrt(sq_resid / np.maximum(used_ranges, 1))
     return _TwoStage(rot, trans, failed, stage1_rms, stage2_rms, iters.sum(axis=1),
@@ -782,7 +757,7 @@ def _refine(anchors: AnchorSet, conf: Conformation, rotations: np.ndarray,
     Returns the refined poses, iteration counts and convergence flags."""
     dim = conf.dim
     start = np.hstack([np.zeros((len(rotations), 1 if dim == 2 else 3)), translations])
-    x, _, iterations, converged = _gauss_newton(start, *_pose_model(
+    x, iterations, converged = _gauss_newton(start, *_pose_model(
         anchors.positions, conf.coords, rotations, np.where(mask, values, 0.0), mask))
     return _exp_rotations(x[:, :-dim]) @ rotations, x[:, -dim:], iterations, converged
 
@@ -866,7 +841,7 @@ def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
     others. Estimation errors, and estimates whose rotation is not unique,
     come back unchanged; every other estimate comes back with the refined
     pose, its stage-3 iterations added to ``iterations`` and
-    ``stage3_converged`` set.
+    ``stage3_converged`` set. Any other entry raises TypeError.
     """
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")
@@ -874,6 +849,9 @@ def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
         raise ValueError("one range matrix per estimate required")
     if any(r.shape != (anchors.num_anchors, conf.num_nodes) for r in ranges):
         raise ValueError("range matrix shape must be (num_anchors, num_nodes)")
+    for est in estimates:
+        if not isinstance(est, (PoseEstimate, ValueError)):
+            raise TypeError(f"expected a PoseEstimate or an estimation error, got {est!r}")
     results = list(estimates)
     todo = [t for t, est in enumerate(estimates)
             if isinstance(est, PoseEstimate) and est.rotation_unique]
@@ -987,9 +965,9 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
 
     if np.linalg.matrix_rank(linearize(start, None)[1][0]) < dim:
         raise DegenerateGeometryError("measurements do not pin down the point")
-    x, obj, iterations, converged = _gauss_newton(start, residuals, linearize)
-    return PointFix(x[0], float(np.sqrt(obj[0] / n_total)), int(iterations[0]),
-                    bool(converged[0]))
+    x, iterations, converged = _gauss_newton(start, residuals, linearize)
+    return PointFix(x[0], float(np.sqrt(_objective(residuals, x, None)[0] / n_total)),
+                    int(iterations[0]), bool(converged[0]))
 
 
 def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,

@@ -55,6 +55,9 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+PLACEMENT_WEIGHTED = "placement evaluation supports only estimator weighted true"
+
+
 def _box_nodes_3d() -> np.ndarray:
     """Node order for the 3D box-vehicle layout.
 
@@ -181,6 +184,8 @@ class ExperimentConfig:
         if not isinstance(options["weighted"], bool):
             raise ConfigError("estimator weighted must be true or false, "
                               f"got {options['weighted']!r}")
+        if self.scenario == "placement_study" and not options["weighted"]:
+            raise ConfigError(PLACEMENT_WEIGHTED)
         object.__setattr__(self, "estimator", options)
         # built-in layouts are checked here so an oversized count fails early
         try:

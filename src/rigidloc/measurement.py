@@ -438,7 +438,7 @@ def simulate_ranges(anchors: AnchorSet, body: PlacedBody, sigma: float,
     """
     if anchors.dim != body.dim:
         raise ValueError("anchor and body dimensions differ")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     noise = None
     if sigma > 0:
@@ -471,8 +471,8 @@ def simulate_aoa(anchors: AnchorSet, body: PlacedBody, sigma_rad: float,
     """
     if anchors.dim != body.dim:
         raise ValueError("anchor and body dimensions differ")
-    if sigma_rad < 0:
-        raise ValueError("sigma_rad must be non-negative")
+    if not sigma_rad >= 0:
+        raise ValueError("sigma must be non-negative")
     diff = body.positions[None, :, :] - anchors.positions[:, None, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     if dist.min() <= 0.0:
@@ -505,7 +505,7 @@ def simulate_range_rates(anchors: AnchorSet, conf: Conformation, pose: Pose,
     along the anchor-to-node line. This is the one-trial case of
     ``_range_rates``.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be non-negative")
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")

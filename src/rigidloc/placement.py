@@ -220,6 +220,8 @@ def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
     """
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")
+    if not sigma >= 0:
+        raise ValueError("sigma must be non-negative")
     shape = (anchors.num_anchors, conf.num_nodes)
 
     def draw(rng):

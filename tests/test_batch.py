@@ -408,6 +408,15 @@ class TestRefinePoses:
         assert refined[1].stage3_converged is None
         assert refined[2].stage3_converged is not None
 
+    def test_entry_that_is_no_estimate_raises(self):
+        """Only an estimate or an estimation error is an entry: a bare
+        ``Pose`` is not passed through unrefined."""
+        anchors, conf, _, ranges = self.scene(3, 3, 0.1)
+        start = rbl_two_stage_batch(anchors, ranges, conf)
+        start[1] = start[1].pose
+        with pytest.raises(TypeError, match="PoseEstimate"):
+            refine_poses(anchors, ranges, conf, start)
+
     def test_misaligned_inputs_raise(self):
         anchors, conf, _, ranges = self.scene(3, 2, 0.1)
         start = rbl_two_stage_batch(anchors, ranges, conf)
@@ -415,10 +424,49 @@ class TestRefinePoses:
             refine_poses(anchors, ranges[:1], conf, start)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stage1_rms_is_the_rms_of_the_fitted_ranges(dim):
+    """Stage 1's ``residual_rms`` is, bit for bit, the RMS of
+    ``_range_residuals`` over the observed ranges at the reported point,
+    on masked, exact-hit and clamped-zero columns; a mirror pair reports
+    the smaller RMS of its two candidates."""
+    anchors = cube_anchor_layout(8, dim=dim, span=60.0)
+    rng = np.random.default_rng((17, dim))
+    points = rng.uniform(-10.0, 10.0, (240, dim))
+    points[::12] = anchors.positions[3]
+    values = (np.sqrt(((points[:, None] - anchors.positions) ** 2).sum(axis=-1))
+              + np.where(np.arange(240)[:, None] % 12 == 0, 0.0,
+                         rng.normal(0.0, 0.1, (240, 8))))
+    values = np.maximum(values, 0.0)
+    values[5::12, 2] = 0.0
+    obs = rng.random(values.shape) >= 0.3
+    obs[::12] = obs[5::12] = True
+    obs[7::12] = False
+    obs[7::12, :dim] = True
+    fix = multilaterate(anchors, values.T, obs.T)
+    kinds = {"exact": np.arange(0, 240, 12), "clamped": np.arange(5, 240, 12),
+             "mirror": np.arange(7, 240, 12)}
+    assert np.all(fix.residual_rms[kinds["exact"]] == 0.0)
+    assert np.all(fix.point_iterations[kinds["clamped"]] > 0)
+    assert fix.ambiguous[kinds["mirror"]].all()
+    assert sum(e is None for e in fix.errors) == 240
+    dists = np.where(obs, values, 0.0)
+
+    def rms(x):
+        resid = estimators._range_residuals(x, anchors.positions, dists, obs)
+        return np.sqrt((resid**2).sum(axis=-1) / obs.sum(axis=1))
+
+    mirror = fix.ambiguous
+    assert np.array_equal(fix.residual_rms[~mirror], rms(fix.position)[~mirror])
+    candidates = np.minimum(rms(fix.candidates[:, 0]), rms(fix.candidates[:, 1]))
+    assert np.array_equal(fix.residual_rms[mirror], candidates[mirror])
+
+
 class TestGaussNewtonKernel:
     """``estimators._gauss_newton`` evaluates its model once per iteration,
-    linearizes it only where the fit goes on, and ``_backtrack`` halves
-    only the steps that raise the objective by more than rounding."""
+    linearizes it only where the fit goes on, evaluates nothing once a fit
+    ends, and ``_backtrack`` halves only the steps that raise the
+    objective by more than rounding."""
 
     @staticmethod
     def count_evaluations(monkeypatch, model_name):
@@ -447,13 +495,13 @@ class TestGaussNewtonKernel:
 
         def counting_backtrack(x, step, norm, residuals, rows, obj, objective):
             assert np.array_equal(norm, np.sqrt((step**2).sum(axis=1)))
-            scale, *rest = backtrack(x, step, norm, residuals, rows, obj, objective)
+            scale, objective = backtrack(x, step, norm, residuals, rows, obj, objective)
             halved = scale < 1.0
             np.add.at(counts["backtracked"], rows[halved], 1)
             np.add.at(counts["resumed"],
                       rows[halved & (scale * norm >= estimators.GN_STEP_TOL)], 1)
             np.add.at(counts["ended"], rows[norm < estimators.GN_STEP_TOL], 1)
-            return scale, *rest
+            return scale, objective
 
         monkeypatch.setattr(estimators, model_name, counting_model)
         monkeypatch.setattr(estimators, "_backtrack", counting_backtrack)
@@ -462,13 +510,13 @@ class TestGaussNewtonKernel:
     @staticmethod
     def assert_one_evaluation_per_iteration(counts, iterations, converged):
         # a full step below tolerance ends the fit, so its problem is not
-        # linearized there; only a problem that ended at an untested point
-        # is evaluated once more, for its final objective
+        # linearized there; ``residuals`` is evaluated only at halvings,
+        # never once a fit has ended
         assert counts["ended"].sum() > 0
         assert np.all(counts["ended"] <= converged)
         assert np.array_equal(counts["linearized"],
                               iterations + 1 + counts["resumed"] - counts["ended"])
-        assert np.all(counts["evaluated"] <= counts["backtracked"] + converged)
+        assert np.all(counts["evaluated"] <= counts["backtracked"])
         # near a minimum at 0.1 m noise a step changes the objective by
         # rounding, which the step test lets through
         assert counts["backtracked"][converged].sum() <= 0.01 * iterations[converged].sum()
@@ -512,16 +560,16 @@ class TestGaussNewtonKernel:
                                                  lambda x: 3.0 * x**2)
         start = np.array([[0.1], [1.05]])
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
-        x, obj, _, _ = estimators._gauss_newton(start, residuals, linearize)
+        x, _, _ = estimators._gauss_newton(start, residuals, linearize)
         step = -(start**3 - 1.0) / (3.0 * start**2)
         scale = 1.0
         while ((start[0] + scale * step[0]) ** 3 - 1.0) ** 2 > (start[0] ** 3 - 1.0) ** 2:
             scale /= 2
         assert scale < 1.0
         assert (x - start)[:, 0] / step[:, 0] == pytest.approx([scale, 1.0])
-        assert obj[0] < (start[0, 0] ** 3 - 1.0) ** 2
+        assert (x[0, 0] ** 3 - 1.0) ** 2 < (start[0, 0] ** 3 - 1.0) ** 2
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 100)
-        x, obj, _, converged = estimators._gauss_newton(start, residuals, linearize)
+        x, _, converged = estimators._gauss_newton(start, residuals, linearize)
         assert converged.all()
         assert np.allclose(x, 1.0)
 
@@ -537,7 +585,7 @@ class TestGaussNewtonKernel:
             lambda x: np.hstack([x, np.full_like(x, offset)]),
             lambda x: np.hstack([-np.ones_like(x), np.zeros_like(x)]))
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
-        x, _, _, _ = estimators._gauss_newton(np.array([[x0]]), residuals, linearize)
+        x, _, _ = estimators._gauss_newton(np.array([[x0]]), residuals, linearize)
         if rise < 1.0:
             assert x[0, 0] == 2.0 * x0
         else:
@@ -545,8 +593,8 @@ class TestGaussNewtonKernel:
 
     def test_step_below_tolerance_is_taken_whole(self):
         """A full step below GN_STEP_TOL ends the fit at scale 1, though
-        it raises the objective: its residuals are evaluated once, for the
-        final objective, and it is neither halved nor linearized."""
+        it raises the objective: it is neither tested, halved nor
+        linearized, so the fit ends with no evaluation at all."""
         evaluated, linearized = [], []
         residuals, linearize = self.scalar_model(lambda x: x, lambda x: -np.ones_like(x))
 
@@ -559,20 +607,20 @@ class TestGaussNewtonKernel:
             return linearize(x, rows)
 
         x0 = 0.25 * estimators.GN_STEP_TOL
-        x, obj, iterations, converged = estimators._gauss_newton(
+        x, iterations, converged = estimators._gauss_newton(
             np.array([[x0]]), counted, counted_linearize)
         assert x[0, 0] == 2.0 * x0
-        assert obj[0] == (2.0 * x0) ** 2
         assert iterations[0] == 1 and converged[0]
         assert [p.tolist() for p in linearized] == [[[x0]]]
-        assert [p.tolist() for p in evaluated] == [[[2.0 * x0]]]
+        assert evaluated == []
 
     def test_only_going_problems_are_linearized(self):
         """x³ = 1 from 1 + 1e-13 ends on its first step, which is below
         GN_STEP_TOL, while the problem from 2 takes several: after the
-        start, every linearization is of the second problem alone, and the
-        first ends where Newton's step puts it."""
-        linearized = []
+        start, every linearization is of the second problem alone, the
+        first ends where Newton's step puts it, and no step is tested by
+        ``residuals``."""
+        linearized, evaluated = [], []
         residuals, linearize = self.scalar_model(lambda x: x**3 - 1.0,
                                                  lambda x: 3.0 * x**2)
 
@@ -580,13 +628,16 @@ class TestGaussNewtonKernel:
             linearized.append(rows.tolist())
             return linearize(x, rows)
 
+        def counted(x, rows):
+            evaluated.append(rows.tolist())
+            return residuals(x, rows)
+
         start = np.array([[1.0 + 1e-13], [2.0]])
-        x, obj, iterations, converged = estimators._gauss_newton(
-            start, residuals, counted_linearize)
+        x, iterations, converged = estimators._gauss_newton(start, counted, counted_linearize)
         assert converged.all() and iterations[0] == 1 and iterations[1] > 3
         step = -(start[0, 0] ** 3 - 1.0) / (3.0 * start[0, 0] ** 2)
         assert x[0, 0] == start[0, 0] + step
-        assert obj[0] == (x[0, 0] ** 3 - 1.0) ** 2
+        assert evaluated == []
         assert linearized[0] == [0, 1]
         assert all(rows == [1] for rows in linearized[1:])
         assert len(linearized) == iterations[1]

@@ -215,6 +215,24 @@ class TestPlacement:
                 repr(ev.translation_rmse), repr(ev.rotation_rmse)]
 
 
+    @pytest.mark.parametrize("scenario", ["placement_study", "rmse_vs_sensors"])
+    def test_unweighted_estimator_is_a_config_error(self, tmp_path, capsys, scenario):
+        """Placement scoring runs the weighted estimator only, so a config
+        asking for uniform weights is refused rather than ignored."""
+        cfg = tmp_path / "place.json"
+        cfg.write_text(json.dumps({
+            "scenario": scenario,
+            "sigma_list": [0.1],
+            "sensor_counts": [5],
+            "trials": 10,
+            "estimator": {"weighted": False},
+        }))
+        out = tmp_path / "out"
+        assert main(["placement", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "weighted" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestComplete:
     def test_csv_round_trip(self, tmp_path, capsys):
         sq, mask = write_partial_csvs(tmp_path, [(0, 4), (2, 6)])

@@ -114,6 +114,14 @@ class TestCompleteEdm:
         res = complete_edm(partial, rank_slack=1)
         assert np.abs(res.completed - sq)[~mask].max() < 0.5
 
+    @pytest.mark.parametrize("slack", [-3, -10])
+    def test_negative_rank_slack_rejected(self, slack):
+        """A negative slack would cap the rank below that of the points."""
+        pts = np.random.default_rng(10).uniform(-5, 5, (10, 3))
+        partial, _ = masked_partial(pts, [(0, 4), (2, 7)], dim=3)
+        with pytest.raises(ValueError, match="rank_slack must be non-negative"):
+            complete_edm(partial, rank_slack=slack)
+
     def test_inconsistent_knowns_not_converged(self):
         """Known entries that fit no low-rank EDM leave the objective
         stalled above the threshold and clear the converged flag."""

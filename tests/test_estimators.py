@@ -197,6 +197,17 @@ class TestProcrustes:
         assert rotation_geodesic_error(est.pose.rotation, pose.rotation) < 1e-9
         assert np.allclose(est.pose.translation, pose.translation, atol=1e-9)
 
+    @pytest.mark.parametrize("weights, message", [
+        ([1.0, -1.0, 1.0, 1.0], "non-negative and finite"),
+        ([1.0, np.nan, 1.0, 1.0], "non-negative and finite"),
+        ([1.0, np.inf, 1.0, 1.0], "non-negative and finite"),
+        ([0.0, 0.0, 0.0, 0.0], "at least one positive weight"),
+    ])
+    def test_bad_weights_raise(self, weights, message):
+        conf = Conformation(np.random.default_rng(36).uniform(-2, 2, (4, 3)))
+        with pytest.raises(ValueError, match=message):
+            fit_pose_procrustes(conf, conf.coords + 1.0, weights)
+
     def test_mirrored_input_beats_rotation_grid(self):
         """With reflected targets no proper rotation fits exactly; the fit
         must still match the best rotation found by brute-force search."""

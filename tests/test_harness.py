@@ -139,6 +139,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="sigma_list"):
             load_config(write_config(tmp_path, sigma_list=[-0.1]))
 
+    def test_unweighted_placement_study_rejected(self, tmp_path):
+        """The placement study scores layouts with the weighted estimator
+        only, so uniform weights are refused rather than ignored."""
+        with pytest.raises(ConfigError, match="weighted"):
+            load_config(write_config(tmp_path, scenario="placement_study",
+                                     estimator={"weighted": False}))
+        cfg = load_config(write_config(tmp_path, estimator={"weighted": False}))
+        assert cfg.estimator == {"weighted": False}
+
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"scenario": "rmse_vs_sensors",\n  "trials": }\n')

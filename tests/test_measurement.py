@@ -193,6 +193,27 @@ class TestSimulateRanges:
         assert np.isclose(mrm.values[0, near_face], 4.5)
 
 
+@pytest.mark.parametrize("simulate", ["ranges", "range_rates", "aoa"])
+def test_nan_sigma_rejected(simulate):
+    """A NaN noise level raises instead of simulating noiseless data."""
+    anchors = AnchorSet([[0.0, 0.0], [10.0, 0.0]])
+    conf = Conformation([[1.0, 1.0], [2.0, 1.0]])
+    body = apply_pose(conf, Pose.identity(2))
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        if simulate == "ranges":
+            simulate_ranges(anchors, body, np.nan)
+        elif simulate == "range_rates":
+            simulate_range_rates(anchors, conf, Pose.identity(2), BodyMotion(0.1, [1.0, 0.0]),
+                                 sigma=np.nan)
+        else:
+            simulate_aoa(anchors, body, np.nan)
+
+
+def test_negative_aoa_sigma_rejected():
+    with pytest.raises(ValueError, match="sigma must be non-negative"):
+        simulate_aoa(AnchorSet([[0.0, 0.0]]), PlacedBody([[1.0, 1.0]]), -0.1)
+
+
 class TestLineOfSight:
     def test_far_segment_clear(self):
         body = PlacedBody(CUBE)

@@ -153,6 +153,14 @@ class TestEvaluatePlacement:
         with pytest.raises(ValueError, match="dimensions differ"):
             evaluate_placement(anchors, self.body(), 0.1, trials=4)
 
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan])
+    def test_negative_or_nan_sigma_rejected(self, sigma):
+        """Such a noise level raises instead of scoring noiseless trials."""
+        anchors = optimize_placement(PlacementProblem(6, 3, anchor_radius=20.0,
+                                                      seed=7)).to_anchor_set()
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            evaluate_placement(anchors, self.body(), sigma, trials=4, seed=1)
+
     def test_failures_counted_not_fatal(self):
         # two anchors cannot multilaterate any 3D node
         anchors = AnchorSet([[20.0, 0.0, 0.0], [0.0, 20.0, 0.0]])

@@ -120,7 +120,9 @@ def readers(tree, name):
 def test_one_gauss_newton_loop():
     """Every point fix runs on one Gauss-Newton kernel: only it reads the
     iteration cap, only it and its backtracking read the step tolerance,
-    and only its step test reads the rounding allowance."""
+    and only its step test reads the rounding allowance. The kernel
+    returns no objective: besides the step test, only the hybrid fix sums
+    its own squared residuals."""
     modules = parse_modules()
 
     def reading(name):
@@ -129,6 +131,8 @@ def test_one_gauss_newton_loop():
     assert reading("GN_MAX_ITER") == {"estimators._gauss_newton"}
     assert reading("GN_STEP_TOL") == {"estimators._gauss_newton", "estimators._backtrack"}
     assert reading("GN_OBJECTIVE_RTOL") == {"estimators._backtrack"}
+    assert readers(modules["estimators"], "_objective") == {"_backtrack",
+                                                            "localize_point_hybrid"}
 
 
 def test_one_pin_loop():
