@@ -20,6 +20,8 @@ from .completion import complete_edm
 from .harness import (
     PLACEMENT_WEIGHTED,
     ConfigError,
+    ResultTable,
+    _format_cell,
     check_sources,
     emit_results,
     load_config,
@@ -119,14 +121,11 @@ def _cmd_placement(args) -> int:
     print(json_path)
 
     anchors = result.to_anchor_set()
-    lines = ["sigma,translation_rmse,rotation_rmse,translation_se,"
-             "rotation_se,failures,trials"]
+    lines = [",".join(("sigma", *ResultTable.METRIC_COLUMNS))]
     for idx, sigma in enumerate(config.sigma_list):
         ev = evaluate_placement(anchors, conf, sigma, config.trials,
                                 seed=(config.master_seed, idx))
-        lines.append(f"{sigma!r},{ev.translation_rmse!r},{ev.rotation_rmse!r},"
-                     f"{ev.translation_se!r},{ev.rotation_se!r},"
-                     f"{ev.failures},{ev.trials}")
+        lines.append(",".join(_format_cell(v) for v in (sigma, *vars(ev).values())))
     csv_path = out_dir / "placement_eval.csv"
     csv_path.write_text("\n".join(lines) + "\n")
     print(csv_path)

@@ -186,7 +186,9 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
     are returned bit-exact.
     ``converged`` requires both a stalled iteration and a final objective
     at or below COMPLETION_STALL_THRESHOLD; inconsistent known entries
-    leave the objective stuck above it.
+    leave the objective stuck above it. A matrix with missing entries but
+    no observed off-diagonal one has nothing to complete from and raises
+    ValueError.
     """
     if rank_slack < 0:
         raise ValueError("rank_slack must be non-negative")
@@ -206,6 +208,8 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
         current = np.where(known, target, np.maximum(guess, 0.0))
     else:
         off_diag = known & ~np.eye(partial.size, dtype=bool)
+        if not off_diag.any():
+            raise ValueError("no off-diagonal entry is observed to complete from")
         if partial.num_anchors is not None:
             m = partial.num_anchors
             cross = np.zeros_like(known)
@@ -216,7 +220,7 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
                 pool = off_diag
         else:
             pool = off_diag
-        fill = float(target[pool].mean()) if pool.any() else float(target[off_diag].mean())
+        fill = float(target[pool].mean())
         current = np.where(known, target, fill)
 
     iterations = 0

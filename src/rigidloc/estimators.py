@@ -262,14 +262,13 @@ def _backtrack(x, step, norm, residuals, rows, obj, objective):
     the full step included: that step ends the iteration whatever it does
     to the objective, which near the minimum changes only by rounding. All
     the halvings a problem may need are tested in one batched evaluation of
-    ``residuals``. Returns the scales and ``objective``, updated in place
-    to the objective at each scale that was tested.
+    ``residuals``. Returns the scales; ``objective`` is only read.
     """
     scale = np.ones(x.shape[0])
     bound = obj * (1.0 + GN_OBJECTIVE_RTOL)
     rejected = np.flatnonzero(~(objective <= bound) & ~(norm < GN_STEP_TOL))
     if rejected.size == 0:
-        return scale, objective
+        return scale
     halvings = 0.5 ** np.arange(1, 31)
     accept = halvings * norm[rejected, None] < GN_STEP_TOL
     # each problem tests its halvings before the first one below tolerance
@@ -284,10 +283,7 @@ def _backtrack(x, step, norm, residuals, rows, obj, objective):
     accept[:, -1] = True
     first = accept.argmax(axis=1)
     scale[rejected] = halvings[first]
-    # a tested scale is taken before any untested one, so it is the first
-    taken = ok & (k == first[owner])
-    objective[tried[taken]] = tried_objective[taken]
-    return scale, objective
+    return scale
 
 
 def _gauss_newton(x, residuals, linearize):
@@ -335,8 +331,8 @@ def _gauss_newton(x, residuals, linearize):
             ahead = np.flatnonzero(~ends)
             if ahead.size:
                 resid[ahead], jac[ahead] = linearize((x_live + step)[ahead], live[ahead])
-        scale, objective = _backtrack(x_live, step, norm, residuals, live, obj,
-                                      (resid**2).sum(axis=-1))
+        objective = (resid**2).sum(axis=-1)
+        scale = _backtrack(x_live, step, norm, residuals, live, obj, objective)
         x_live = x_live + scale[:, None] * step
         x[live] = x_live
         iterations[live] = iteration
@@ -344,7 +340,7 @@ def _gauss_newton(x, residuals, linearize):
         done = scale * norm < GN_STEP_TOL
         converged[live[done]] = True
         # a halved step's problem that goes on is linearized where it moved,
-        # which also gives the objective of a scale taken without a test
+        # which gives its next step test the objective there
         again = np.flatnonzero(~done & (scale < 1.0))
         if again.size:
             resid[again], jac[again] = linearize(x_live[again], live[again])

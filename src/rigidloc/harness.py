@@ -15,7 +15,7 @@ import itertools
 import json
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from .measurement import AnchorSet, MaskedRangeMatrix, _range_rates, assemble_pa
 from .measurement import simulate_ranges  # noqa: F401 - callers wrap harness.simulate_ranges
 from .placement import (
     TRIAL_FAILURES,
+    PlacementEvaluation,
     PlacementProblem,
     error_statistics,
     evaluate_placement,
@@ -209,20 +210,10 @@ class ExperimentConfig:
         return cls(**obj)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "dim": self.dim,
-            "conformation": self.conformation,
-            "anchors": self.anchors,
-            "anchor_count": self.anchor_count,
-            "anchor_span": self.anchor_span,
-            "sigma_list": list(self.sigma_list),
-            "sensor_counts": list(self.sensor_counts),
-            "missing_fraction": list(self.missing_fraction),
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "estimator": dict(self.estimator),
-        }
+        """The fields in declaration order as JSON types: the tuple fields
+        as lists, and a copy of the estimator options."""
+        return {k: list(v) if isinstance(v, tuple) else v
+                for k, v in asdict(self).items()}
 
 
 def _integer(value, name):
@@ -283,13 +274,19 @@ class ResultRow:
 
 @dataclass
 class ResultTable:
-    """Aggregated sweep results with stable column order."""
+    """Aggregated sweep results with stable column order.
+
+    The metric columns are the fields of ``PlacementEvaluation``, in
+    order. ``to_csv`` writes the scenario, the parameters and those
+    columns; ``to_json`` writes every ``ResultRow`` field, in field order,
+    with NaN as null, and ``from_json`` reads that back, raising TypeError
+    on a row with a missing or unknown key.
+    """
 
     rows: list
     param_keys: tuple
 
-    METRIC_COLUMNS = ("translation_rmse", "rotation_rmse",
-                      "translation_se", "rotation_se", "failures", "trials")
+    METRIC_COLUMNS = tuple(f.name for f in fields(PlacementEvaluation))
 
     def header(self) -> list:
         return ["scenario", *self.param_keys, *self.METRIC_COLUMNS]
@@ -308,17 +305,8 @@ class ResultTable:
     def to_json(self, path=None) -> str:
         obj = {
             "param_keys": list(self.param_keys),
-            "rows": [{
-                "scenario": row.scenario,
-                "params": row.params,
-                "translation_rmse": _json_float(row.translation_rmse),
-                "rotation_rmse": _json_float(row.rotation_rmse),
-                "translation_se": _json_float(row.translation_se),
-                "rotation_se": _json_float(row.rotation_se),
-                "failures": row.failures,
-                "trials": row.trials,
-                "wall_time_s": row.wall_time_s,
-            } for row in self.rows],
+            "rows": [{k: _json_float(v) for k, v in vars(row).items()}
+                     for row in self.rows],
         }
         text = json.dumps(obj, indent=2)
         if path is not None:
@@ -328,17 +316,8 @@ class ResultTable:
     @classmethod
     def from_json(cls, text: str) -> "ResultTable":
         obj = json.loads(text)
-        rows = [ResultRow(
-            scenario=r["scenario"],
-            params=r["params"],
-            translation_rmse=_from_json_float(r["translation_rmse"]),
-            rotation_rmse=_from_json_float(r["rotation_rmse"]),
-            translation_se=_from_json_float(r["translation_se"]),
-            rotation_se=_from_json_float(r["rotation_se"]),
-            failures=r["failures"],
-            trials=r["trials"],
-            wall_time_s=r["wall_time_s"],
-        ) for r in obj["rows"]]
+        rows = [ResultRow(**{k: float("nan") if v is None else v for k, v in r.items()})
+                for r in obj["rows"]]
         return cls(rows, tuple(obj["param_keys"]))
 
     def plot_series_keys(self):
@@ -354,12 +333,8 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _json_float(value: float):
+def _json_float(value):
     return None if isinstance(value, float) and np.isnan(value) else value
-
-
-def _from_json_float(value) -> float:
-    return float("nan") if value is None else float(value)
 
 
 def emit_results(table: ResultTable, fmt: str, out_dir) -> list:

@@ -428,18 +428,23 @@ def _visibility_mask(anchors: AnchorSet, body: PlacedBody, visibility) -> np.nda
     return visibility._visible(anchors.positions, body.positions)
 
 
+def _check_sigma(sigma) -> None:
+    """Raise ValueError unless the noise level ``sigma`` lies in [0, inf)."""
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be non-negative and finite")
+
+
 def simulate_ranges(anchors: AnchorSet, body: PlacedBody, sigma: float,
                     visibility=None, rng: np.random.Generator | None = None
                     ) -> MaskedRangeMatrix:
     """Noisy anchor-to-node distances with blocked pairs masked out.
 
     Observed entries are true Euclidean distances plus iid Gaussian noise of
-    standard deviation ``sigma`` meters, clamped at zero.
+    standard deviation ``sigma`` meters (finite), clamped at zero.
     """
     if anchors.dim != body.dim:
         raise ValueError("anchor and body dimensions differ")
-    if not sigma >= 0:
-        raise ValueError("sigma must be non-negative")
+    _check_sigma(sigma)
     noise = None
     if sigma > 0:
         if rng is None:
@@ -466,13 +471,13 @@ def simulate_aoa(anchors: AnchorSet, body: PlacedBody, sigma_rad: float,
 
     Azimuth is atan2 over the anchor-to-node offset, wrapped to (-pi, pi];
     3D adds elevation in [-pi/2, pi/2] (re-folded over the poles after
-    noise). A node coinciding with an anchor has no defined direction and is
-    rejected.
+    noise). The noise is iid Gaussian of finite standard deviation
+    ``sigma_rad``. A node coinciding with an anchor has no defined
+    direction and is rejected.
     """
     if anchors.dim != body.dim:
         raise ValueError("anchor and body dimensions differ")
-    if not sigma_rad >= 0:
-        raise ValueError("sigma must be non-negative")
+    _check_sigma(sigma_rad)
     diff = body.positions[None, :, :] - anchors.positions[:, None, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     if dist.min() <= 0.0:
@@ -502,11 +507,11 @@ def simulate_range_rates(anchors: AnchorSet, conf: Conformation, pose: Pose,
     """Range-rate (Doppler) matrix in m/s; NaN marks blocked pairs.
 
     The rate toward a node is the radial component of that node's velocity
-    along the anchor-to-node line. This is the one-trial case of
+    along the anchor-to-node line, plus iid Gaussian noise of standard
+    deviation ``sigma`` m/s (finite). This is the one-trial case of
     ``_range_rates``.
     """
-    if not sigma >= 0:
-        raise ValueError("sigma must be non-negative")
+    _check_sigma(sigma)
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")
     body = apply_pose(conf, pose)

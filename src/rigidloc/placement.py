@@ -31,7 +31,7 @@ from .geometry import (
     _rotation_angles,
     _rotation_draw,
 )
-from .measurement import AnchorSet, _check_observed, _ranges
+from .measurement import AnchorSet, _check_observed, _check_sigma, _ranges
 
 UNIT_NORM_TOL = 1e-9
 EVALUATION_POSE_SPREAD = 1.0  # meters; see ``evaluate_placement``
@@ -220,8 +220,7 @@ def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
     """
     if anchors.dim != conf.dim:
         raise ValueError("anchor and conformation dimensions differ")
-    if not sigma >= 0:
-        raise ValueError("sigma must be non-negative")
+    _check_sigma(sigma)
     shape = (anchors.num_anchors, conf.num_nodes)
 
     def draw(rng):

@@ -187,7 +187,8 @@ class TestPlacement:
         assert np.isclose(placement["frame_potential"], 36.0 / 3.0, atol=1e-3)
         assert len(placement["positions"]) == 6
         lines = (out / "placement_eval.csv").read_text().strip().split("\n")
-        assert lines[0].startswith("sigma,translation_rmse")
+        assert lines[0] == ("sigma,translation_rmse,rotation_rmse,translation_se,"
+                            "rotation_se,failures,trials")
         assert len(lines) == 2
 
     def test_scores_the_configured_conformation(self, tmp_path, capsys):
@@ -211,8 +212,9 @@ class TestPlacement:
         for idx, sigma in enumerate((0.05, 0.1)):
             ev = evaluate_placement(anchors, Conformation(body.coords[:4]), sigma,
                                     10, seed=(2, idx))
-            assert lines[1 + idx].split(",")[1:3] == [
-                repr(ev.translation_rmse), repr(ev.rotation_rmse)]
+            assert lines[1 + idx] == (
+                f"{sigma!r},{ev.translation_rmse!r},{ev.rotation_rmse!r},"
+                f"{ev.translation_se!r},{ev.rotation_se!r},{ev.failures},{ev.trials}")
 
 
     @pytest.mark.parametrize("scenario", ["placement_study", "rmse_vs_sensors"])

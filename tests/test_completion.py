@@ -53,6 +53,13 @@ class TestCompleteEdm:
         assert res.converged
         assert np.array_equal(res.completed, squared_edm(pts))
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_observed_off_diagonal_entry_raises(self):
+        """With only the diagonal observed there is nothing to fill from."""
+        partial = PartialEdm(np.zeros((4, 4)), np.eye(4, dtype=bool), dim=2)
+        with pytest.raises(ValueError, match="no off-diagonal entry is observed"):
+            complete_edm(partial)
+
     def test_twenty_percent_masked_10_points(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(-5, 5, (10, 3))

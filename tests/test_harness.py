@@ -630,11 +630,13 @@ class TestEmitResults:
         return ResultTable([row], ("sigma", "sensors"))
 
     def test_single_row_csv(self, tmp_path):
+        """The CSV holds the scenario, the parameters and the metric
+        columns, and no wall time."""
         paths = emit_results(self.table(), "csv", tmp_path)
-        lines = paths[0].read_text().strip().split("\n")
-        assert len(lines) == 2
-        assert lines[0].startswith("scenario,sigma,sensors,translation_rmse")
-        assert "wall_time" not in lines[0]
+        assert paths[0].read_text() == (
+            "scenario,sigma,sensors,translation_rmse,rotation_rmse,"
+            "translation_se,rotation_se,failures,trials\n"
+            "rmse_vs_sensors,0.1,4,0.25,0.01,0.002,0.0001,0,100\n")
 
     def test_json_round_trip_bit_exact(self, tmp_path):
         cfg = tiny_config(sigma_list=[0.1], trials=8)
@@ -656,6 +658,46 @@ class TestEmitResults:
         assert parsed["rows"][0]["translation_rmse"] is None
         back = ResultTable.from_json(paths[0].read_text())
         assert np.isnan(back.rows[0].translation_rmse)
+
+    def test_json_text(self):
+        """Rows are written with the ResultRow fields in field order, NaN as
+        null, and the wall time, which only the JSON carries."""
+        row = ResultRow(scenario="rmse_vs_sensors", params={"sigma": 0.1, "sensors": 4},
+                        translation_rmse=float("nan"), rotation_rmse=0.5,
+                        translation_se=float("nan"), rotation_se=0.0,
+                        failures=5, trials=6, wall_time_s=0.25)
+        assert ResultTable([row], ("sigma", "sensors")).to_json() == """{
+  "param_keys": [
+    "sigma",
+    "sensors"
+  ],
+  "rows": [
+    {
+      "scenario": "rmse_vs_sensors",
+      "params": {
+        "sigma": 0.1,
+        "sensors": 4
+      },
+      "translation_rmse": null,
+      "rotation_rmse": 0.5,
+      "translation_se": null,
+      "rotation_se": 0.0,
+      "failures": 5,
+      "trials": 6,
+      "wall_time_s": 0.25
+    }
+  ]
+}"""
+
+    @pytest.mark.parametrize("edit", ["missing", "unknown"])
+    def test_from_json_rejects_a_row_with_other_keys(self, edit):
+        obj = json.loads(self.table().to_json())
+        if edit == "missing":
+            del obj["rows"][0]["wall_time_s"]
+        else:
+            obj["rows"][0]["nees"] = 1.0
+        with pytest.raises(TypeError):
+            ResultTable.from_json(json.dumps(obj))
 
     def test_plot_data_one_series_per_sigma(self, tmp_path):
         cfg = tiny_config(sigma_list=[0.0, 0.1], sensor_counts=[4, 6],

@@ -193,20 +193,33 @@ class TestSimulateRanges:
         assert np.isclose(mrm.values[0, near_face], 4.5)
 
 
-@pytest.mark.parametrize("simulate", ["ranges", "range_rates", "aoa"])
-def test_nan_sigma_rejected(simulate):
-    """A NaN noise level raises instead of simulating noiseless data."""
+def simulate_two_by_two(simulate, sigma):
+    """Run the simulator ``simulate`` on two planar anchors and two nodes."""
     anchors = AnchorSet([[0.0, 0.0], [10.0, 0.0]])
     conf = Conformation([[1.0, 1.0], [2.0, 1.0]])
     body = apply_pose(conf, Pose.identity(2))
+    if simulate == "ranges":
+        return simulate_ranges(anchors, body, sigma)
+    if simulate == "range_rates":
+        return simulate_range_rates(anchors, conf, Pose.identity(2),
+                                    BodyMotion(0.1, [1.0, 0.0]), sigma=sigma)
+    return simulate_aoa(anchors, body, sigma)
+
+
+@pytest.mark.parametrize("simulate", ["ranges", "range_rates", "aoa"])
+def test_nan_sigma_rejected(simulate):
+    """A NaN noise level raises instead of simulating noiseless data."""
     with pytest.raises(ValueError, match="sigma must be non-negative"):
-        if simulate == "ranges":
-            simulate_ranges(anchors, body, np.nan)
-        elif simulate == "range_rates":
-            simulate_range_rates(anchors, conf, Pose.identity(2), BodyMotion(0.1, [1.0, 0.0]),
-                                 sigma=np.nan)
-        else:
-            simulate_aoa(anchors, body, np.nan)
+        simulate_two_by_two(simulate, np.nan)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("simulate", ["ranges", "range_rates", "aoa"])
+def test_infinite_sigma_rejected(simulate):
+    """An infinite noise level raises by name instead of returning infinite
+    entries or failing a later check."""
+    with pytest.raises(ValueError, match="sigma must be non-negative and finite"):
+        simulate_two_by_two(simulate, np.inf)
 
 
 def test_negative_aoa_sigma_rejected():

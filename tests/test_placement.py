@@ -153,9 +153,10 @@ class TestEvaluatePlacement:
         with pytest.raises(ValueError, match="dimensions differ"):
             evaluate_placement(anchors, self.body(), 0.1, trials=4)
 
-    @pytest.mark.parametrize("sigma", [-0.1, np.nan])
+    @pytest.mark.parametrize("sigma", [-0.1, np.nan, np.inf])
     def test_negative_or_nan_sigma_rejected(self, sigma):
-        """Such a noise level raises instead of scoring noiseless trials."""
+        """Such a noise level, or an infinite one, raises instead of scoring
+        noiseless trials or failing a later check."""
         anchors = optimize_placement(PlacementProblem(6, 3, anchor_radius=20.0,
                                                       seed=7)).to_anchor_set()
         with pytest.raises(ValueError, match="sigma must be non-negative"):

@@ -5,9 +5,10 @@ Gauss-Newton settings are read by one solver loop only; the congruent
 start has one pin loop; each numeric kernel has one copy; the estimators
 reach an observation pattern's anchor geometry through one cache; stage 3
 has one array core, which the harness reaches through its block solver;
-the velocity fit has one array core, on which the motion sweep runs; and
+the velocity fit has one array core, on which the motion sweep runs;
 the package keeps the names the benchmark's tracer patches, and the
-harness the poses its gate checks."""
+harness the poses its gate checks; and the metric fields of the results
+are listed once, by their dataclasses."""
 
 import ast
 import importlib
@@ -192,6 +193,43 @@ def test_one_velocity_path():
                    for node in ast.walk(modules["placement"]))
     for name in ("Pose", "BodyMotion", "estimate_motion", "simulate_range_rates"):
         assert readers(modules["harness"], name) == set(), name
+
+
+def strings(tree):
+    """(owner, value) of each string constant of ``tree`` that is not a
+    docstring, the owner being the enclosing function's name or
+    ``<module>``."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                       ast.AsyncFunctionDef))
+                  and isinstance(node.body[0], ast.Expr)
+                  and isinstance(node.body[0].value, ast.Constant)}
+    found = set()
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(child, child.name)
+                continue
+            if (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                    and id(child) not in docstrings):
+                found.add((owner, child.value))
+            walk(child, owner)
+
+    walk(tree, "<module>")
+    return found
+
+
+def test_metric_fields_are_listed_once():
+    """The results CSV and JSON, their reader and the placement CSV take
+    their metric columns from the ``PlacementEvaluation`` and ``ResultRow``
+    fields: outside docstrings, only the metrics ``emit_results`` plots are
+    named in a string."""
+    metrics = ("translation_rmse", "rotation_rmse", "translation_se", "rotation_se")
+    naming = {(f"{module}.{owner}", value) for module, tree in parse_modules().items()
+              for owner, value in strings(tree) if any(m in value for m in metrics)}
+    assert naming == {("harness.emit_results", "translation_rmse"),
+                      ("harness.emit_results", "rotation_rmse")}
 
 
 def test_pattern_geometry_goes_through_the_cache():
