@@ -13,7 +13,7 @@ range+angle point fixes and linear velocity estimation from range-rates.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,10 +104,9 @@ class PointFix:
 class PoseEstimate:
     """Rigid pose estimate with per-stage residual summaries.
 
-    ``unconverged_nodes`` counts the stage-1 node fixes whose Gauss-Newton
-    iteration hit the iteration cap before its step fell below tolerance.
-    ``stage3_converged`` is None until ``refine_poses`` refines the pose,
-    then whether its Gauss-Newton step fell below tolerance.
+    ``iterations`` is the stage-1 Gauss-Newton total over the node fixes,
+    and ``unconverged_nodes`` counts the fixes whose iteration hit the
+    iteration cap before its step fell below tolerance.
     """
 
     pose: Pose
@@ -117,7 +116,6 @@ class PoseEstimate:
     rotation_unique: bool = True
     ambiguous_nodes: tuple = ()
     unconverged_nodes: int = 0
-    stage3_converged: bool | None = None
 
 
 @dataclass
@@ -589,11 +587,13 @@ class _TwoStage:
 
 def _two_stage(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
                mask: np.ndarray, weighted: bool) -> _TwoStage:
-    """Array core of ``rbl_two_stage_batch``: the two-stage estimates of T
+    """Array core of ``rbl_two_stage``: the two-stage estimates of T
     trials of one body from their T x M x K ranges (NaN where ``mask`` is
     False). Stage 1 multilaterates every usable node of every trial in one
     batched call and stage 2 fits all poses in one batched weighted
-    Kabsch."""
+    Kabsch; a trial's row is what it gives solved alone. Work and memory
+    grow with the total node count, so callers with many trials pass them
+    in blocks."""
     t_count, dim = values.shape[0], conf.dim
     n_obs = mask.sum(axis=1)
 
@@ -642,37 +642,6 @@ def _two_stage(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
                      unique, ambiguous, unconverged.sum(axis=1))
 
 
-def rbl_two_stage_batch(anchors: AnchorSet, ranges, conf: Conformation,
-                        weighted: bool = True) -> list:
-    """Two-stage rigid body localization of many trials of one body.
-
-    ``ranges`` is a sequence of M x K ``MaskedRangeMatrix``. Stage 1
-    multilaterates every usable node of every trial in one batched
-    ``multilaterate`` call; stage 2 fits all poses in one batched weighted
-    Kabsch. Returns, per trial, the ``PoseEstimate`` ``rbl_two_stage``
-    would return or the estimation error (a ValueError) it would raise.
-    Work and memory grow with the total node count, so callers with many
-    trials pass them in blocks.
-    """
-    if anchors.dim != conf.dim:
-        raise ValueError("anchor and conformation dimensions differ")
-    if any(r.shape != (anchors.num_anchors, conf.num_nodes) for r in ranges):
-        raise ValueError("range matrix shape must be (num_anchors, num_nodes)")
-    if not ranges:
-        return []
-    fit = _two_stage(anchors, conf, np.stack([r.values for r in ranges]),
-                     np.stack([r.mask for r in ranges]), weighted)
-    results = list(fit.failed)
-    for t in np.flatnonzero([err is None for err in fit.failed]):
-        results[t] = PoseEstimate(
-            Pose(fit.rotation[t], fit.translation[t]), float(fit.stage1_rms[t]),
-            float(fit.stage2_rms[t]), int(fit.iterations[t]),
-            bool(fit.rotation_unique[t]),
-            tuple(int(n) for n in np.flatnonzero(fit.ambiguous[t])),
-            int(fit.unconverged[t]))
-    return results
-
-
 def rbl_two_stage(anchors: AnchorSet, ranges: MaskedRangeMatrix,
                   conf: Conformation, weighted: bool = True) -> PoseEstimate:
     """Two-stage rigid body localization.
@@ -682,12 +651,21 @@ def rbl_two_stage(anchors: AnchorSet, ranges: MaskedRangeMatrix,
     Procrustes, weighting each node by the inverse of its stage-1 residual
     variance (plus a small regularizer); ``weighted=False`` switches to
     uniform weights over the localized nodes. This is the one-trial case
-    of ``rbl_two_stage_batch``.
+    of the array core ``_two_stage``, which the sweeps run on blocks of
+    trials; the estimation error (a ValueError) of a failed trial is raised.
     """
-    result = rbl_two_stage_batch(anchors, [ranges], conf, weighted)[0]
-    if isinstance(result, ValueError):
-        raise result
-    return result
+    if anchors.dim != conf.dim:
+        raise ValueError("anchor and conformation dimensions differ")
+    if ranges.shape != (anchors.num_anchors, conf.num_nodes):
+        raise ValueError("range matrix shape must be (num_anchors, num_nodes)")
+    fit = _two_stage(anchors, conf, ranges.values[None], ranges.mask[None], weighted)
+    if fit.failed[0] is not None:
+        raise fit.failed[0]
+    return PoseEstimate(Pose(fit.rotation[0], fit.translation[0]), float(fit.stage1_rms[0]),
+                        float(fit.stage2_rms[0]), int(fit.iterations[0]),
+                        bool(fit.rotation_unique[0]),
+                        tuple(int(n) for n in np.flatnonzero(fit.ambiguous[0])),
+                        int(fit.unconverged[0]))
 
 
 def _rigid_range_rows(rotated, diff, dist):
@@ -748,9 +726,15 @@ def _pose_model(anchors, coords, rot0, dists, obs):
 
 def _refine(anchors: AnchorSet, conf: Conformation, rotations: np.ndarray,
             translations: np.ndarray, values: np.ndarray, mask: np.ndarray):
-    """Array core of ``refine_poses``: stage 3 from B poses (B x D x D,
-    B x D) on their B x M x K ranges, observed where ``mask`` is True.
-    Returns the refined poses, iteration counts and convergence flags."""
+    """Stage 3: maximum-likelihood refinement of B poses (B x D x D, B x D)
+    by Gauss-Newton on SE(n) over their B x M x K ranges, observed where
+    ``mask`` is True, following Chepuri, Leus & van der Veen, "Rigid Body
+    Localization Using Sensor Networks" (IEEE TSP 2014). Each pose starts
+    from its rotation R0 and translation and moves as R = exp([ω]×)·R0 in
+    3D or rot(θ)·R0 in 2D. All poses are solved together by the kernel
+    every point fix runs on, so a pose's result does not depend on the
+    others. Returns the refined poses, iteration counts and convergence
+    flags."""
     dim = conf.dim
     start = np.hstack([np.zeros((len(rotations), 1 if dim == 2 else 3)), translations])
     x, iterations, converged = _gauss_newton(start, *_pose_model(
@@ -821,50 +805,6 @@ def _joint_start(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
     return rotations, translations, failed
 
 
-def refine_poses(anchors: AnchorSet, ranges, conf: Conformation,
-                 estimates) -> list:
-    """Stage 3: maximum-likelihood refinement of two-stage pose estimates.
-
-    Runs Gauss-Newton on SE(n) over every observed range of each trial,
-    following Chepuri, Leus & van der Veen, "Rigid Body Localization Using
-    Sensor Networks" (IEEE TSP 2014). ``ranges`` (M x K
-    ``MaskedRangeMatrix`` per trial) and ``estimates`` are aligned per
-    trial; the estimates are what ``rbl_two_stage_batch`` returns, and the
-    ranges need not be the ones it was given. Each pose starts from its
-    stage-2 rotation R0 and translation and moves as R = exp([ω]×)·R0 in
-    3D or rot(θ)·R0 in 2D. All trials are solved together by the kernel
-    every point fix runs on, so a trial's result does not depend on the
-    others. Estimation errors, and estimates whose rotation is not unique,
-    come back unchanged; every other estimate comes back with the refined
-    pose, its stage-3 iterations added to ``iterations`` and
-    ``stage3_converged`` set. Any other entry raises TypeError.
-    """
-    if anchors.dim != conf.dim:
-        raise ValueError("anchor and conformation dimensions differ")
-    if len(ranges) != len(estimates):
-        raise ValueError("one range matrix per estimate required")
-    if any(r.shape != (anchors.num_anchors, conf.num_nodes) for r in ranges):
-        raise ValueError("range matrix shape must be (num_anchors, num_nodes)")
-    for est in estimates:
-        if not isinstance(est, (PoseEstimate, ValueError)):
-            raise TypeError(f"expected a PoseEstimate or an estimation error, got {est!r}")
-    results = list(estimates)
-    todo = [t for t, est in enumerate(estimates)
-            if isinstance(est, PoseEstimate) and est.rotation_unique]
-    if not todo:
-        return results
-    rot, trans, iterations, converged = _refine(
-        anchors, conf, np.stack([estimates[t].pose.rotation for t in todo]),
-        np.stack([estimates[t].pose.translation for t in todo]),
-        np.stack([ranges[t].values for t in todo]), np.stack([ranges[t].mask for t in todo]))
-    for i, t in enumerate(todo):
-        est = estimates[t]
-        results[t] = replace(est, pose=Pose(rot[i], trans[i]),
-                             iterations=est.iterations + int(iterations[i]),
-                             stage3_converged=bool(converged[i]))
-    return results
-
-
 def _polar_point(anchor, dist, azimuth, elevation=None):
     if elevation is None:
         return anchor + dist * np.array([np.cos(azimuth), np.sin(azimuth)])
@@ -887,7 +827,11 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
     linearized range fix, a 2D bearing intersection or the anchor
     centroid. Angles resolve ambiguities ranges alone cannot, e.g. a
     single anchor with one range and one azimuth already fixes a 2D point.
+    Both sigmas must be positive and finite: they weight the residuals.
     """
+    for name, sigma in (("sigma_range", sigma_range), ("sigma_angle", sigma_angle)):
+        if not 0 < sigma < np.inf:
+            raise ValueError(f"{name} must be positive and finite")
     dim = anchors.dim
     m = anchors.num_anchors
     nothing = np.full(m, np.nan)
@@ -904,8 +848,7 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
     if n_total < dim:
         raise InsufficientMeasurementsError(
             f"{n_total} observations cannot fix a point in {dim}D")
-    w_range = 1.0 / sigma_range if sigma_range > 0 else 1.0
-    w_angle = 1.0 / sigma_angle if sigma_angle > 0 else 1.0
+    w_range, w_angle = 1.0 / sigma_range, 1.0 / sigma_angle
     # one weighted row per anchor and kind, zero where unobserved
     weights = np.concatenate([w_range * r_obs, w_angle * a_obs]
                              + ([w_angle * e_obs] if dim == 3 else []))
@@ -973,21 +916,18 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
     In body 1's frame its nodes are anchors at known coordinates, so this
     is anchored rigid body localization with ``conf1``'s nodes as anchors
     and ``cross`` (k1 x k2) as their ranges to body 2's nodes: the
-    two-stage estimate of ``rbl_two_stage_batch`` refined by
-    ``refine_poses``. Stage 1 fixes a body-2 node only when body 1 has at
-    least dim+1 nodes; when they span only a hyperplane, each fix is one of
-    two mirror candidates, ``reflection_resolved`` is cleared and the pose
-    can be metres off. Raises
-    the estimation error the two stages raise, and DegenerateGeometryError
-    when body 2's nodes span less than a hyperplane (its rotation is not
-    unique) or when both bodies lie in one hyperplane (ranges within it
-    leave each node's offset out of it unobservable).
+    ``rbl_two_stage`` estimate refined by stage 3 (``_refine``). Stage 1
+    fixes a body-2 node only when body 1 has at least dim+1 nodes; when
+    they span only a hyperplane, each fix is one of two mirror candidates,
+    ``reflection_resolved`` is cleared and the pose can be metres off.
+    Raises the estimation error the two stages raise, and
+    DegenerateGeometryError when body 2's nodes span less than a
+    hyperplane (its rotation is not unique) or when both bodies lie in one
+    hyperplane (ranges within it leave each node's offset out of it
+    unobservable).
 
-    One call is one trial of the batched kernels, about 3-4 ms for
-    4-14 nodes per body at 0.1 m noise on a 2-vCPU VM (median of 40
-    draws, three calls each), mostly
-    stage-3 Gauss-Newton; many pairs are cheaper solved together, by
-    ``rbl_two_stage_batch`` and ``refine_poses`` on lists of them.
+    One call is one trial of the array cores that the anchorless sweep
+    runs on blocks of trials (``placement.refined_block``).
     """
     if conf1.dim != conf2.dim:
         raise ValueError("conformation dimensions differ")
@@ -997,20 +937,20 @@ def relative_pose_anchorless(conf1: Conformation, conf2: Conformation,
         raise ValueError("cross distances must be fully observed; "
                          "complete the distance matrix first")
     anchors = AnchorSet(conf1.coords)
-    est = refine_poses(anchors, [cross], conf2,
-                       rbl_two_stage_batch(anchors, [cross], conf2))[0]
-    if isinstance(est, ValueError):
-        raise est
+    est = rbl_two_stage(anchors, cross, conf2)
     if not est.rotation_unique:
         raise DegenerateGeometryError(
             "body 2's localized nodes do not pin down its rotation")
-    body2 = apply_pose(conf2, est.pose).positions
+    rot, trans, _, _ = _refine(anchors, conf2, est.pose.rotation[None],
+                               est.pose.translation[None], cross.values[None],
+                               cross.mask[None])
+    pose = Pose(rot[0], trans[0])
+    body2 = apply_pose(conf2, pose).positions
     # stage 1 puts a node in body 1's hyperplane to rounding, hence the cutoff
     if affine_basis(np.vstack([conf1.coords, body2]), tol=1e-6)[2] < conf1.dim:
         raise DegenerateGeometryError("both bodies lie in one hyperplane")
     offset = body2.mean(axis=0) - conf1.coords.mean(axis=0)
-    return RelativePoseEstimate(est.pose, offset, est.stage2_rms,
-                                not est.ambiguous_nodes)
+    return RelativePoseEstimate(pose, offset, est.stage2_rms, not est.ambiguous_nodes)
 
 
 def _motion_fits(anchors: AnchorSet, conf: Conformation, rotations: np.ndarray,

@@ -153,11 +153,12 @@ class ExperimentConfig:
             raise ConfigError("dim must be 2 or 3")
         if _integer(self.trials, "trials") < 1:
             raise ConfigError("trials must be a positive integer")
-        _integer(self.master_seed, "master_seed")
+        if _integer(self.master_seed, "master_seed") < 0:
+            raise ConfigError("master_seed must be a non-negative integer")
         sigmas = tuple(_real(s, "sigma_list")
                        for s in _as_sequence(self.sigma_list, "sigma_list"))
-        if any(not np.isfinite(s) or s < 0 for s in sigmas):
-            raise ConfigError("sigma_list entries must be non-negative")
+        if any(not 0 <= s < np.inf for s in sigmas):
+            raise ConfigError("sigma_list entries must be non-negative and finite")
         object.__setattr__(self, "sigma_list", sigmas)
         counts = tuple(_integer(k, "sensor_counts")
                        for k in _as_sequence(self.sensor_counts, "sensor_counts"))

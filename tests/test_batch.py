@@ -1,10 +1,9 @@
-"""Batched estimation: ``multilaterate`` on range matrices, the batched
-two-stage estimator, the stage-3 pose refinement, the joint start, the
+"""Batched estimation: ``multilaterate`` on range matrices, the
+two-stage array core, the stage-3 pose refinement, the joint start, the
 velocity fit, the batched congruent start, the stacked pose and range
 checks, and their agreement with one-at-a-time calls."""
 
 import itertools
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,12 +17,12 @@ from rigidloc.estimators import (
     _joint_start,
     _motion_fits,
     _pattern_groups,
+    _refine,
     _rigid_range_rows,
     _subset_geometry,
+    _two_stage,
     multilaterate,
     rbl_two_stage,
-    rbl_two_stage_batch,
-    refine_poses,
 )
 from rigidloc.geometry import (
     ORTHOGONALITY_TOL,
@@ -301,23 +300,34 @@ class TestBatchTwoStage:
             out.append(MaskedRangeMatrix(np.where(mask, values, np.nan), mask))
         return anchors, conf, out
 
+    @staticmethod
+    def block(anchors, conf, ranges, weighted=True):
+        """``_two_stage`` on the stacked trials."""
+        return _two_stage(anchors, conf, np.stack([r.values for r in ranges]),
+                          np.stack([r.mask for r in ranges]), weighted)
+
     @pytest.mark.parametrize("weighted", [True, False])
     def test_matches_rbl_two_stage(self, weighted):
+        """Row t of one block is, bit for bit, ``rbl_two_stage`` on trial t,
+        or the error it raises."""
         anchors, conf, ranges = self.trials(40)
-        batch = rbl_two_stage_batch(anchors, ranges, conf, weighted=weighted)
+        fit = self.block(anchors, conf, ranges, weighted)
         outcomes = set()
-        for r, got in zip(ranges, batch):
+        for t, r in enumerate(ranges):
             try:
                 est = rbl_two_stage(anchors, r, conf, weighted=weighted)
             except ValueError as err:
-                assert type(got) is type(err)
+                assert type(fit.failed[t]) is type(err)
+                assert str(fit.failed[t]) == str(err)
+                assert np.isnan(fit.rotation[t]).all()
                 outcomes.add(type(err))
                 continue
-            assert np.array_equal(got.pose.rotation, est.pose.rotation)
-            assert np.array_equal(got.pose.translation, est.pose.translation)
-            assert (got.stage1_rms, got.stage2_rms, got.iterations,
-                    got.rotation_unique, got.ambiguous_nodes,
-                    got.unconverged_nodes) == (
+            assert fit.failed[t] is None
+            assert np.array_equal(fit.rotation[t], est.pose.rotation)
+            assert np.array_equal(fit.translation[t], est.pose.translation)
+            assert (fit.stage1_rms[t], fit.stage2_rms[t], fit.iterations[t],
+                    fit.rotation_unique[t], tuple(np.flatnonzero(fit.ambiguous[t])),
+                    fit.unconverged[t]) == (
                         est.stage1_rms, est.stage2_rms, est.iterations,
                         est.rotation_unique, est.ambiguous_nodes,
                         est.unconverged_nodes)
@@ -326,14 +336,18 @@ class TestBatchTwoStage:
 
     def test_no_usable_node_is_an_insufficient_error(self):
         anchors, conf, ranges = self.trials(4)
-        assert isinstance(rbl_two_stage_batch(anchors, ranges, conf)[3],
+        assert isinstance(self.block(anchors, conf, ranges).failed[3],
                           InsufficientMeasurementsError)
+        with pytest.raises(InsufficientMeasurementsError, match="no node has enough"):
+            rbl_two_stage(anchors, ranges[3], conf)
 
     def test_wrong_shape_raises(self):
-        anchors, conf, ranges = self.trials(2)
+        anchors, conf, _ = self.trials(1)
         with pytest.raises(ValueError, match="shape"):
-            rbl_two_stage_batch(anchors, [ranges[0], MaskedRangeMatrix(np.ones((8, 3)))],
-                                conf)
+            rbl_two_stage(anchors, MaskedRangeMatrix(np.ones((8, 3))), conf)
+        with pytest.raises(ValueError, match="dimensions differ"):
+            rbl_two_stage(cube_anchor_layout(8, dim=2, span=60.0),
+                          MaskedRangeMatrix(np.ones((8, 8))), conf)
 
     def test_unconverged_nodes_reported(self, monkeypatch):
         anchors = cube_anchor_layout(8, dim=3, span=60.0)
@@ -350,6 +364,8 @@ class TestBatchTwoStage:
 
 
 class TestRefinePoses:
+    """Stage 3, ``_refine``, on stacked poses and ranges."""
+
     def scene(self, dim, count, sigma, seed=31):
         """Anchors, body, true poses and ranges with about 30% missing."""
         anchors = cube_anchor_layout(8, dim=dim, span=60.0)
@@ -365,20 +381,27 @@ class TestRefinePoses:
         return anchors, conf, poses, ranges
 
     @staticmethod
-    def pose_error(est, pose):
-        return max(float(np.linalg.norm(est.pose.translation - pose.translation)),
-                   rotation_geodesic_error(est.pose.rotation, pose.rotation))
+    def refine(anchors, conf, rotations, translations, ranges):
+        return _refine(anchors, conf, rotations, translations,
+                       np.stack([r.values for r in ranges]), np.stack([r.mask for r in ranges]))
+
+    @staticmethod
+    def assert_exact(rotations, translations, poses):
+        for rot, trans, pose in zip(rotations, translations, poses, strict=True):
+            assert np.linalg.norm(trans - pose.translation) < 1e-9
+            assert rotation_geodesic_error(rot, pose.rotation) < 1e-9
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_noiseless_refinement_is_exact(self, dim):
         anchors, conf, poses, ranges = self.scene(dim, 10, 0.0)
         full = [simulate_ranges(anchors, apply_pose(conf, p), 0.0) for p in poses]
-        start = rbl_two_stage_batch(anchors, full, conf)
-        refined = refine_poses(anchors, ranges, conf, start)
-        for est, first, pose in zip(refined, start, poses):
-            assert self.pose_error(est, pose) < 1e-9
-            assert est.stage3_converged is True
-            assert est.iterations > first.iterations
+        start = TestBatchTwoStage.block(anchors, conf, full)
+        assert start.rotation_unique.all()
+        rot, trans, iterations, converged = self.refine(
+            anchors, conf, start.rotation, start.translation, ranges)
+        self.assert_exact(rot, trans, poses)
+        assert converged.all()
+        assert (iterations > 0).all()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_perturbed_start_converges(self, dim):
@@ -391,37 +414,12 @@ class TestRefinePoses:
                 else rotation_about_axis(rng.normal(size=3), angle)
             shift = rng.normal(size=dim)
             shift *= 0.3 / np.linalg.norm(shift)
-            start.append(estimators.PoseEstimate(
-                Pose(turn @ pose.rotation, pose.translation + shift), 0.0, 0.0, 0))
-        for est, pose in zip(refine_poses(anchors, ranges, conf, start), poses):
-            assert self.pose_error(est, pose) < 1e-9
-            assert est.stage3_converged is True
-
-    def test_errors_and_non_unique_rotations_pass_through(self):
-        anchors, conf, _, ranges = self.scene(3, 3, 0.1)
-        start = rbl_two_stage_batch(anchors, ranges, conf)
-        start[0] = InsufficientMeasurementsError("no node has enough observed ranges")
-        start[1] = replace(start[1], rotation_unique=False)
-        refined = refine_poses(anchors, ranges, conf, start)
-        assert refined[0] is start[0]
-        assert refined[1] is start[1]
-        assert refined[1].stage3_converged is None
-        assert refined[2].stage3_converged is not None
-
-    def test_entry_that_is_no_estimate_raises(self):
-        """Only an estimate or an estimation error is an entry: a bare
-        ``Pose`` is not passed through unrefined."""
-        anchors, conf, _, ranges = self.scene(3, 3, 0.1)
-        start = rbl_two_stage_batch(anchors, ranges, conf)
-        start[1] = start[1].pose
-        with pytest.raises(TypeError, match="PoseEstimate"):
-            refine_poses(anchors, ranges, conf, start)
-
-    def test_misaligned_inputs_raise(self):
-        anchors, conf, _, ranges = self.scene(3, 2, 0.1)
-        start = rbl_two_stage_batch(anchors, ranges, conf)
-        with pytest.raises(ValueError, match="one range matrix per estimate"):
-            refine_poses(anchors, ranges[:1], conf, start)
+            start.append(Pose(turn @ pose.rotation, pose.translation + shift))
+        rot, trans, _, converged = self.refine(
+            anchors, conf, np.stack([p.rotation for p in start]),
+            np.stack([p.translation for p in start]), ranges)
+        self.assert_exact(rot, trans, poses)
+        assert converged.all()
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -539,13 +537,12 @@ class TestGaussNewtonKernel:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_stage3_linearizes_once_per_iteration(self, dim, monkeypatch):
         anchors, conf, _, ranges = TestRefinePoses().scene(dim, 60, 0.1)
-        start = rbl_two_stage_batch(anchors, ranges, conf)
+        start = TestBatchTwoStage.block(anchors, conf, ranges)
+        assert start.rotation_unique.all()
         counts = self.count_evaluations(monkeypatch, "_pose_model")
-        refined = refine_poses(anchors, ranges, conf, start)
-        self.assert_one_evaluation_per_iteration(
-            counts, np.array([est.iterations - first.iterations
-                              for est, first in zip(refined, start)]),
-            np.array([est.stage3_converged for est in refined]))
+        _, _, iterations, converged = TestRefinePoses.refine(
+            anchors, conf, start.rotation, start.translation, ranges)
+        self.assert_one_evaluation_per_iteration(counts, iterations, converged)
 
     @staticmethod
     def scalar_model(resid, slope):
@@ -756,20 +753,8 @@ def test_stacked_linear_factor_matches_shared_anchors(dim):
     assert rank.tolist() == [dim] * 10 + [dim - 1] * 10 + [1] * 10
 
 
-def outcome_items(result):
-    """Comparable parts of one problem's result: arrays and plain values."""
-    if isinstance(result, ValueError):
-        return (type(result),)
-    if isinstance(result, estimators.PoseEstimate):
-        return (result.pose.rotation, result.pose.translation, result.stage1_rms,
-                result.stage2_rms, result.iterations, result.stage3_converged,
-                result.rotation_unique, result.ambiguous_nodes,
-                result.unconverged_nodes)
-    return result
-
-
 def assert_same_outcome(got, want):
-    got, want = outcome_items(got), outcome_items(want)
+    """One problem's results, tuples of arrays and plain values, agree."""
     assert len(got) == len(want)
     for a, b in zip(got, want):
         if isinstance(a, (type, tuple, bool, type(None))):
@@ -866,9 +851,24 @@ class TestBatchIndependence:
         anchors, conf, ranges = self.scene(dim, m, k)
 
         def solve(trials):
-            block = [ranges[t] for t in trials]
-            return refine_poses(anchors, block, conf,
-                                rbl_two_stage_batch(anchors, block, conf))
+            """Per trial: its two-stage row with the pose that stage 3
+            refines where the rotation is unique, and stage 3's iterations
+            and convergence flag (0 and False where it does not run)."""
+            values = np.stack([ranges[t].values for t in trials])
+            mask = np.stack([ranges[t].mask for t in trials])
+            fit = _two_stage(anchors, conf, values, mask, True)
+            todo = fit.rotation_unique
+            rotations, translations = fit.rotation.copy(), fit.translation.copy()
+            iterations, converged = np.zeros(len(trials), dtype=int), np.zeros_like(todo)
+            rotations[todo], translations[todo], iterations[todo], converged[todo] = _refine(
+                anchors, conf, fit.rotation[todo], fit.translation[todo], values[todo],
+                mask[todo])
+            return [(type(fit.failed[t]), rotations[t], translations[t], fit.stage1_rms[t],
+                     fit.stage2_rms[t], fit.iterations[t], todo[t], fit.ambiguous[t],
+                     fit.unconverged[t], iterations[t], converged[t])
+                    for t in range(len(trials))]
+        outcomes = {(outcome[0], outcome[6]) for outcome in solve(np.arange(len(ranges)))}
+        assert (type(None), True) in outcomes
         self.assert_block_independent(solve, len(ranges))
 
     @pytest.mark.parametrize("dim,m,k", SHAPES)

@@ -141,6 +141,31 @@ class TestValidate:
         assert main(["validate", str(bad)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, message", [
+        ({"master_seed": -1}, "master_seed must be a non-negative integer"),
+        ({"sigma_list": [float("inf")]}, "sigma_list entries must be non-negative and finite"),
+    ], ids=["negative_seed", "infinite_sigma"])
+    def test_value_out_of_range(self, tmp_path, capsys, entries, message):
+        """A value out of its key's range is a config error naming the key
+        in every command, not a runtime failure once the trials run."""
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": "rmse_vs_sensors", "trials": 2,
+                                   **entries}))
+        out = tmp_path / "out"
+        for command in ("validate", "run", "placement"):
+            extra = [] if command == "validate" else ["--out-dir", str(out)]
+            assert main([command, str(bad), *extra]) == EXIT_CONFIG
+            assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "placement"])
+    def test_negative_seed_override(self, config_path, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert main([command, str(config_path), "--seed", "-5",
+                     "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "master_seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("body, message", [
         ("four_nodes.json", "conformation file has 4 nodes; cannot take 6"),
         ("absent.json", "absent.json"),

@@ -530,6 +530,20 @@ class TestHybrid:
         with pytest.raises(InsufficientMeasurementsError):
             localize_point_hybrid(anchors, ranges=[5.0, np.nan])
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["sigma_range", "sigma_angle"])
+    def test_invalid_noise_level_raises(self, name, sigma):
+        """A noise level weights its residuals by 1/sigma, so only a
+        positive finite one is valid; none falls back to unit weights or
+        reads as a geometry failure."""
+        anchors = AnchorSet([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0]])
+        ranges = ranges_to(anchors, [3.0, 4.0])
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite") as err:
+            localize_point_hybrid(anchors, ranges=ranges, azimuths=[np.arctan2(4.0, 3.0),
+                                                                    np.nan, np.nan],
+                                  **{"sigma_angle": 0.01, name: sigma})
+        assert not isinstance(err.value, DegenerateGeometryError)
+
     def test_elevation_in_2d_rejected(self):
         anchors = AnchorSet([[0.0, 0.0]])
         with pytest.raises(ValueError):

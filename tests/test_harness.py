@@ -1,6 +1,7 @@
 """Tests for experiment configuration, the runner and result emission."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,12 +11,10 @@ from rigidloc.completion import NonEuclideanMatrixError, _congruent_fill_batch, 
 from rigidloc.estimators import (
     DegenerateGeometryError,
     InsufficientMeasurementsError,
-    PoseEstimate,
     _joint_start,
+    _refine,
     estimate_motion,
     rbl_two_stage,
-    rbl_two_stage_batch,
-    refine_poses,
 )
 from rigidloc.geometry import (
     BodyMotion,
@@ -138,6 +137,19 @@ class TestConfig:
     def test_negative_sigma_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="sigma_list"):
             load_config(write_config(tmp_path, sigma_list=[-0.1]))
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"master_seed": -1}, "master_seed must be a non-negative integer"),
+        ({"sigma_list": [0.1, np.inf]}, "sigma_list entries must be non-negative and finite"),
+        ({"sigma_list": [np.nan]}, "sigma_list entries must be non-negative and finite"),
+    ], ids=["negative_seed", "infinite_sigma", "nan_sigma"])
+    def test_value_out_of_range_rejected(self, tmp_path, entries, message):
+        """A value out of its key's range fails validation with the key's
+        message, from the file and from an override alike."""
+        with pytest.raises(ConfigError, match=message):
+            load_config(write_config(tmp_path, **entries))
+        with pytest.raises(ConfigError, match=message):
+            replace(load_config(write_config(tmp_path)), **entries)
 
     def test_unweighted_placement_study_rejected(self, tmp_path):
         """The placement study scores layouts with the weighted estimator
@@ -446,9 +458,9 @@ def public_statistics(trials, trial_rng, anchors, conf, draw_pose, sigma,
     """(translation RMSE, SE, rotation RMSE, SE, failures) of a Monte-Carlo
     run rebuilt trial by trial from the public calls, each trial drawing
     in the order the blocks draw: rotation, translation, noise, drops.
-    ``estimate(ranges)`` returns the trial's ``PoseEstimate`` or raises
-    (default: ``rbl_two_stage``)."""
-    estimate = estimate or (lambda ranges: rbl_two_stage(anchors, ranges, conf))
+    ``estimate(ranges)`` returns the trial's estimated ``Pose`` or raises
+    (default: ``rbl_two_stage``'s pose)."""
+    estimate = estimate or (lambda ranges: rbl_two_stage(anchors, ranges, conf).pose)
     t_sq, r_sq, failures = [], [], 0
     for trial in range(trials):
         rng = trial_rng(trial)
@@ -462,20 +474,25 @@ def public_statistics(trials, trial_rng, anchors, conf, draw_pose, sigma,
         except placement.TRIAL_FAILURES:
             failures += 1
             continue
-        t_err, r_err = placement.pose_errors(est.pose, pose)
+        t_err, r_err = placement.pose_errors(est, pose)
         t_sq.append(t_err)
         r_sq.append(r_err)
     return (*placement.rmse_and_se(t_sq), *placement.rmse_and_se(r_sq), failures)
 
 
-def refined(anchors, conf, filled, observed):
-    """``rbl_two_stage_batch`` on ``filled``, then ``refine_poses`` on
-    ``observed``, for one trial; raises the estimation error."""
-    est, = refine_poses(anchors, [observed], conf,
-                        rbl_two_stage_batch(anchors, [filled], conf))
-    if isinstance(est, ValueError):
-        raise est
-    return est
+def refined(anchors, conf, observed, filled=None, start=None):
+    """Pose of one trial refined by stage 3 (``_refine``) on ``observed``
+    from the pose ``start``, or else from ``rbl_two_stage`` on ``filled``,
+    whose pose stays unrefined where its rotation is not unique; raises
+    the estimation error."""
+    if start is None:
+        est = rbl_two_stage(anchors, filled, conf)
+        if not est.rotation_unique:
+            return est.pose
+        start = est.pose
+    rot, trans, _, _ = _refine(anchors, conf, start.rotation[None], start.translation[None],
+                               observed.values[None], observed.mask[None])
+    return Pose(rot[0], trans[0])
 
 
 def row_statistics(row):
@@ -487,10 +504,10 @@ class TestBlocksMatchThePublicCalls:
     """The sweeps draw, check, estimate and score each block of trials as
     arrays; every row equals, bit for bit, the trial-by-trial run through
     ``Pose``, ``simulate_ranges``, the one-trial estimators and
-    ``pose_errors``: ``rbl_two_stage``, or for the refined sweeps
-    ``refine_poses`` from the trial's own ``_joint_start`` or, where the
-    completion sweep takes the fill, from ``rbl_two_stage_batch`` on the
-    fill of that trial alone. The motion sweep's rows equal the run
+    ``pose_errors``: ``rbl_two_stage``, or for the refined sweeps stage 3
+    (``_refine``) from the trial's own ``_joint_start`` or, where the
+    completion sweep takes the fill, from ``rbl_two_stage`` on the fill of
+    that trial alone. The motion sweep's rows equal the run
     through ``Pose``, ``BodyMotion``, ``simulate_range_rates`` and
     ``estimate_motion``."""
 
@@ -543,9 +560,8 @@ class TestBlocksMatchThePublicCalls:
                 rotation, translation, (err,) = _joint_start(
                     anchors, conf, ranges.values[None], ranges.mask[None])
                 if err is None:
-                    start = PoseEstimate(Pose(rotation[0], translation[0]), 0.0, 0.0, 0)
-                    est, = refine_poses(anchors, [ranges], conf, [start])
-                    return est
+                    return refined(anchors, conf, ranges,
+                                   start=Pose(rotation[0], translation[0]))
                 fallbacks.append(sweep_idx)
                 placed, _, started = _congruent_fill_batch(
                     anchors.positions, conf.coords, ranges.values[None], ranges.mask[None])
@@ -556,7 +572,7 @@ class TestBlocksMatchThePublicCalls:
                     fill = np.sqrt(complete_edm(partial, rank_slack=1 if sigma > 0 else 0)
                                    .completed[:m, m:])
                 filled = MaskedRangeMatrix(np.where(ranges.mask, ranges.values, fill))
-                return refined(anchors, conf, filled, ranges)
+                return refined(anchors, conf, ranges, filled)
             want = public_statistics(
                 cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
                 anchors, conf, uniform_draw(anchors, harness.POSE_SPREAD), sigma, 0.7,

@@ -3,8 +3,9 @@ level and form no cycle, the estimators import nothing from completion,
 and no module imports inside a function; the
 Gauss-Newton settings are read by one solver loop only; the congruent
 start has one pin loop; each numeric kernel has one copy; the estimators
-reach an observation pattern's anchor geometry through one cache; stage 3
-has one array core, which the harness reaches through its block solver;
+reach an observation pattern's anchor geometry through one cache; the
+two-stage fit and stage 3 each have one array core and one one-trial
+entry;
 the velocity fit has one array core, on which the motion sweep runs;
 the package keeps the names the benchmark's tracer patches, and the
 harness the poses its gate checks; and the metric fields of the results
@@ -171,13 +172,16 @@ def test_one_copy_of_each_numeric_kernel():
 
 
 def test_one_stage_3_path():
-    """Stage 3 has one array core, which ``refine_poses`` wraps, and the
-    harness reaches it through the block solver, not through the list
-    API's per-trial objects."""
+    """Stages 1-2 and stage 3 each have one array core and one one-trial
+    entry in ``estimators``: ``rbl_two_stage`` is the one reader of
+    ``_two_stage`` there and ``relative_pose_anchorless`` the one reader
+    of ``_refine``, with no list-of-estimates layer between them; the
+    sweeps reach both cores through ``placement``'s block solvers."""
     modules = parse_modules()
     assert readers(modules["estimators"], "_pose_model") == {"_refine"}
-    for name in ("refine_poses", "rbl_two_stage_batch"):
-        assert readers(modules["harness"], name) == set()
+    assert readers(modules["estimators"], "_two_stage") == {"rbl_two_stage"}
+    assert readers(modules["estimators"], "_refine") == {"relative_pose_anchorless"}
+    assert readers(modules["placement"], "_refine") == {"refined_block"}
 
 
 def test_one_velocity_path():
