@@ -14,10 +14,7 @@ from .geometry import (
     Pose,
     apply_pose,
     body_velocities,
-    compose,
     cross_matrix,
-    geometric_center,
-    inverse,
     random_rotation,
     rotation_2d,
     rotation_about_axis,

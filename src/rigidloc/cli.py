@@ -18,7 +18,7 @@ import numpy as np
 
 from .completion import complete_edm
 from .harness import (
-    PLACEMENT_WEIGHTED,
+    UNWEIGHTED_NO_EFFECT,
     ConfigError,
     ResultTable,
     _format_cell,
@@ -107,7 +107,7 @@ def _cmd_validate(args) -> int:
 def _cmd_placement(args) -> int:
     config = load_config(args.config)
     if not config.estimator["weighted"]:
-        raise ConfigError(PLACEMENT_WEIGHTED)
+        raise ConfigError(UNWEIGHTED_NO_EFFECT)
     config = _apply_overrides(config, args.seed, args.trials)
     problem, conf = placement_problem(config)
     result = optimize_placement(problem)

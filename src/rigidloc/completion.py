@@ -46,9 +46,6 @@ class CompletionResult:
     final_objective: float
     converged: bool
 
-    def distances(self) -> np.ndarray:
-        return np.sqrt(self.completed)
-
 
 def _rank_truncate(matrix: np.ndarray, rank: int) -> np.ndarray:
     """Nearest (Frobenius) matrix of the given rank; EDMs are indefinite so

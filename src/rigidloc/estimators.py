@@ -155,9 +155,9 @@ def _observed(values, mask):
 
 
 def _pattern_groups(obs: np.ndarray):
-    """Distinct rows of a boolean matrix in the order ``np.unique(obs,
-    axis=0)`` gives them, each row's group index, and each distinct row
-    packed to bytes (``np.packbits``), the key ``_subset_geometry`` takes."""
+    """Each row's index among the distinct rows of a boolean matrix, in
+    ``np.unique(obs, axis=0)`` order, and each distinct row packed to
+    bytes (``np.packbits``), the key ``_subset_geometry`` takes."""
     packed = np.packbits(obs, axis=1)
     if obs.all():
         first, which = np.arange(min(obs.shape[0], 1)), np.zeros(obs.shape[0], dtype=int)
@@ -166,7 +166,7 @@ def _pattern_groups(obs: np.ndarray):
         # column by column, so they sort into the same order
         rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
         _, first, which = np.unique(rows, return_index=True, return_inverse=True)
-    return obs[first], which, [row.tobytes() for row in packed[first]]
+    return which, [row.tobytes() for row in packed[first]]
 
 
 @dataclass(frozen=True)
@@ -411,7 +411,7 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
     # be fixed. Each problem applies its own pattern's cached geometry.
     owner, second, start = [], [], []
     todo = np.flatnonzero(live)
-    _, which, keys = _pattern_groups(obs[todo])
+    which, keys = _pattern_groups(obs[todo])
     subs = [_subset_geometry(anchors, key) for key in keys]
     groups = {}
     for p, sub in enumerate(subs):
@@ -533,7 +533,7 @@ def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
     rot, trans, rms = _weighted_kabsch(conf.coords, points, weights)
     # the proper rotation is unique when the weighted nodes span at least a
     # hyperplane: the one missing direction is fixed by the determinant
-    _, which, keys = _pattern_groups(weights > 0)
+    which, keys = _pattern_groups(weights > 0)
     unique = np.array([_subset_geometry(conf.coords, key).rank >= conf.dim - 1
                        for key in keys], dtype=bool)[which]
     return rot, trans, rms, unique

@@ -74,6 +74,17 @@ def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((a[..., :, None, :] - b[..., None, :, :]) ** 2).sum(axis=-1)
 
 
+def _finite_squared_distances(points: np.ndarray, name: str) -> np.ndarray:
+    """``squared_distances`` between the rows of ``points``; raises a
+    ValueError naming ``name`` when one overflows, without numpy's
+    overflow warning."""
+    with np.errstate(over="ignore"):
+        dist_sq = squared_distances(points, points)
+    if not np.isfinite(dist_sq).all():
+        raise ValueError(f"{name} are too far apart: their squared distances overflow")
+    return dist_sq
+
+
 def _proper_svd(matrix):
     """SVD factors (u, vt) of a square matrix or a stack of them, the last
     column of u negated where needed so that u @ vt is a proper rotation:
@@ -221,6 +232,7 @@ class Conformation:
             raise ValueError("coords must be a K x D array with K >= 1")
         if coords.shape[1] not in (2, 3):
             raise ValueError("only 2D and 3D bodies are supported")
+        _finite_squared_distances(coords, "coords")
         object.__setattr__(self, "coords", _freeze(coords))
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
@@ -332,9 +344,6 @@ class PlacedBody:
     def num_nodes(self) -> int:
         return self.positions.shape[0]
 
-    def pairwise_distances(self) -> np.ndarray:
-        return np.sqrt(squared_distances(self.positions, self.positions))
-
 
 @dataclass(frozen=True)
 class BodyMotion:
@@ -369,19 +378,6 @@ def apply_pose(conf: Conformation, pose: Pose) -> PlacedBody:
     if conf.dim != pose.dim:
         raise ValueError("conformation and pose dimensions differ")
     return PlacedBody(_place(conf.coords, pose.rotation, pose.translation))
-
-
-def compose(first: Pose, second: Pose) -> Pose:
-    """Pose applying ``second`` then ``first`` (matrix-style composition)."""
-    if first.dim != second.dim:
-        raise ValueError("pose dimensions differ")
-    return Pose(first.rotation @ second.rotation,
-                first.rotation @ second.translation + first.translation)
-
-
-def inverse(pose: Pose) -> Pose:
-    rot_t = pose.rotation.T
-    return Pose(rot_t.copy(), -rot_t @ pose.translation)
 
 
 def rotation_2d(theta: float) -> np.ndarray:
@@ -489,12 +485,6 @@ def _node_velocities(coords, rotations, omegas, t_dots):
     else:
         spin = rotated @ _skew(omegas).swapaxes(-1, -2)
     return spin + t_dots[..., None, :]
-
-
-def geometric_center(body: PlacedBody | Conformation) -> np.ndarray:
-    """Mean of the node coordinates."""
-    pts = body.positions if isinstance(body, PlacedBody) else body.coords
-    return pts.mean(axis=0)
 
 
 def rotation_angle(rotation: np.ndarray) -> float:

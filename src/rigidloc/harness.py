@@ -56,7 +56,10 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-PLACEMENT_WEIGHTED = "placement evaluation supports only estimator weighted true"
+# Placement scoring runs the weighted estimator only, and the motion sweep
+# fits velocities at the true poses, so uniform weights would change nothing.
+UNWEIGHTED_NO_EFFECT = ("estimator weighted false has no effect on rigidloc placement "
+                        "or the placement_study and motion_tracking scenarios")
 
 
 def _box_nodes_3d() -> np.ndarray:
@@ -186,17 +189,25 @@ class ExperimentConfig:
         if not isinstance(options["weighted"], bool):
             raise ConfigError("estimator weighted must be true or false, "
                               f"got {options['weighted']!r}")
-        if self.scenario == "placement_study" and not options["weighted"]:
-            raise ConfigError(PLACEMENT_WEIGHTED)
+        if self.scenario in ("placement_study", "motion_tracking") \
+                and not options["weighted"]:
+            raise ConfigError(UNWEIGHTED_NO_EFFECT)
         object.__setattr__(self, "estimator", options)
-        # built-in layouts are checked here so an oversized count fails early
+        # built-in layouts are checked here so an oversized count fails
+        # early, and a span the cube layout cannot place names its key
+        cube = self.anchors == "cube" or self.scenario == "placement_study"
         try:
             if self.conformation == "box-vehicle":
                 box_vehicle_conformation(max(counts), self.dim)
-            if self.anchors == "cube" or self.scenario == "placement_study":
-                cube_anchor_layout(self.anchor_count, self.dim, self.anchor_span)
+            if cube:
+                cube_anchor_layout(self.anchor_count, self.dim)
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        if cube:
+            try:
+                cube_anchor_layout(self.anchor_count, self.dim, span)
+            except ValueError as err:
+                raise ConfigError(f"anchor_span {span!r}: {err}") from None
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -250,10 +261,6 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid JSON at line {err.lineno}, "
                           f"column {err.colno}: {err.msg}") from err
     return ExperimentConfig.from_dict(obj)
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    Path(path).write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
 
 @dataclass

@@ -25,7 +25,7 @@ from .geometry import (
     body_velocities,
     squared_distances,
 )
-from .geometry import _freeze
+from .geometry import _finite_squared_distances, _freeze
 
 # Minimum anchor separation: coincident anchors carry no extra information
 # and break direction computations.
@@ -58,7 +58,7 @@ class AnchorSet:
             raise ValueError("positions must be an M x D array, D in {2, 3}")
         if not np.all(np.isfinite(pos)):
             raise ValueError("anchor positions must be finite")
-        dist = np.sqrt(squared_distances(pos, pos))
+        dist = np.sqrt(_finite_squared_distances(pos, "anchor positions"))
         np.fill_diagonal(dist, np.inf)
         if dist.min() <= MIN_ANCHOR_SEPARATION:
             raise ValueError("anchors closer than the minimum separation")
@@ -156,10 +156,6 @@ class MaskedRangeMatrix:
     @property
     def shape(self):
         return self.values.shape
-
-    def observed_per_node(self) -> np.ndarray:
-        """Number of observed ranges for each body node (length K)."""
-        return self.mask.sum(axis=0)
 
     def to_json(self) -> str:
         return _masked_to_json(self.values, self.mask)
@@ -539,8 +535,8 @@ def _range_rates(anchors: np.ndarray, points: np.ndarray, velocities: np.ndarray
 class PartialEdm:
     """Partially observed squared Euclidean distance matrix.
 
-    Holds squared distances internally (the form the completion and MDS
-    algebra works in); ``distances()`` exposes plain distances. When built
+    Holds squared distances (the form the completion and MDS algebra
+    works in). When built
     from anchors and a body, rows/columns [0, num_anchors) form the anchor
     block and the rest the body block; only cross entries may be missing.
     """
@@ -582,10 +578,6 @@ class PartialEdm:
     @property
     def size(self) -> int:
         return self.values_sq.shape[0]
-
-    def distances(self) -> np.ndarray:
-        """Plain distances; NaN passes through at unobserved entries."""
-        return np.sqrt(self.values_sq)
 
     def to_json(self) -> str:
         return _masked_to_json(self.values_sq, self.mask)

@@ -144,7 +144,9 @@ class TestValidate:
     @pytest.mark.parametrize("entries, message", [
         ({"master_seed": -1}, "master_seed must be a non-negative integer"),
         ({"sigma_list": [float("inf")]}, "sigma_list entries must be non-negative and finite"),
-    ], ids=["negative_seed", "infinite_sigma"])
+        pytest.param({"anchor_span": 1e160}, "anchor_span 1e+160",
+                     marks=pytest.mark.filterwarnings("error")),
+    ], ids=["negative_seed", "infinite_sigma", "overflowing_span"])
     def test_value_out_of_range(self, tmp_path, capsys, entries, message):
         """A value out of its key's range is a config error naming the key
         in every command, not a runtime failure once the trials run."""
@@ -182,6 +184,23 @@ class TestValidate:
         assert message in capsys.readouterr().err
         out = tmp_path / "out"
         assert main(["run", str(bad), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_conformation_file_whose_distances_overflow(self, tmp_path, capsys):
+        """A file body is read when a command runs, so an unusable one
+        fails both commands at run time with the reason."""
+        body = tmp_path / "huge.json"
+        body.write_text(json.dumps({"coords": (1e160 * np.eye(3)).tolist()}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": "rmse_vs_sensors", "trials": 2,
+                                   "conformation": f"file:{body}", "sensor_counts": [3]}))
+        message = "coords are too far apart: their squared distances overflow"
+        assert main(["validate", str(bad)]) == EXIT_RUNTIME
+        assert message in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["run", str(bad), "--out-dir", str(out)]) == EXIT_RUNTIME
         assert message in capsys.readouterr().err
         assert not out.exists()
 
@@ -245,7 +264,8 @@ class TestPlacement:
     @pytest.mark.parametrize("scenario", ["placement_study", "rmse_vs_sensors"])
     def test_unweighted_estimator_is_a_config_error(self, tmp_path, capsys, scenario):
         """Placement scoring runs the weighted estimator only, so a config
-        asking for uniform weights is refused rather than ignored."""
+        asking for uniform weights is refused rather than ignored, as it is
+        by every command for the scenarios where it has no effect."""
         cfg = tmp_path / "place.json"
         cfg.write_text(json.dumps({
             "scenario": scenario,
@@ -257,6 +277,12 @@ class TestPlacement:
         out = tmp_path / "out"
         assert main(["placement", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
         assert "weighted" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text(json.dumps({"scenario": "motion_tracking", "trials": 2,
+                                   "estimator": {"weighted": False}}))
+        assert main(["validate", str(cfg)]) == EXIT_CONFIG
+        assert main(["run", str(cfg), "--out-dir", str(out)]) == EXIT_CONFIG
+        assert "placement_study and motion_tracking" in capsys.readouterr().err
         assert not out.exists()
 
 

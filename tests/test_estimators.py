@@ -323,8 +323,10 @@ class TestTwoStage:
         assert np.allclose(moved.pose.translation,
                            q @ base.pose.translation + shift, atol=1e-6)
 
-    def test_weighting_helps_on_heteroscedastic_noise(self):
-        """More sensors shrink the rotation error under fixed noise."""
+    def test_more_nodes_shrink_median_rotation_error(self):
+        """More sensors shrink the rotation error under fixed noise: the
+        default estimator's median rotation error at 8 nodes is below the
+        one at 4, at 0.1 m noise."""
         rng = np.random.default_rng(44)
         anchors = cube_anchor_layout(8, dim=3, span=60.0)
         errs = {}

@@ -13,15 +13,13 @@ from rigidloc.geometry import (
     Pose,
     apply_pose,
     body_velocities,
-    compose,
     cross_matrix,
-    geometric_center,
-    inverse,
     random_rotation,
     rotation_2d,
     rotation_about_axis,
     rotation_angle,
     rotation_geodesic_error,
+    squared_distances,
 )
 
 
@@ -48,6 +46,7 @@ class TestConformation:
         with pytest.raises(ValueError):
             conf.coords[0, 0] = 5.0
 
+    @pytest.mark.filterwarnings("error")
     def test_validation(self):
         with pytest.raises(ValueError):
             Conformation(np.zeros((0, 2)))
@@ -57,6 +56,8 @@ class TestConformation:
             Conformation(np.zeros((2, 4)))
         with pytest.raises(ValueError):
             Conformation([[0.0, 0.0]], labels=("a", "b"))
+        with pytest.raises(ValueError, match="coords are too far apart"):
+            Conformation([[0.0, 0.0], [-1e160, 1e160]])
 
     def test_affine_rank(self):
         line = Conformation([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -126,32 +127,13 @@ class TestApplyPose:
         for dim in (2, 3):
             conf = random_conformation(rng, 6, dim)
             placed = apply_pose(conf, random_pose(rng, dim))
-            assert np.allclose(placed.pairwise_distances(),
-                               conf.pairwise_distances(), atol=1e-9)
+            assert np.allclose(squared_distances(placed.positions, placed.positions),
+                               squared_distances(conf.coords, conf.coords), atol=1e-9)
 
     def test_dim_mismatch(self):
         conf = Conformation([[1.0, 0.0]])
         with pytest.raises(ValueError):
             apply_pose(conf, Pose.identity(3))
-
-
-class TestPoseGroup:
-    def test_compose_matches_sequential_application(self):
-        rng = np.random.default_rng(23)
-        for dim in (2, 3):
-            conf = random_conformation(rng, 5, dim)
-            p1, p2 = random_pose(rng, dim), random_pose(rng, dim)
-            via_compose = apply_pose(conf, compose(p1, p2))
-            sequential = apply_pose(Conformation(apply_pose(conf, p2).positions), p1)
-            assert np.allclose(via_compose.positions, sequential.positions, atol=1e-9)
-
-    def test_inverse_round_trip(self):
-        rng = np.random.default_rng(29)
-        for dim in (2, 3):
-            pose = random_pose(rng, dim)
-            ident = compose(inverse(pose), pose)
-            assert np.allclose(ident.rotation, np.eye(dim), atol=1e-12)
-            assert np.allclose(ident.translation, 0.0, atol=1e-12)
 
 
 class TestRandomRotation:
@@ -226,14 +208,6 @@ class TestVelocities:
 
 
 class TestCenterAndMetrics:
-    def test_center_transforms_linearly(self):
-        rng = np.random.default_rng(37)
-        conf = random_conformation(rng, 7, 3)
-        pose = random_pose(rng, 3)
-        center = geometric_center(apply_pose(conf, pose))
-        expected = pose.rotation @ geometric_center(conf) + pose.translation
-        assert np.allclose(center, expected, atol=1e-12)
-
     def test_rotation_angle(self):
         assert rotation_angle(np.eye(3)) == 0.0
         assert np.isclose(rotation_angle(rotation_2d(0.3)), 0.3, atol=1e-12)

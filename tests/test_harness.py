@@ -34,7 +34,6 @@ from rigidloc.harness import (
     emit_results,
     load_config,
     run_experiment,
-    save_config,
 )
 from rigidloc.measurement import (
     AnchorSet,
@@ -142,7 +141,9 @@ class TestConfig:
         ({"master_seed": -1}, "master_seed must be a non-negative integer"),
         ({"sigma_list": [0.1, np.inf]}, "sigma_list entries must be non-negative and finite"),
         ({"sigma_list": [np.nan]}, "sigma_list entries must be non-negative and finite"),
-    ], ids=["negative_seed", "infinite_sigma", "nan_sigma"])
+        pytest.param({"anchor_span": 1e160}, "anchor_span 1e\\+160: anchor positions are too far",
+                     marks=pytest.mark.filterwarnings("error")),
+    ], ids=["negative_seed", "infinite_sigma", "nan_sigma", "overflowing_span"])
     def test_value_out_of_range_rejected(self, tmp_path, entries, message):
         """A value out of its key's range fails validation with the key's
         message, from the file and from an override alike."""
@@ -153,10 +154,13 @@ class TestConfig:
 
     def test_unweighted_placement_study_rejected(self, tmp_path):
         """The placement study scores layouts with the weighted estimator
-        only, so uniform weights are refused rather than ignored."""
-        with pytest.raises(ConfigError, match="weighted"):
-            load_config(write_config(tmp_path, scenario="placement_study",
-                                     estimator={"weighted": False}))
+        only, and the motion sweep fits velocities at the true poses, so
+        in both uniform weights are refused rather than ignored, with one
+        message naming both."""
+        for scenario in ("placement_study", "motion_tracking"):
+            with pytest.raises(ConfigError, match="placement_study and motion_tracking"):
+                load_config(write_config(tmp_path, scenario=scenario,
+                                         estimator={"weighted": False}))
         cfg = load_config(write_config(tmp_path, estimator={"weighted": False}))
         assert cfg.estimator == {"weighted": False}
 
@@ -174,7 +178,7 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path, trials=7, sigma_list=[0.1],
                                        sensor_counts=[4, 6], master_seed=11))
         out = tmp_path / "saved.json"
-        save_config(cfg, out)
+        out.write_text(json.dumps(cfg.to_dict(), indent=2))
         assert load_config(out) == cfg
 
     def test_scalar_missing_fraction_normalized(self, tmp_path):

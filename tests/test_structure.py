@@ -8,11 +8,13 @@ two-stage fit and stage 3 each have one array core and one one-trial
 entry;
 the velocity fit has one array core, on which the motion sweep runs;
 the package keeps the names the benchmark's tracer patches, and the
-harness the poses its gate checks; and the metric fields of the results
-are listed once, by their dataclasses."""
+harness the poses its gate checks; the metric fields of the results
+are listed once, by their dataclasses; and every exported name is used
+or documented."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +26,8 @@ from rigidloc.geometry import Pose, apply_pose, random_rotation
 from rigidloc.measurement import HullOcclusion, simulate_ranges
 
 PACKAGE = Path(rigidloc.__file__).parent
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
 def parse_modules():
@@ -320,3 +323,37 @@ def test_benchmark_gate_catches_a_wrong_completion_pose(monkeypatch):
         return (rotations, translations + 1e-3), failed
     monkeypatch.setattr(harness, "refined_block", shifted)
     assert any("pose error" in problem for problem in gate.spot_check())
+
+
+def test_every_export_is_used_or_documented():
+    """Every name ``rigidloc/__init__.py`` imports is read elsewhere in the
+    package (outside its own definition), read or patched by name in
+    ``perfbench``, or named in an inline code span of the README; an
+    export that none of these reach is dead weight."""
+    modules = parse_modules()
+    exports = [alias.asname or alias.name for node in modules.pop("__init__").body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+    def loads(trees, skip=None):
+        return {node.id for tree in trees for stmt in tree.body
+                if not (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == skip)
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+    def read_in_package(name):
+        return name in loads(modules.values(), skip=name)
+
+    bench = [ast.parse(path.read_text()) for path in sorted(WORKLOADS.parent.glob("*.py"))]
+    bench_names = loads(bench) | {
+        node.attr if isinstance(node, ast.Attribute) else node.value
+        for tree in bench for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        or isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    # inline spans outside fenced blocks, such as `rigidloc.geometry.Pose`
+    # or `line_of_sight_blocked(p, q, body)`; "pseudo-inverse" names nothing
+    readme = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    documented = {part for span in re.findall(r"`([\w.]+)(?:\(.*?\))?`", readme)
+                  for part in span.split(".")}
+    unreached = [name for name in exports if not (
+        read_in_package(name) or name in bench_names or name in documented)]
+    assert unreached == []
