@@ -24,7 +24,8 @@ from .completion import _congruent_fill_batch, complete_edm
 from .estimators import _joint_start, _motion_fits
 from .estimators import rbl_two_stage  # noqa: F401 - callers wrap harness.rbl_two_stage
 from .geometry import Conformation, squared_distances
-from .geometry import _check_poses, _drawn_rotations, _node_velocities, _place, _rotation_draw
+from .geometry import (_check_poses, _drawn_rotations, _finite_squared_distances,
+                       _node_velocities, _place, _rotation_draw)
 from .measurement import AnchorSet, MaskedRangeMatrix, _range_rates, assemble_partial_edm
 from .measurement import simulate_ranges  # noqa: F401 - callers wrap harness.simulate_ranges
 from .placement import (
@@ -194,7 +195,9 @@ class ExperimentConfig:
             raise ConfigError(UNWEIGHTED_NO_EFFECT)
         object.__setattr__(self, "estimator", options)
         # built-in layouts are checked here so an oversized count fails
-        # early, and a span the cube layout cannot place names its key
+        # early, and a span whose anchors cannot be placed names its key:
+        # the cube layout's, or else the widest pair ``rigidloc placement``
+        # can put on its sphere of diameter ``anchor_span``
         cube = self.anchors == "cube" or self.scenario == "placement_study"
         try:
             if self.conformation == "box-vehicle":
@@ -203,11 +206,14 @@ class ExperimentConfig:
                 cube_anchor_layout(self.anchor_count, self.dim)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        if cube:
-            try:
+        try:
+            if cube:
                 cube_anchor_layout(self.anchor_count, self.dim, span)
-            except ValueError as err:
-                raise ConfigError(f"anchor_span {span!r}: {err}") from None
+            else:
+                _finite_squared_distances(np.eye(2, self.dim) * [[span / 2], [-span / 2]],
+                                          "anchor positions")
+        except ValueError as err:
+            raise ConfigError(f"anchor_span {span!r}: {err}") from None
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":

@@ -25,7 +25,7 @@ from .geometry import (
     body_velocities,
     squared_distances,
 )
-from .geometry import _finite_squared_distances, _freeze
+from .geometry import _finite_squared_distances, _freeze, _squared_norms
 
 # Minimum anchor separation: coincident anchors carry no extra information
 # and break direction computations.
@@ -456,7 +456,7 @@ def _ranges(anchors: np.ndarray, points: np.ndarray, noise=None) -> np.ndarray:
     """Distances from the M x D ``anchors`` to the K x D ``points``, or to
     each of a B x K x D stack of them, plus the ``noise`` (same shape, or
     None) clamped at zero."""
-    values = np.sqrt(squared_distances(anchors, points))
+    values = np.sqrt(_squared_norms(anchors[:, None, :] - points[..., None, :, :]))
     return values if noise is None else np.maximum(values + noise, 0.0)
 
 

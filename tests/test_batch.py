@@ -461,40 +461,45 @@ def test_stage1_rms_is_the_rms_of_the_fitted_ranges(dim):
 
 
 class TestGaussNewtonKernel:
-    """``estimators._gauss_newton`` evaluates its model once per iteration,
-    linearizes it only where the fit goes on, evaluates nothing once a fit
-    ends, and ``_backtrack`` halves only the steps that raise the
-    objective by more than rounding."""
+    """``estimators._gauss_newton`` linearizes its model once per iteration
+    and only where the fit goes on, evaluates nothing once a fit ends, and
+    ``_backtrack`` halves only the steps that raise the objective by more
+    than rounding, evaluating the model once per halving it tests."""
 
     @staticmethod
     def count_evaluations(monkeypatch, model_name):
         """Wrap the model ``model_name`` builds and ``_backtrack``; returns
-        per-problem counts: ``linearized``, ``evaluated`` (calls of
-        ``residuals`` that include the problem), ``backtracked`` (halved
-        steps), ``resumed`` (halved steps after which the problem goes
-        on) and ``ended`` (full steps below GN_STEP_TOL)."""
+        per-problem counts: ``linearized`` (model calls that include the
+        problem, a problem repeated in ``rows`` counted once per row),
+        ``tested`` (those of them made by ``_backtrack``, one per halving
+        it tests), ``backtracked`` (halved steps), ``resumed`` (halved
+        steps after which the problem goes on) and ``ended`` (full steps
+        below GN_STEP_TOL)."""
         counts = {}
         build, backtrack = getattr(estimators, model_name), estimators._backtrack
+        backtracking = []
 
         def counting_model(*args):
-            residuals, linearize = build(*args)
+            linearize = build(*args)
             size = len(args[-1])
-            for name in ("linearized", "evaluated", "backtracked", "resumed", "ended"):
+            for name in ("linearized", "tested", "backtracked", "resumed", "ended"):
                 counts[name] = np.zeros(size, dtype=int)
-
-            def counted_residuals(x, rows):
-                np.add.at(counts["evaluated"], np.unique(rows), 1)
-                return residuals(x, rows)
 
             def counted_linearize(x, rows):
                 np.add.at(counts["linearized"], rows, 1)
+                if backtracking:
+                    np.add.at(counts["tested"], rows, 1)
                 return linearize(x, rows)
-            return counted_residuals, counted_linearize
+            return counted_linearize
 
-        def counting_backtrack(x, step, norm, residuals, rows, obj, objective):
+        def counting_backtrack(x, step, norm, linearize, rows, obj, objective):
             assert np.array_equal(norm, np.sqrt((step**2).sum(axis=1)))
             before = objective.copy()
-            scale = backtrack(x, step, norm, residuals, rows, obj, objective)
+            backtracking.append(True)
+            try:
+                scale = backtrack(x, step, norm, linearize, rows, obj, objective)
+            finally:
+                backtracking.clear()
             assert np.array_equal(objective, before)
             halved = scale < 1.0
             np.add.at(counts["backtracked"], rows[halved], 1)
@@ -510,13 +515,13 @@ class TestGaussNewtonKernel:
     @staticmethod
     def assert_one_evaluation_per_iteration(counts, iterations, converged):
         # a full step below tolerance ends the fit, so its problem is not
-        # linearized there; ``residuals`` is evaluated only at halvings,
-        # never once a fit has ended
+        # linearized there; the model is evaluated beyond one call per
+        # iteration only after a halved step, never once a fit has ended
         assert counts["ended"].sum() > 0
         assert np.all(counts["ended"] <= converged)
-        assert np.array_equal(counts["linearized"],
-                              iterations + 1 + counts["resumed"] - counts["ended"])
-        assert np.all(counts["evaluated"] <= counts["backtracked"])
+        assert np.array_equal(counts["linearized"], iterations + 1 + counts["resumed"]
+                              - counts["ended"] + counts["tested"])
+        assert np.all(counts["tested"] <= 29 * counts["backtracked"])
         # near a minimum at 0.1 m noise a step changes the objective by
         # rounding, which the step test lets through
         assert counts["backtracked"][converged].sum() <= 0.01 * iterations[converged].sum()
@@ -545,21 +550,28 @@ class TestGaussNewtonKernel:
         self.assert_one_evaluation_per_iteration(counts, iterations, converged)
 
     @staticmethod
-    def scalar_model(resid, slope):
-        """Residuals ``resid(x)`` (one row per problem) of scalar problems,
-        with the Jacobian column ``slope(x)``."""
+    def scalar_model(resid, slope, calls=None):
+        """The model of scalar problems with residuals ``resid(x)`` (one
+        row per problem) and the Jacobian column ``slope(x)``; each call's
+        ``rows`` is appended to ``calls`` when it is given."""
         def linearize(x, rows):
+            if calls is not None:
+                calls.append(rows.tolist())
             return resid(x), slope(x)[..., None]
-        return lambda x, rows: resid(x), linearize
+        return linearize
 
     def test_overshooting_step_is_halved(self, monkeypatch):
         """x³ = 1 from x = 0.1: the full step lands near 33 and raises the
-        objective about 1e9-fold; the second problem starts near the root."""
-        residuals, linearize = self.scalar_model(lambda x: x**3 - 1.0,
-                                                 lambda x: 3.0 * x**2)
+        objective about 1e9-fold; the second problem starts near the root.
+        The step test evaluates the model in one call at every halving it
+        tries, 1/2 to 2**-29 since none is below GN_STEP_TOL, each a row of
+        the halved problem alone, which is then linearized where it
+        moved."""
+        calls = []
+        linearize = self.scalar_model(lambda x: x**3 - 1.0, lambda x: 3.0 * x**2, calls)
         start = np.array([[0.1], [1.05]])
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
-        x, _, _ = estimators._gauss_newton(start, residuals, linearize)
+        x, _, _ = estimators._gauss_newton(start, linearize)
         step = -(start**3 - 1.0) / (3.0 * start**2)
         scale = 1.0
         while ((start[0] + scale * step[0]) ** 3 - 1.0) ** 2 > (start[0] ** 3 - 1.0) ** 2:
@@ -567,8 +579,9 @@ class TestGaussNewtonKernel:
         assert scale < 1.0
         assert (x - start)[:, 0] / step[:, 0] == pytest.approx([scale, 1.0])
         assert (x[0, 0] ** 3 - 1.0) ** 2 < (start[0, 0] ** 3 - 1.0) ** 2
+        assert calls == [[0, 1], [0, 1], [0] * 29, [0]]
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 100)
-        x, _, converged = estimators._gauss_newton(start, residuals, linearize)
+        x, _, converged = estimators._gauss_newton(start, linearize)
         assert converged.all()
         assert np.allclose(x, 1.0)
 
@@ -580,11 +593,11 @@ class TestGaussNewtonKernel:
         taken whole, beyond it halved."""
         x0 = 1e-5
         offset = np.sqrt(3.0 * x0**2 / (rise * estimators.GN_OBJECTIVE_RTOL) - x0**2)
-        residuals, linearize = self.scalar_model(
+        linearize = self.scalar_model(
             lambda x: np.hstack([x, np.full_like(x, offset)]),
             lambda x: np.hstack([-np.ones_like(x), np.zeros_like(x)]))
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 1)
-        x, _, _ = estimators._gauss_newton(np.array([[x0]]), residuals, linearize)
+        x, _, _ = estimators._gauss_newton(np.array([[x0]]), linearize)
         if rise < 1.0:
             assert x[0, 0] == 2.0 * x0
         else:
@@ -594,49 +607,34 @@ class TestGaussNewtonKernel:
         """A full step below GN_STEP_TOL ends the fit at scale 1, though
         it raises the objective: it is neither tested, halved nor
         linearized, so the fit ends with no evaluation at all."""
-        evaluated, linearized = [], []
-        residuals, linearize = self.scalar_model(lambda x: x, lambda x: -np.ones_like(x))
-
-        def counted(x, rows):
-            evaluated.append(x.copy())
-            return residuals(x, rows)
+        linearized = []
+        linearize = self.scalar_model(lambda x: x, lambda x: -np.ones_like(x))
 
         def counted_linearize(x, rows):
             linearized.append(x.copy())
             return linearize(x, rows)
 
         x0 = 0.25 * estimators.GN_STEP_TOL
-        x, iterations, converged = estimators._gauss_newton(
-            np.array([[x0]]), counted, counted_linearize)
+        x, iterations, converged = estimators._gauss_newton(np.array([[x0]]),
+                                                            counted_linearize)
         assert x[0, 0] == 2.0 * x0
         assert iterations[0] == 1 and converged[0]
         assert [p.tolist() for p in linearized] == [[[x0]]]
-        assert evaluated == []
 
     def test_only_going_problems_are_linearized(self):
         """x³ = 1 from 1 + 1e-13 ends on its first step, which is below
         GN_STEP_TOL, while the problem from 2 takes several: after the
         start, every linearization is of the second problem alone, the
-        first ends where Newton's step puts it, and no step is tested by
-        ``residuals``."""
-        linearized, evaluated = [], []
-        residuals, linearize = self.scalar_model(lambda x: x**3 - 1.0,
-                                                 lambda x: 3.0 * x**2)
-
-        def counted_linearize(x, rows):
-            linearized.append(rows.tolist())
-            return linearize(x, rows)
-
-        def counted(x, rows):
-            evaluated.append(rows.tolist())
-            return residuals(x, rows)
-
+        first ends where Newton's step puts it, and no step is halved, so
+        the model is evaluated once per iteration of the second."""
+        linearized = []
+        linearize = self.scalar_model(lambda x: x**3 - 1.0, lambda x: 3.0 * x**2,
+                                      linearized)
         start = np.array([[1.0 + 1e-13], [2.0]])
-        x, iterations, converged = estimators._gauss_newton(start, counted, counted_linearize)
+        x, iterations, converged = estimators._gauss_newton(start, linearize)
         assert converged.all() and iterations[0] == 1 and iterations[1] > 3
         step = -(start[0, 0] ** 3 - 1.0) / (3.0 * start[0, 0] ** 2)
         assert x[0, 0] == start[0, 0] + step
-        assert evaluated == []
         assert linearized[0] == [0, 1]
         assert all(rows == [1] for rows in linearized[1:])
         assert len(linearized) == iterations[1]

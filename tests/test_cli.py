@@ -160,6 +160,31 @@ class TestValidate:
             assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_span_with_file_anchors(self, tmp_path, capsys):
+        """``rigidloc placement`` places ``anchor_count`` anchors on a
+        sphere of diameter ``anchor_span`` whatever the anchor source, so a
+        span whose squared distances overflow names its key for file
+        anchors too, before anything is written; their count is not held
+        to the cube layout's 1..20."""
+        anchors = tmp_path / "anchors.json"
+        anchors.write_text(json.dumps({"positions": (30.0 * np.eye(4, 3)
+                                                     - 5.0).tolist()}))
+        config = {"scenario": "rmse_vs_sensors", "trials": 2, "sensor_counts": [4],
+                  "sigma_list": [0.1], "anchors": f"file:{anchors}", "anchor_count": 30}
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(config))
+        assert main(["validate", str(good)]) == EXIT_OK
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**config, "anchor_span": 1e160}))
+        out = tmp_path / "out"
+        for command in ("validate", "run", "placement"):
+            extra = [] if command == "validate" else ["--out-dir", str(out)]
+            assert main([command, str(bad), *extra]) == EXIT_CONFIG
+            assert ("anchor_span 1e+160: anchor positions are too far apart"
+                    in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "placement"])
     def test_negative_seed_override(self, config_path, tmp_path, capsys, command):
         out = tmp_path / "out"

@@ -14,6 +14,7 @@ or documented."""
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -125,9 +126,10 @@ def readers(tree, name):
 def test_one_gauss_newton_loop():
     """Every point fix runs on one Gauss-Newton kernel: only it reads the
     iteration cap, only it and its backtracking read the step tolerance,
-    and only its step test reads the rounding allowance. The kernel
-    returns no objective: besides the step test, only the hybrid fix sums
-    its own squared residuals."""
+    and only its step test reads the rounding allowance. A model is one
+    function, which gives residuals and Jacobians together: the kernel
+    takes the start and that function, and the range and pose models
+    each return one callable."""
     modules = parse_modules()
 
     def reading(name):
@@ -136,8 +138,15 @@ def test_one_gauss_newton_loop():
     assert reading("GN_MAX_ITER") == {"estimators._gauss_newton"}
     assert reading("GN_STEP_TOL") == {"estimators._gauss_newton", "estimators._backtrack"}
     assert reading("GN_OBJECTIVE_RTOL") == {"estimators._backtrack"}
-    assert readers(modules["estimators"], "_objective") == {"_backtrack",
-                                                            "localize_point_hybrid"}
+    assert list(inspect.signature(estimators._gauss_newton).parameters) == ["x", "linearize"]
+    anchors, obs = np.eye(4, 3), np.ones((1, 4, 2), dtype=bool)
+    models = [estimators._range_model(anchors, np.ones((1, 4)), obs[..., 0]),
+              estimators._pose_model(anchors, np.eye(2, 3), np.eye(3)[None], np.ones((1, 4, 2)),
+                                     obs)]
+    for model, unknowns in zip(models, (3, 6)):
+        assert callable(model)
+        resid, jac = model(np.zeros((1, unknowns)), np.arange(1))
+        assert jac.shape == resid.shape + (unknowns,)
 
 
 def test_one_pin_loop():

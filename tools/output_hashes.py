@@ -3,10 +3,14 @@
 Usage::
 
     python3 tools/output_hashes.py <checkout>
+    python3 tools/output_hashes.py <checkout> --against <other checkout>
 
 The library is imported from ``<checkout>/src``. Each line reads
-``<label> <sha256>``; run the script on two checkouts and diff the lines
-to see which outputs a change moved. The outputs are:
+``<label> <sha256>``. With ``--against``, the hashes of both checkouts
+are taken, each in its own subprocess (both import ``rigidloc``), and
+only the labels whose hashes differ are printed, as ``<label> <sha256
+of checkout> <sha256 of other>``; the exit code is 1 if any differ and
+0 if none do. The outputs are:
 
 - ``rigidloc run`` on every scenario, 2D and 3D, sigma {0, 0.1}, K
   {3, 4, 8}, 12 trials, with ``estimator.weighted`` true and false, in
@@ -17,7 +21,8 @@ to see which outputs a change moved. The outputs are:
 - ``rigidloc validate`` and ``run`` on geometry whose squared distances
   overflow;
 - one-trial outcomes of ``rbl_two_stage``, ``relative_pose_anchorless``,
-  ``multilaterate`` (matrix form) and ``estimate_motion`` on fixed seeds.
+  ``multilaterate`` (matrix form), ``estimate_motion`` and
+  ``localize_point_hybrid`` on fixed seeds.
 
 A command's hash covers its exit code, its error message and warnings,
 and the files it writes; an estimator's covers every field of each
@@ -32,6 +37,7 @@ import hashlib
 import importlib
 import io
 import json
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -167,8 +173,8 @@ def overflow_lines(cli, work: Path):
 
 def estimator_lines():
     """Hashes of the one-trial estimators on fixed seeds."""
-    from rigidloc.estimators import (estimate_motion, multilaterate, rbl_two_stage,
-                                     relative_pose_anchorless)
+    from rigidloc.estimators import (estimate_motion, localize_point_hybrid, multilaterate,
+                                     rbl_two_stage, relative_pose_anchorless)
     from rigidloc.geometry import BodyMotion, Pose, apply_pose, random_rotation
     from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
     from rigidloc.measurement import (AnchorSet, HullOcclusion, simulate_range_rates,
@@ -211,13 +217,44 @@ def estimator_lines():
             mask = rng.random(dists.shape) >= 0.4
             outcomes.setdefault("multilaterate", []).append(
                 outcome(lambda: multilaterate(anchors, dists, mask)))
+            # ranges and angles from the first three anchors to the first
+            # point, each entry unobserved (NaN) with probability 1/3
+            near = AnchorSet(anchors.positions[:3])
+            diff = points[0] - near.positions
+            truth = [np.sqrt((diff**2).sum(-1)), np.arctan2(diff[:, 1], diff[:, 0])]
+            if dim == 3:
+                truth.append(np.arctan2(diff[:, 2], np.hypot(diff[:, 0], diff[:, 1])))
+            noisy = [np.where(rng.random(3) >= 1 / 3, v + rng.normal(0.0, s, 3), np.nan)
+                     for v, s in zip(truth, (0.1, 0.01, 0.01))]
+            outcomes.setdefault("localize_point_hybrid", []).append(outcome(
+                lambda: localize_point_hybrid(near, *noisy, sigma_range=0.1, sigma_angle=0.01)))
         for name, results in outcomes.items():
             digest = hashlib.sha256()
             feed(digest, results)
             yield f"estimator:{name}:{dim}D", digest.hexdigest()
 
 
+def hashes(checkout: str) -> dict:
+    """The hash lines of ``checkout``, taken in a subprocess, by label."""
+    run = subprocess.run([sys.executable, __file__, checkout], capture_output=True, text=True)
+    if run.returncode != 0:
+        raise RuntimeError(f"hashing {checkout} failed:\n{run.stderr}")
+    return dict(line.rsplit(" ", 1) for line in run.stdout.splitlines())
+
+
+def compare(checkout: str, other: str) -> int:
+    """Print the labels whose hashes differ between two checkouts."""
+    ours, theirs = hashes(checkout), hashes(other)
+    differ = [label for label in {**ours, **theirs}
+              if ours.get(label) != theirs.get(label)]
+    for label in differ:
+        print(label, ours.get(label, "-"), theirs.get(label, "-"))
+    return 1 if differ else 0
+
+
 def main(argv) -> int:
+    if len(argv) == 3 and argv[1] == "--against":
+        return compare(argv[0], argv[2])
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
