@@ -314,15 +314,6 @@ class Pose:
             rotation = u @ vt
         return cls(rotation, translation)
 
-    def to_json(self) -> str:
-        return json.dumps({"R": self.rotation.tolist(),
-                           "t": self.translation.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Pose":
-        obj = json.loads(text)
-        return cls(np.array(obj["R"], dtype=float), np.array(obj["t"], dtype=float))
-
 
 @dataclass(frozen=True)
 class PlacedBody:

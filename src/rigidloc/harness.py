@@ -195,9 +195,9 @@ class ExperimentConfig:
             raise ConfigError(UNWEIGHTED_NO_EFFECT)
         object.__setattr__(self, "estimator", options)
         # built-in layouts are checked here so an oversized count fails
-        # early, and a span whose anchors cannot be placed names its key:
-        # the cube layout's, or else the widest pair ``rigidloc placement``
-        # can put on its sphere of diameter ``anchor_span``
+        # early, and a span names its key if its anchors cannot be placed (the
+        # cube layout's, or else the widest pair ``rigidloc placement`` can put
+        # on its sphere of diameter ``anchor_span``) or cannot resolve the body
         cube = self.anchors == "cube" or self.scenario == "placement_study"
         try:
             if self.conformation == "box-vehicle":
@@ -214,6 +214,8 @@ class ExperimentConfig:
                                           "anchor positions")
         except ValueError as err:
             raise ConfigError(f"anchor_span {span!r}: {err}") from None
+        if self.conformation == "box-vehicle":
+            _check_resolution(span, box_vehicle_conformation(max(counts), self.dim))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -232,6 +234,18 @@ class ExperimentConfig:
         as lists, and a copy of the estimator options."""
         return {k: list(v) if isinstance(v, tuple) else v
                 for k, v in asdict(self).items()}
+
+
+def _check_resolution(span: float, conf: Conformation) -> Conformation:
+    """``conf``, unless one rounding unit of a range ``span`` long covers the
+    smallest distance between two of its distinct nodes: then ranges cannot
+    tell them apart, and a ConfigError names ``anchor_span``."""
+    dist = conf.pairwise_distances()
+    spacing = dist[dist > 0].min(initial=np.inf)
+    if np.finfo(float).eps * span >= spacing:
+        raise ConfigError(f"anchor_span {span!r}: one rounding unit of a range this long "
+                          f"covers the {spacing:g} m node spacing of the body")
+    return conf
 
 
 def _integer(value, name):
@@ -409,7 +423,7 @@ def _resolve_conformation(config: ExperimentConfig, num_nodes: int) -> Conformat
     if num_nodes > conf.num_nodes:
         raise ConfigError(f"conformation file has {conf.num_nodes} nodes; "
                           f"cannot take {num_nodes}")
-    return Conformation(conf.coords[:num_nodes])
+    return _check_resolution(config.anchor_span, Conformation(conf.coords[:num_nodes]))
 
 
 def _range_blocks(config, anchors, conf, sweep_idx, sigma, fraction):

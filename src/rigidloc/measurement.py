@@ -114,29 +114,6 @@ def _check_observed(values: np.ndarray, mask: np.ndarray, nonnegative: bool) -> 
     raise ValueError("observed entries must be non-negative")
 
 
-def _masked_to_json(values: np.ndarray, mask: np.ndarray) -> str:
-    vals = [[None if np.isnan(v) else v for v in row] for row in values]
-    return json.dumps({"values": vals, "mask": mask.astype(int).tolist()})
-
-
-def _masked_from_json(text: str):
-    obj = json.loads(text)
-    values = np.array([[np.nan if v is None else v for v in row]
-                       for row in obj["values"]], dtype=float)
-    return values, np.array(obj["mask"], dtype=bool)
-
-
-def _masked_to_csv(values: np.ndarray, mask: np.ndarray, values_path, mask_path):
-    np.savetxt(values_path, values, delimiter=",")
-    np.savetxt(mask_path, mask.astype(int), delimiter=",", fmt="%d")
-
-
-def _masked_from_csv(values_path, mask_path):
-    values = np.loadtxt(values_path, delimiter=",", ndmin=2)
-    mask = np.loadtxt(mask_path, delimiter=",", ndmin=2).astype(bool)
-    return values, mask
-
-
 @dataclass(frozen=True)
 class MaskedRangeMatrix:
     """Anchor-to-node distances (M x K, meters) with an observation mask.
@@ -156,20 +133,6 @@ class MaskedRangeMatrix:
     @property
     def shape(self):
         return self.values.shape
-
-    def to_json(self) -> str:
-        return _masked_to_json(self.values, self.mask)
-
-    @classmethod
-    def from_json(cls, text: str) -> "MaskedRangeMatrix":
-        return cls(*_masked_from_json(text))
-
-    def to_csv(self, values_path, mask_path):
-        _masked_to_csv(self.values, self.mask, values_path, mask_path)
-
-    @classmethod
-    def from_csv(cls, values_path, mask_path):
-        return cls(*_masked_from_csv(values_path, mask_path))
 
 
 @dataclass(frozen=True)
@@ -212,8 +175,7 @@ class HullOcclusion:
     def __init__(self, *bodies: PlacedBody):
         if not bodies:
             raise ValueError("at least one occluding body is required")
-        self.bodies = tuple(bodies)
-        self.hulls = tuple(_hull_equations(body.positions) for body in self.bodies)
+        self.hulls = tuple(_hull_equations(body.positions) for body in bodies)
         self._last = None
 
     def _visible(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -580,19 +542,26 @@ class PartialEdm:
         return self.values_sq.shape[0]
 
     def to_json(self) -> str:
-        return _masked_to_json(self.values_sq, self.mask)
+        values = [[None if np.isnan(v) else v for v in row] for row in self.values_sq]
+        return json.dumps({"values": values, "mask": self.mask.astype(int).tolist()})
 
     @classmethod
     def from_json(cls, text: str, dim: int = 3, num_anchors=None) -> "PartialEdm":
-        return cls(*_masked_from_json(text), dim, num_anchors)
+        obj = json.loads(text)
+        values = np.array([[np.nan if v is None else v for v in row]
+                           for row in obj["values"]], dtype=float)
+        return cls(values, np.array(obj["mask"], dtype=bool), dim, num_anchors)
 
     def to_csv(self, values_path, mask_path):
-        _masked_to_csv(self.values_sq, self.mask, values_path, mask_path)
+        np.savetxt(values_path, self.values_sq, delimiter=",")
+        np.savetxt(mask_path, self.mask.astype(int), delimiter=",", fmt="%d")
 
     @classmethod
     def from_csv(cls, values_path, mask_path, dim: int = 3, num_anchors=None
                  ) -> "PartialEdm":
-        return cls(*_masked_from_csv(values_path, mask_path), dim, num_anchors)
+        values = np.loadtxt(values_path, delimiter=",", ndmin=2)
+        mask = np.loadtxt(mask_path, delimiter=",", ndmin=2).astype(bool)
+        return cls(values, mask, dim, num_anchors)
 
 
 def assemble_partial_edm(anchors: AnchorSet, conf: Conformation,

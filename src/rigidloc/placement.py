@@ -56,11 +56,11 @@ TRIAL_FAILURES = (InsufficientMeasurementsError, DegenerateGeometryError,
 
 @dataclass(frozen=True)
 class PlacementProblem:
-    """Optimize ``num_anchors`` directions around a target center."""
+    """Optimize ``num_anchors`` directions on a sphere of ``anchor_radius``
+    around the origin."""
 
     num_anchors: int
     dim: int
-    target_center: np.ndarray = None
     anchor_radius: float = 30.0
     seed: int = 0
 
@@ -71,20 +71,12 @@ class PlacementProblem:
             raise ValueError("at least one anchor is required")
         if not self.anchor_radius > 0:
             raise ValueError("anchor_radius must be positive")
-        center = np.zeros(self.dim) if self.target_center is None \
-            else np.array(self.target_center, dtype=float).reshape(-1)
-        if center.shape != (self.dim,) or not np.all(np.isfinite(center)):
-            raise ValueError("target_center must be a finite length-dim vector")
-        center.flags.writeable = False
-        object.__setattr__(self, "target_center", center)
 
 
 @dataclass
 class PlacementResult:
     positions: np.ndarray
-    directions: np.ndarray
     frame_potential: float
-    lower_bound: float
 
     def to_anchor_set(self) -> AnchorSet:
         return AnchorSet(self.positions)
@@ -154,8 +146,8 @@ def optimize_placement(problem: PlacementProblem) -> PlacementResult:
 
     Runs ``PLACEMENT_RESTARTS`` random restarts of projected gradient
     descent, seeded by ``problem.seed``, and keeps the best layout; anchors
-    are placed on a sphere of ``anchor_radius`` around the target center
-    along the optimized directions.
+    are placed on a sphere of ``anchor_radius`` around the origin along
+    the optimized directions.
     """
     rng = np.random.default_rng(problem.seed)
     m, dim = problem.num_anchors, problem.dim
@@ -169,8 +161,7 @@ def optimize_placement(problem: PlacementProblem) -> PlacementResult:
         u, fp = _descend(_normalize_rows(u))
         if fp < best_fp:
             best_u, best_fp = u, fp
-    positions = problem.target_center + problem.anchor_radius * best_u
-    return PlacementResult(positions, best_u, best_fp, m**2 / dim)
+    return PlacementResult(problem.anchor_radius * best_u, best_fp)
 
 
 def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,

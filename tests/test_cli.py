@@ -185,6 +185,35 @@ class TestValidate:
                     in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("source", ["box-vehicle", "file"])
+    def test_span_too_wide_to_resolve_the_body(self, tmp_path, capsys, source):
+        """One rounding unit of a range as long as ``anchor_span`` must stay
+        below the smallest internode distance of the largest body (1.5 m for
+        the 8-node box, 1 m for the file body here): 1e15 runs, while 1e16
+        and 5e153 (whose squares do not overflow) are config errors naming
+        the key in every command, before anything is written."""
+        body = tmp_path / "body.json"
+        body.write_text(Conformation([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
+                                      [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]).to_json())
+        config = {"scenario": "rmse_vs_sensors", "trials": 2, "sigma_list": [0.0],
+                  "sensor_counts": [4, 8]}
+        if source == "file":
+            config.update(conformation=f"file:{body}", sensor_counts=[4])
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({**config, "anchor_span": 1e15}))
+        assert main(["validate", str(good)]) == EXIT_OK
+        assert main(["run", str(good), "--out-dir", str(tmp_path / "ok")]) == EXIT_OK
+        for span in (1e16, 5e153):
+            bad = tmp_path / "bad.json"
+            bad.write_text(json.dumps({**config, "anchor_span": span}))
+            out = tmp_path / "out"
+            for command in ("validate", "run", "placement"):
+                extra = [] if command == "validate" else ["--out-dir", str(out)]
+                assert main([command, str(bad), *extra]) == EXIT_CONFIG
+                assert f"anchor_span {span!r}:" in capsys.readouterr().err
+            assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "placement"])
     def test_negative_seed_override(self, config_path, tmp_path, capsys, command):
         out = tmp_path / "out"

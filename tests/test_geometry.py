@@ -101,13 +101,6 @@ class TestPose:
         # snapping stays close to the input
         assert np.abs(pose.rotation - r).max() < 1e-5
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(3)
-        pose = random_pose(rng, 3)
-        back = Pose.from_json(pose.to_json())
-        assert np.array_equal(back.rotation, pose.rotation)
-        assert np.array_equal(back.translation, pose.translation)
-
 
 class TestApplyPose:
     def test_identity(self):

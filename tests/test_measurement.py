@@ -132,22 +132,6 @@ class TestMaskedRangeMatrix:
         with pytest.raises(ValueError):
             MaskedRangeMatrix([[-0.1]])
 
-    def test_csv_round_trip(self, tmp_path):
-        mrm = MaskedRangeMatrix([[1.5, np.nan], [0.0, 2.25]])
-        mrm.to_csv(tmp_path / "v.csv", tmp_path / "m.csv")
-        back = MaskedRangeMatrix.from_csv(tmp_path / "v.csv", tmp_path / "m.csv")
-        assert np.array_equal(back.mask, mrm.mask)
-        assert np.array_equal(back.values[back.mask], mrm.values[mrm.mask])
-        assert np.isnan(back.values[0, 1])
-
-    def test_json_round_trip(self):
-        mrm = MaskedRangeMatrix([[1.5, np.nan], [0.0, 2.25]])
-        text = mrm.to_json()
-        assert json.loads(text)["values"][0][1] is None  # valid JSON, no NaN
-        back = MaskedRangeMatrix.from_json(text)
-        assert np.array_equal(back.mask, mrm.mask)
-        assert np.array_equal(back.values[back.mask], mrm.values[mrm.mask])
-
 
 class TestSimulateRanges:
     def test_noiseless_exact(self):
@@ -755,7 +739,11 @@ class TestPartialEdm:
         assert np.array_equal(back.mask, partial.mask)
         assert np.allclose(back.values_sq[back.mask],
                            partial.values_sq[partial.mask], atol=1e-12)
-        back_json = PartialEdm.from_json(partial.to_json(), dim=3)
+        text = partial.to_json()
+        # valid JSON: each missing entry is null, not NaN
+        assert ([[v is None for v in row] for row in json.loads(text)["values"]]
+                == (~partial.mask).tolist())
+        back_json = PartialEdm.from_json(text, dim=3)
         assert np.array_equal(back_json.mask, partial.mask)
         assert np.allclose(back_json.values_sq[partial.mask],
                            partial.values_sq[partial.mask], atol=1e-15)
