@@ -243,41 +243,43 @@ def _normal_step(jtj, rhs, jac, resid):
     return step
 
 
-def _backtrack(x, step, norm, linearize, rows, obj, objective):
-    """Per-problem step scale of the steps ``step``, whose norms are
-    ``norm``. A step passes the test when the objective (the sum of
-    squared residuals) of its problem (of ``rows``) at the new point is at
-    most obj * (1 + GN_OBJECTIVE_RTOL), which lets rounding through. The
-    scale is 1 when ``objective``, the objective at x + step, passes, else
-    the first of 1/2, ..., 2**-29 that passes, else 2**-30, so badly
+def _backtrack(x, step, norm, linearize, rows, obj, resid, jac):
+    """Step scales of the steps ``step`` (norms ``norm``) from the points
+    x of problems ``rows``, and the model at the points they move to. A
+    step passes the test when the objective (the sum of squared residuals)
+    at its new point is at most obj * (1 + GN_OBJECTIVE_RTOL), which lets
+    rounding through. The scale is 1 when the full step passes, else the
+    first of 1/2, ..., 2**-29 that passes, else 2**-30, so badly
     conditioned geometry cannot launch an iterate off to overflow.
 
-    A scale at which the step is below GN_STEP_TOL is taken without a test,
-    the full step included: that step ends the iteration whatever it does
-    to the objective, which near the minimum changes only by rounding. All
-    the halvings a problem may need are tested in one batched call of the
-    model ``linearize``, whose Jacobians are discarded. Returns the scales;
-    ``objective`` is only read.
+    Each scale is tried in one call of the model ``linearize``, for the
+    problems still failing, whose rows of ``resid`` and ``jac`` it
+    overwrites. A scale at which the step is below GN_STEP_TOL is taken
+    without a test or an evaluation, the full step included: it ends the
+    fit whatever it does to the objective, which near the minimum changes
+    only by rounding. Returns the scales and the residuals, Jacobians and
+    objective at the new points, stale for a fit that ends so.
     """
     scale = np.ones(x.shape[0])
+    objective = np.empty(x.shape[0])
     bound = obj * (1.0 + GN_OBJECTIVE_RTOL)
-    rejected = np.flatnonzero(~(objective <= bound) & ~(norm < GN_STEP_TOL))
-    if rejected.size == 0:
-        return scale
-    halvings = 0.5 ** np.arange(1, 31)
-    accept = halvings * norm[rejected, None] < GN_STEP_TOL
-    # each problem tests its halvings before the first one below tolerance
-    count = np.where(accept.any(axis=1), accept.argmax(axis=1), 29)
-    owner = np.repeat(np.arange(rejected.size), count)
-    k = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    tried = rejected[owner]
-    resid = linearize(x[tried] + halvings[k, None] * step[tried], rows[tried])[0]
-    ok = (resid**2).sum(axis=-1) <= bound[tried]
-    accept[owner[ok], k[ok]] = True
-    accept[:, -1] = True
-    first = accept.argmax(axis=1)
-    scale[rejected] = halvings[first]
-    return scale
+    todo = np.flatnonzero(~(norm < GN_STEP_TOL))
+    halved = 1.0
+    while todo.size:
+        at = slice(None) if todo.size == x.shape[0] else todo  # the whole block: no copy
+        r, j = linearize(x[at] + halved * step[at], rows[at])
+        if at is todo:
+            resid[todo], jac[todo] = r, j
+        else:
+            resid, jac = r, j
+        objective[at] = (r**2).sum(axis=-1)
+        if halved == 2.0**-30:
+            break
+        todo = todo[~(objective[at] <= bound[at])]
+        halved *= 0.5
+        scale[todo] = halved
+        todo = todo[~(halved * norm[todo] < GN_STEP_TOL)]
+    return scale, resid, jac, objective
 
 
 def _gauss_newton(x, linearize):
@@ -289,19 +291,18 @@ def _gauss_newton(x, linearize):
     their Jacobians (points x residuals x D). An unobserved measurement is
     a residual that is zero with a zero Jacobian row.
 
-    Every live problem is linearized once per iteration, at its full step,
-    which gives the objective the step test of ``_backtrack`` needs and,
-    when the step passes, the next iteration's residuals and Jacobian. Only
-    a problem whose step was halved is linearized more: once per halving
-    ``_backtrack`` tests, the Jacobian discarded, and once more at the
-    point it moved to if it goes on. Halved steps are rare: none in the
-    70,832 problem-iterations of two ``mc_sensors`` benchmark sweeps or the
-    2,453 of two ``mc_completion`` ones, and one in the 32,691 of 500
-    ``track_stream`` frames. Each problem stops once its step norm drops
-    below GN_STEP_TOL or after GN_MAX_ITER iterations; a full step below
-    GN_STEP_TOL ends its problem with no evaluation at all. Returns
-    positions, iteration counts and convergence flags, one per problem;
-    a caller that needs a fit's residuals evaluates them at its position.
+    The model is evaluated here once, at the start; after that only the
+    step test ``_backtrack`` evaluates it, once per scale it tries, and
+    the evaluation at the point a problem moves to starts its next
+    iteration. A step that passes whole costs one evaluation. Halved steps
+    are rare: none in the 70,832 problem-iterations of two ``mc_sensors``
+    benchmark sweeps or the 2,453 of two ``mc_completion`` ones, and one in
+    the 32,691 of 500 ``track_stream`` frames. Each problem stops once its
+    step norm drops below GN_STEP_TOL or after GN_MAX_ITER iterations; a
+    full step below GN_STEP_TOL ends its problem with no evaluation at
+    all. Returns positions, iteration counts and convergence flags, one
+    per problem; a caller that needs a fit's residuals evaluates them at
+    its position.
     """
     x = np.array(x, dtype=float)
     iterations = np.zeros(x.shape[0], dtype=int)
@@ -318,31 +319,14 @@ def _gauss_newton(x, linearize):
         rhs = -(jac_t @ resid[..., None])[..., 0]
         step = _normal_step(jtj, rhs, jac, resid)
         norm = np.sqrt((step**2).sum(axis=1))
-        ends = norm < GN_STEP_TOL
-        if not ends.any():
-            resid, jac = linearize(x_live + step, live)
-        else:
-            # such a step ends its problem whatever it does to the objective,
-            # so the problem is not evaluated there: its rows of resid and
-            # jac stay stale until it is dropped below
-            ahead = np.flatnonzero(~ends)
-            if ahead.size:
-                resid[ahead], jac[ahead] = linearize((x_live + step)[ahead], live[ahead])
-        objective = (resid**2).sum(axis=-1)
-        scale = _backtrack(x_live, step, norm, linearize, live, obj, objective)
-        x_live = x_live + scale[:, None] * step
-        x[live] = x_live
+        scale, resid, jac, obj = _backtrack(x_live, step, norm, linearize, live, obj,
+                                            resid, jac)
+        x[live] = x_live + scale[:, None] * step
         iterations[live] = iteration
         # a scale is a power of two, so this is the moved step's norm bit for bit
         done = scale * norm < GN_STEP_TOL
         converged[live[done]] = True
-        # a halved step's problem that goes on is linearized where it moved,
-        # which gives its next step test the objective there
-        again = np.flatnonzero(~done & (scale < 1.0))
-        if again.size:
-            resid[again], jac[again] = linearize(x_live[again], live[again])
-            objective[again] = (resid[again] ** 2).sum(axis=-1)
-        resid, jac, obj = resid[~done], jac[~done], objective[~done]
+        resid, jac, obj = resid[~done], jac[~done], obj[~done]
         live = live[~done]
     return x, iterations, converged
 

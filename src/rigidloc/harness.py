@@ -197,7 +197,7 @@ class ExperimentConfig:
         # built-in layouts are checked here so an oversized count fails
         # early, and a span names its key if its anchors cannot be placed (the
         # cube layout's, or else the widest pair ``rigidloc placement`` can put
-        # on its sphere of diameter ``anchor_span``) or cannot resolve the body
+        # on its sphere of diameter ``anchor_span``)
         cube = self.anchors == "cube" or self.scenario == "placement_study"
         try:
             if self.conformation == "box-vehicle":
@@ -214,8 +214,6 @@ class ExperimentConfig:
                                           "anchor positions")
         except ValueError as err:
             raise ConfigError(f"anchor_span {span!r}: {err}") from None
-        if self.conformation == "box-vehicle":
-            _check_resolution(span, box_vehicle_conformation(max(counts), self.dim))
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -415,8 +413,10 @@ def _resolve_anchors(config: ExperimentConfig) -> AnchorSet:
 
 
 def _resolve_conformation(config: ExperimentConfig, num_nodes: int) -> Conformation:
+    """The configured body's first ``num_nodes`` nodes, checked against ``anchor_span``."""
     if config.conformation == "box-vehicle":
-        return box_vehicle_conformation(num_nodes, config.dim)
+        return _check_resolution(config.anchor_span,
+                                 box_vehicle_conformation(num_nodes, config.dim))
     conf = Conformation.from_json(_source_path(config.conformation).read_text())
     if conf.dim != config.dim:
         raise ConfigError("conformation file dimension does not match config dim")
@@ -613,8 +613,9 @@ SCENARIOS = tuple(_SWEEPS)
 
 def check_sources(config: ExperimentConfig) -> None:
     """Read the anchor and conformation sources a run of ``config`` reads,
-    raising what the run would raise: a missing file, or a file body with
-    fewer nodes than the largest sensor count the sweep uses."""
+    raising what the run would raise: a missing file, a file body with
+    fewer nodes than the largest sensor count the sweep uses, or a span
+    that cannot resolve that body."""
     sweep = _SWEEPS[config.scenario]
     if sweep.shared is _resolve_anchors:
         _resolve_anchors(config)
@@ -626,8 +627,10 @@ def check_sources(config: ExperimentConfig) -> None:
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Execute all sweep points of the configured scenario.
 
-    Points run one after another in sweep order, in the calling thread.
+    Points run one after another in sweep order, in the calling thread,
+    once ``check_sources`` has passed.
     """
+    check_sources(config)
     sweep = _SWEEPS[config.scenario]
     shared = sweep.shared(config)
     point = globals()[sweep.point]

@@ -461,28 +461,32 @@ def test_stage1_rms_is_the_rms_of_the_fitted_ranges(dim):
 
 
 class TestGaussNewtonKernel:
-    """``estimators._gauss_newton`` linearizes its model once per iteration
-    and only where the fit goes on, evaluates nothing once a fit ends, and
-    ``_backtrack`` halves only the steps that raise the objective by more
-    than rounding, evaluating the model once per halving it tests."""
+    """``estimators._gauss_newton`` evaluates its model once at the start
+    and then only in its step test ``_backtrack``, once per scale that
+    test tries and only for the problems still failing; the evaluation at
+    the point a problem moves to starts its next iteration, and nothing is
+    evaluated once a fit ends. ``_backtrack`` halves only the steps that
+    raise the objective by more than rounding."""
 
     @staticmethod
     def count_evaluations(monkeypatch, model_name):
         """Wrap the model ``model_name`` builds and ``_backtrack``; returns
         per-problem counts: ``linearized`` (model calls that include the
         problem, a problem repeated in ``rows`` counted once per row),
-        ``tested`` (those of them made by ``_backtrack``, one per halving
-        it tests), ``backtracked`` (halved steps), ``resumed`` (halved
-        steps after which the problem goes on) and ``ended`` (full steps
-        below GN_STEP_TOL)."""
-        counts = {}
+        ``tested`` (those of them made by ``_backtrack``), ``backtracked``
+        (halved steps) and ``ended`` (full steps below GN_STEP_TOL). Each
+        ``_backtrack`` call is checked to evaluate a problem once per scale
+        it tries, the full step first, and to return the model and the
+        objective at the points where the fits that go on move to."""
+        counts, models = {}, []
         build, backtrack = getattr(estimators, model_name), estimators._backtrack
         backtracking = []
 
         def counting_model(*args):
             linearize = build(*args)
+            models.append(linearize)
             size = len(args[-1])
-            for name in ("linearized", "tested", "backtracked", "resumed", "ended"):
+            for name in ("linearized", "tested", "backtracked", "ended"):
                 counts[name] = np.zeros(size, dtype=int)
 
             def counted_linearize(x, rows):
@@ -492,21 +496,27 @@ class TestGaussNewtonKernel:
                 return linearize(x, rows)
             return counted_linearize
 
-        def counting_backtrack(x, step, norm, linearize, rows, obj, objective):
+        def counting_backtrack(x, step, norm, linearize, rows, obj, resid, jac):
             assert np.array_equal(norm, np.sqrt((step**2).sum(axis=1)))
-            before = objective.copy()
+            before = counts["tested"][rows]
             backtracking.append(True)
             try:
-                scale = backtrack(x, step, norm, linearize, rows, obj, objective)
+                scale, resid, jac, objective = backtrack(x, step, norm, linearize, rows, obj,
+                                                         resid, jac)
             finally:
                 backtracking.clear()
-            assert np.array_equal(objective, before)
-            halved = scale < 1.0
-            np.add.at(counts["backtracked"], rows[halved], 1)
-            np.add.at(counts["resumed"],
-                      rows[halved & (scale * norm >= estimators.GN_STEP_TOL)], 1)
+            # the scales 1, 1/2, ..., scale were tried, all but one below
+            # tolerance, which is taken untested and ends the fit
+            going = ~(scale * norm < estimators.GN_STEP_TOL)
+            assert np.array_equal(counts["tested"][rows] - before, -np.log2(scale) + going)
+            moved, moved_jac = models[-1](x[going] + scale[going, None] * step[going],
+                                          rows[going])
+            assert np.array_equal(resid[going], moved)
+            assert np.array_equal(jac[going], moved_jac)
+            assert np.array_equal(objective[going], (moved**2).sum(axis=-1))
+            np.add.at(counts["backtracked"], rows[scale < 1.0], 1)
             np.add.at(counts["ended"], rows[norm < estimators.GN_STEP_TOL], 1)
-            return scale
+            return scale, resid, jac, objective
 
         monkeypatch.setattr(estimators, model_name, counting_model)
         monkeypatch.setattr(estimators, "_backtrack", counting_backtrack)
@@ -514,14 +524,13 @@ class TestGaussNewtonKernel:
 
     @staticmethod
     def assert_one_evaluation_per_iteration(counts, iterations, converged):
-        # a full step below tolerance ends the fit, so its problem is not
-        # linearized there; the model is evaluated beyond one call per
-        # iteration only after a halved step, never once a fit has ended
+        # one call at the start plus one per scale tried: a full step below
+        # tolerance ends the fit untested, so its problem is not evaluated
+        # there, and a step that passes whole costs one evaluation
         assert counts["ended"].sum() > 0
         assert np.all(counts["ended"] <= converged)
-        assert np.array_equal(counts["linearized"], iterations + 1 + counts["resumed"]
-                              - counts["ended"] + counts["tested"])
-        assert np.all(counts["tested"] <= 29 * counts["backtracked"])
+        assert np.array_equal(counts["linearized"], 1 + counts["tested"])
+        assert np.all(counts["tested"] >= iterations - counts["ended"])
         # near a minimum at 0.1 m noise a step changes the objective by
         # rounding, which the step test lets through
         assert counts["backtracked"][converged].sum() <= 0.01 * iterations[converged].sum()
@@ -563,10 +572,9 @@ class TestGaussNewtonKernel:
     def test_overshooting_step_is_halved(self, monkeypatch):
         """x³ = 1 from x = 0.1: the full step lands near 33 and raises the
         objective about 1e9-fold; the second problem starts near the root.
-        The step test evaluates the model in one call at every halving it
-        tries, 1/2 to 2**-29 since none is below GN_STEP_TOL, each a row of
-        the halved problem alone, which is then linearized where it
-        moved."""
+        The step test evaluates both full steps in one call, then the
+        failing problem alone at each halving until one passes (the
+        fifth), and that evaluation is where the problem moved."""
         calls = []
         linearize = self.scalar_model(lambda x: x**3 - 1.0, lambda x: 3.0 * x**2, calls)
         start = np.array([[0.1], [1.05]])
@@ -579,11 +587,30 @@ class TestGaussNewtonKernel:
         assert scale < 1.0
         assert (x - start)[:, 0] / step[:, 0] == pytest.approx([scale, 1.0])
         assert (x[0, 0] ** 3 - 1.0) ** 2 < (start[0, 0] ** 3 - 1.0) ** 2
-        assert calls == [[0, 1], [0, 1], [0] * 29, [0]]
+        assert calls == [[0, 1], [0, 1], [0], [0], [0], [0], [0]]
         monkeypatch.setattr(estimators, "GN_MAX_ITER", 100)
         x, _, converged = estimators._gauss_newton(start, linearize)
         assert converged.all()
         assert np.allclose(x, 1.0)
+
+    def test_step_failing_every_halving_ends_at_the_last(self, monkeypatch):
+        """A Jacobian of the wrong sign steps x to (1 + s) x at scale s,
+        which raises the objective x² at every scale: the step test tries
+        1, 1/2, ..., 2**-29, takes 2**-30 whatever it gives, and evaluates
+        the model there once; that evaluation gives the next iteration its
+        step, with no further call."""
+        points = []
+
+        def linearize(x, rows):
+            points.append(x[0, 0])
+            return x.copy(), -np.ones_like(x)[..., None]
+        monkeypatch.setattr(estimators, "GN_MAX_ITER", 2)
+        x, iterations, converged = estimators._gauss_newton(np.array([[1.0]]), linearize)
+        moved = 1.0 + 2.0**-30
+        scales = 2.0 ** -np.arange(31)
+        assert points == [1.0, *(1.0 + scales), *(moved + scales * moved)]
+        assert x[0, 0] == moved + 2.0**-30 * moved
+        assert iterations[0] == 2 and not converged[0]
 
     @pytest.mark.parametrize("rise", [0.1, 10.0])
     def test_step_test_allows_rounding_only(self, rise, monkeypatch):
@@ -620,6 +647,21 @@ class TestGaussNewtonKernel:
         assert x[0, 0] == 2.0 * x0
         assert iterations[0] == 1 and converged[0]
         assert [p.tolist() for p in linearized] == [[[x0]]]
+
+    def test_halved_step_below_tolerance_is_taken_untested(self):
+        """A Jacobian of the wrong sign doubles x = 1.5 GN_STEP_TOL, so the
+        full step fails its test; halved, the step is below GN_STEP_TOL and
+        ends the fit untested, with no evaluation after the full step."""
+        linearized = []
+
+        def linearize(x, rows):
+            linearized.append(x[0, 0])
+            return x.copy(), -np.ones_like(x)[..., None]
+        x0 = 1.5 * estimators.GN_STEP_TOL
+        x, iterations, converged = estimators._gauss_newton(np.array([[x0]]), linearize)
+        assert x[0, 0] == 1.5 * x0
+        assert iterations[0] == 1 and converged[0]
+        assert linearized == [x0, 2.0 * x0]
 
     def test_only_going_problems_are_linearized(self):
         """x³ = 1 from 1 + 1e-13 ends on its first step, which is below

@@ -214,6 +214,27 @@ class TestValidate:
                 assert f"anchor_span {span!r}:" in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_span_is_checked_at_the_nodes_a_command_resolves(self, tmp_path, capsys):
+        """``placement_study`` and ``rigidloc placement`` score the first
+        ``sensor_counts`` body only: at 5e15 the 4-node box resolves (up to
+        about 8e15) while the 20-node one (3.4e15) does not, so both
+        commands run; a sweep over both sizes is a config error naming the
+        key, before anything is written."""
+        config = {"scenario": "placement_study", "trials": 2, "sigma_list": [0.0],
+                  "sensor_counts": [4, 20], "anchor_span": 5e15}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["placement", str(path), "--out-dir", str(tmp_path / "placed")]) == EXIT_OK
+        path.write_text(json.dumps({**config, "scenario": "rmse_vs_sensors"}))
+        out = tmp_path / "out"
+        for command in ("validate", "run"):
+            extra = [] if command == "validate" else ["--out-dir", str(out)]
+            assert main([command, str(path), *extra]) == EXIT_CONFIG
+            assert "anchor_span 5000000000000000.0:" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "placement"])
     def test_negative_seed_override(self, config_path, tmp_path, capsys, command):
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 """Structure of the package: intra-package imports sit at module
 level and form no cycle, the estimators import nothing from completion,
 and no module imports inside a function; the
-Gauss-Newton settings are read by one solver loop only; the congruent
+Gauss-Newton settings are read by one solver loop only, which evaluates
+its model at the start and in its step test only; the congruent
 start has one pin loop; each numeric kernel has one copy; the estimators
 reach an observation pattern's anchor geometry through one cache; the
 two-stage fit and stage 3 each have one array core and one one-trial
@@ -147,6 +148,18 @@ def test_one_gauss_newton_loop():
         assert callable(model)
         resid, jac = model(np.zeros((1, unknowns)), np.arange(1))
         assert jac.shape == resid.shape + (unknowns,)
+
+
+def test_model_is_evaluated_at_the_start_and_in_the_step_test():
+    """``_gauss_newton`` calls its model at one site, the start, and its
+    step test ``_backtrack`` at one, in the loop over the scales it
+    tries."""
+    functions = {node.name: node for node in parse_modules()["estimators"].body
+                 if isinstance(node, ast.FunctionDef)}
+    for name in ("_gauss_newton", "_backtrack"):
+        sites = [node for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Call) and ast.unparse(node.func) == "linearize"]
+        assert len(sites) == 1, name
 
 
 def test_one_pin_loop():
