@@ -153,6 +153,9 @@ def _cmd_complete(args) -> int:
     print(path)
     print(f"iterations={result.iterations} converged={result.converged} "
           f"objective={result.final_objective:.3e}")
+    if result.mirror_ambiguous:
+        print("warning: the known entries fit the body and its mirror image "
+              "equally; the completion is one of the two", file=sys.stderr)
     return EXIT_OK if result.converged else EXIT_RUNTIME
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import squared_distances
+from .geometry import affine_basis, squared_distances
 from .geometry import _apply_linear_factor, _linear_factor, _weighted_kabsch
 from .measurement import PartialEdm
 
@@ -37,7 +37,10 @@ class CompletionResult:
     ``completed`` is hollow, symmetric and non-negative, and holds the
     originally known entries (marked in ``known_mask``) bit-exact.
     ``final_objective`` is the relative mismatch between the final
-    low-rank iterate and the known entries.
+    low-rank iterate and the known entries. ``mirror_ambiguous`` is set
+    when the known entries fit the body and its mirror image equally (see
+    ``_congruent_fill``); the completion then starts from the unmirrored
+    body, and which of the two it returns is arbitrary.
     """
 
     completed: np.ndarray
@@ -45,6 +48,7 @@ class CompletionResult:
     iterations: int
     final_objective: float
     converged: bool
+    mirror_ambiguous: bool = False
 
 
 def _rank_truncate(matrix: np.ndarray, rank: int) -> np.ndarray:
@@ -143,33 +147,44 @@ def _congruent_fill(partial: PartialEdm):
     leaves the body's handedness unknown, so the body and its mirror image
     are both aligned onto the pins, and the unpinned nodes follow the one
     whose anchor distances fit the observed cross distances better, the
-    unmirrored one on a tie; returns the squared EDM of the
-    reconstruction. Returns None when the block structure is missing or
-    too degenerate, in which case the caller falls back to a constant fill.
+    unmirrored one on a tie. When some node is unpinned, the pinned nodes
+    span less than the space and no unpinned node has an observed cross
+    distance, both fit the data equally: the unmirrored body is taken
+    without a score and the fill is flagged mirror-ambiguous. Returns the
+    squared EDM of the reconstruction and that flag, or (None, False) when
+    the block structure is missing or too degenerate, in which case the
+    caller falls back to a constant fill.
     """
     m = partial.num_anchors
     dim = partial.dim
     n = partial.size
     if m is None or m < dim + 1 or n - m < dim:
-        return None
+        return None, False
     try:
         anchors = edm_to_points(partial.values_sq[:m, :m], dim)
         body = edm_to_points(partial.values_sq[m:, m:], dim)
     except (NonEuclideanMatrixError, ValueError):
-        return None
+        return None, False
     cross_mask = partial.mask[:m, m:]
     cross_d = np.sqrt(np.where(cross_mask, partial.values_sq[:m, m:], 0.0))
     placed, pinned, ok = _congruent_fill_batch(anchors, body, cross_d[None],
                                                cross_mask[None])
     if not ok[0]:
-        return None
-    cands = [_aligned_body(b, placed, pinned)[0]
-             for b in (body, body * np.r_[np.ones(dim - 1), -1.0])]
-    fits = [np.sqrt(squared_distances(anchors, c)) - cross_d for c in cands]
-    scores = [np.where(cross_mask, f**2, 0.0).sum() for f in fits]
-    best = cands[1] if scores[1] < scores[0] else cands[0]
+        return None, False
+    # the mirror image through the pinned nodes' hyperplane fits them as
+    # well as the body does, so only a range of an unpinned node can choose
+    free = ~pinned[0]
+    ambiguous = bool(free.any() and not cross_mask[:, free].any()
+                     and affine_basis(body[pinned[0]])[2] < dim)
+    best = _aligned_body(body, placed, pinned)[0]
+    if not ambiguous:
+        mirror = _aligned_body(body * np.r_[np.ones(dim - 1), -1.0], placed, pinned)[0]
+        fits = [np.sqrt(squared_distances(anchors, c)) - cross_d for c in (best, mirror)]
+        scores = [np.where(cross_mask, f**2, 0.0).sum() for f in fits]
+        if scores[1] < scores[0]:
+            best = mirror
     points = np.vstack([anchors, np.where(pinned[0, :, None], placed[0], best)])
-    return squared_distances(points, points)
+    return squared_distances(points, points), ambiguous
 
 
 def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
@@ -200,7 +215,7 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
     # Start the unknowns from a geometric reconstruction of the two blocks
     # when the layout allows it; otherwise fall back to the mean observed
     # cross-block entry (or any observed off-diagonal entry).
-    guess = _congruent_fill(partial)
+    guess, mirror_ambiguous = _congruent_fill(partial)
     if guess is not None:
         current = np.where(known, target, np.maximum(guess, 0.0))
     else:
@@ -238,7 +253,8 @@ def complete_edm(partial: PartialEdm, rank_slack: int = 0) -> CompletionResult:
     # re-imposing the constraints last keeps known entries bit-exact
     current = np.where(known, target, current)
     converged = stalled and objective <= COMPLETION_STALL_THRESHOLD
-    return CompletionResult(current, known, iterations, objective, converged)
+    return CompletionResult(current, known, iterations, objective, converged,
+                            mirror_ambiguous)
 
 
 def edm_to_points(edm, dim: int) -> np.ndarray:

@@ -50,7 +50,7 @@ GN_OBJECTIVE_RTOL = 1e-12
 # produce infinite weights.
 WEIGHT_EPSILON = 1e-12
 
-# Bound on the subset geometries ``_subset_geometry`` keeps. A set of M
+# Bound on the subset geometries ``_pattern_subsets`` keeps. A set of M
 # points has at most 2**M observation patterns, and a tracked body repeats
 # a few dozen (71 distinct in 2000 frames of 8 anchors and a 14-node body).
 PATTERN_CACHE_SIZE = 1024
@@ -154,21 +154,6 @@ def _observed(values, mask):
     return obs & mask
 
 
-def _pattern_groups(obs: np.ndarray):
-    """Each row's index among the distinct rows of a boolean matrix, in
-    ``np.unique(obs, axis=0)`` order, and each distinct row packed to
-    bytes (``np.packbits``), the key ``_subset_geometry`` takes."""
-    packed = np.packbits(obs, axis=1)
-    if obs.all():
-        first, which = np.arange(min(obs.shape[0], 1)), np.zeros(obs.shape[0], dtype=int)
-    else:
-        # packed rows compare as bytes the way the boolean rows compare
-        # column by column, so they sort into the same order
-        rows = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-        _, first, which = np.unique(rows, return_index=True, return_inverse=True)
-    return which, [row.tobytes() for row in packed[first]]
-
-
 @dataclass(frozen=True)
 class _Subset:
     """Geometry of the points an observation pattern picks from a fixed
@@ -193,10 +178,10 @@ class _Subset:
 
 
 @functools.lru_cache(maxsize=PATTERN_CACHE_SIZE)
-def _cached_subset(coords: bytes, shape: tuple, key: bytes) -> _Subset:
-    pattern = np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=shape[0])
-    points = _freeze(np.frombuffer(coords).reshape(shape)[pattern.astype(bool)])
-    dim = shape[1]
+def _cached_subset(coords: bytes, key: bytes) -> _Subset:
+    pattern = np.frombuffer(key, dtype=bool)
+    points = _freeze(np.frombuffer(coords).reshape(pattern.size, -1)[pattern])
+    dim = points.shape[1]
     _, axes, rank = affine_basis(points)
     factor = _linear_factor(points) if points.shape[0] > 1 else None
     if rank != dim - 1:
@@ -211,14 +196,24 @@ def _cached_subset(coords: bytes, shape: tuple, key: bytes) -> _Subset:
                    _freeze(plane_points), _linear_factor(plane_points))
 
 
-def _subset_geometry(coords: np.ndarray, key: bytes) -> _Subset:
-    """``_Subset`` of the rows of the N x D ``coords`` that the packed
-    pattern ``key`` (see ``_pattern_groups``) picks. Anchors and body
-    conformations stay fixed while the patterns repeat, so the result is
-    cached on the coordinates' bytes and shape and the key, at most
+def _pattern_subsets(coords: np.ndarray, obs: np.ndarray):
+    """Each row's index among the distinct rows of the boolean matrix
+    ``obs`` (B x N), in ``np.unique(obs, axis=0)`` order, and the
+    ``_Subset`` of the rows of the N x D ``coords`` that each distinct row
+    picks. Anchors and body conformations stay fixed while the patterns
+    repeat, so each subset is cached on the bytes of the coordinates and
+    of its mask row (whose length is N, so the two fix the shape), at most
     PATTERN_CACHE_SIZE entries, least recently used first out."""
-    coords = np.asarray(coords, dtype=float)
-    return _cached_subset(coords.tobytes(), coords.shape, key)
+    obs = np.ascontiguousarray(obs, dtype=bool)
+    if obs.all():
+        first, which = np.arange(min(obs.shape[0], 1)), np.zeros(obs.shape[0], dtype=int)
+    else:
+        # a row of N one-byte booleans compares as bytes the way it compares
+        # column by column, so the rows sort into np.unique's order
+        rows = obs.view(np.dtype((np.void, obs.shape[1]))).reshape(-1)
+        _, first, which = np.unique(rows, return_index=True, return_inverse=True)
+    points = np.asarray(coords, dtype=float).tobytes()
+    return which, [_cached_subset(points, row.tobytes()) for row in obs[first]]
 
 
 def _range_residuals(x, anchors, dists, obs):
@@ -394,8 +389,7 @@ def _fix_columns(anchors, dists, obs) -> PointFix:
     # be fixed. Each problem applies its own pattern's cached geometry.
     owner, second, start = [], [], []
     todo = np.flatnonzero(live)
-    which, keys = _pattern_groups(obs[todo])
-    subs = [_subset_geometry(anchors, key) for key in keys]
+    which, subs = _pattern_subsets(anchors, obs[todo])
     groups = {}
     for p, sub in enumerate(subs):
         groups.setdefault((sub.rank, sub.points.shape[0]), []).append(p)
@@ -516,9 +510,8 @@ def _fit_poses(conf: Conformation, points: np.ndarray, weights: np.ndarray):
     rot, trans, rms = _weighted_kabsch(conf.coords, points, weights)
     # the proper rotation is unique when the weighted nodes span at least a
     # hyperplane: the one missing direction is fixed by the determinant
-    which, keys = _pattern_groups(weights > 0)
-    unique = np.array([_subset_geometry(conf.coords, key).rank >= conf.dim - 1
-                       for key in keys], dtype=bool)[which]
+    which, subs = _pattern_subsets(conf.coords, weights > 0)
+    unique = np.array([sub.rank >= conf.dim - 1 for sub in subs], dtype=bool)[which]
     return rot, trans, rms, unique
 
 
@@ -784,15 +777,6 @@ def _joint_start(anchors: AnchorSet, conf: Conformation, values: np.ndarray,
     return rotations, translations, failed
 
 
-def _polar_point(anchor, dist, azimuth, elevation=None):
-    if elevation is None:
-        return anchor + dist * np.array([np.cos(azimuth), np.sin(azimuth)])
-    ce = np.cos(elevation)
-    return anchor + dist * np.array([ce * np.cos(azimuth),
-                                     ce * np.sin(azimuth),
-                                     np.sin(elevation)])
-
-
 def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
                           elevations=None, sigma_range: float = 1.0,
                           sigma_angle: float = 1.0) -> PointFix:
@@ -856,13 +840,13 @@ def localize_point_hybrid(anchors: AnchorSet, ranges=None, azimuths=None,
     # Candidate start points: polar fixes from anchors with a full
     # range+angle pair, a linearized multilateration fix, and a nudged
     # anchor centroid as a fallback.
-    candidates = []
     pair = r_obs & a_obs & (e_obs if dim == 3 else True)
-    for n in np.flatnonzero(pair):
-        candidates.append(_polar_point(anchors.positions[n], r_vals[n], a_vals[n],
-                                       e_vals[n] if dim == 3 else None))
+    azimuth, elevation = a_vals[pair], np.where(e_obs, e_vals, 0.0)[pair]
+    candidates = list(anchors.positions[pair] + r_vals[pair, None] * np.stack(
+        [np.cos(elevation) * np.cos(azimuth), np.cos(elevation) * np.sin(azimuth),
+         np.sin(elevation)], axis=1)[:, :dim])
     if r_obs.sum() >= dim + 1:
-        ranged = _subset_geometry(anchors.positions, np.packbits(r_obs).tobytes())
+        _, (ranged,) = _pattern_subsets(anchors.positions, r_obs[None])
         candidates.append(_apply_linear_factor(ranged.factor, r_vals[r_obs])[0][0])
     if dim == 2 and a_obs.sum() >= 2:
         # bearing-ray intersection of the first two azimuth anchors

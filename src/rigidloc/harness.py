@@ -402,11 +402,24 @@ def _source_path(source: str) -> Path:
     return Path(source[5:] if source.startswith("file:") else source)
 
 
+def _read_source(source: str, kind: str, key: str, parse):
+    """``parse`` of the text of the file a config source names. A file that
+    is not JSON, or not an object with a usable ``key`` entry, raises a
+    ValueError naming the file, the key and the reason."""
+    path = _source_path(source)
+    try:
+        return parse(path.read_text())
+    except (KeyError, TypeError, json.JSONDecodeError) as err:
+        reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
+        raise ValueError(f"cannot read {kind} file {path}, a JSON object with a "
+                         f"{key!r} entry: {reason}") from err
+
+
 def _resolve_anchors(config: ExperimentConfig) -> AnchorSet:
     if config.anchors == "cube":
         return cube_anchor_layout(config.anchor_count, config.dim,
                                   config.anchor_span)
-    anchors = AnchorSet.from_json(_source_path(config.anchors).read_text())
+    anchors = _read_source(config.anchors, "anchor", "positions", AnchorSet.from_json)
     if anchors.dim != config.dim:
         raise ConfigError("anchor file dimension does not match config dim")
     return anchors
@@ -417,7 +430,8 @@ def _resolve_conformation(config: ExperimentConfig, num_nodes: int) -> Conformat
     if config.conformation == "box-vehicle":
         return _check_resolution(config.anchor_span,
                                  box_vehicle_conformation(num_nodes, config.dim))
-    conf = Conformation.from_json(_source_path(config.conformation).read_text())
+    conf = _read_source(config.conformation, "conformation", "coords",
+                        Conformation.from_json)
     if conf.dim != config.dim:
         raise ConfigError("conformation file dimension does not match config dim")
     if num_nodes > conf.num_nodes:

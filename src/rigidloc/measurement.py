@@ -289,10 +289,9 @@ def _supporting_planes(coords: np.ndarray, extent: float):
     if not facets.size or (spans & ~above & ~below).any():
         return None
     facets = facets[np.argsort(-size[facets], kind="stable")]
-    # the points on each plane, packed to bytes, one row per plane
-    on = np.packbits(np.abs(values[:, facets]).T <= lim[facets, None], axis=1)
-    facets = facets[np.unique(on.view(np.dtype((np.void, on.shape[1]))).ravel(),
-                              return_index=True)[1]]
+    # the points on each plane as the bytes of one boolean row per plane
+    on = np.ascontiguousarray(np.abs(values[:, facets]).T <= lim[facets, None])
+    facets = facets[np.unique(on.view(np.dtype((np.void, k))).ravel(), return_index=True)[1]]
     scale = np.where(above[facets], -1.0, 1.0) / size[facets]
     return normals[facets] * scale[:, None], -at_first[facets] * scale
 

@@ -16,10 +16,9 @@ from rigidloc.estimators import (
     _cached_subset,
     _joint_start,
     _motion_fits,
-    _pattern_groups,
+    _pattern_subsets,
     _refine,
     _rigid_range_rows,
-    _subset_geometry,
     _two_stage,
     multilaterate,
     rbl_two_stage,
@@ -233,7 +232,6 @@ class TestPatternCache:
         second = AnchorSet(moved)
         mask = np.ones(8, dtype=bool)
         mask[[1, 6]] = False
-        key = np.packbits(mask).tobytes()
         d = np.where(mask, ranges_to(second, [1.0, -2.0, 0.5]), np.nan)
         _cached_subset.cache_clear()
         alone = multilaterate(second, d[:, None])
@@ -241,21 +239,23 @@ class TestPatternCache:
         multilaterate(first, np.where(mask, ranges_to(first, [1.0, -2.0, 0.5]), np.nan))
         assert_same_fix(alone, multilaterate(second, d[:, None]))
         for anchors in (first, second):
-            sub = _subset_geometry(anchors.positions, key)
+            _, (sub,) = _pattern_subsets(anchors.positions, mask[None])
             assert np.array_equal(sub.points, anchors.positions[mask])
             for got, want in zip(sub.factor, _linear_factor(anchors.positions[mask])):
                 assert np.array_equal(got, want)
-        # the same bytes and pattern read as another shape are another point set
+        # the same coordinate bytes under a mask of another length are
+        # another point set
         block = first.positions[:4]
-        every = np.packbits(np.ones(4, dtype=bool)).tobytes()
-        assert _subset_geometry(block, every).points.shape == (4, 3)
-        assert _subset_geometry(block.reshape(6, 2), every).points.shape == (4, 2)
+        _, (sub,) = _pattern_subsets(block, np.ones((1, 4), dtype=bool))
+        assert sub.points.shape == (4, 3)
+        _, (sub,) = _pattern_subsets(block.reshape(6, 2), (np.arange(6) < 4)[None])
+        assert sub.points.shape == (4, 2)
         assert _cached_subset.cache_info().currsize == 4
 
     def test_cached_arrays_are_read_only(self):
         anchors = cube_anchor_layout(8, dim=3, span=60.0)
         face = anchors.positions[:, 0] > 0
-        sub = _subset_geometry(anchors.positions, np.packbits(face).tobytes())
+        _, (sub,) = _pattern_subsets(anchors.positions, face[None])
         assert sub.rank == 2
         arrays = [sub.points, sub.normal, sub.in_plane, sub.plane_points,
                   *sub.factor[:2], *sub.plane_factor[:2]]
@@ -266,18 +266,26 @@ class TestPatternCache:
 
 
 @pytest.mark.parametrize("m", [3, 8, 9, 20, 70])
-def test_pattern_groups_match_np_unique(m):
+def test_pattern_subsets_match_np_unique(m):
+    """Distinct rows in ``np.unique`` order, each with the points it picks,
+    for masks with and without repeats, all rows observed, no rows, and a
+    column-reversed view that is not contiguous. Every row observes some
+    point: no caller passes an empty pattern."""
     rng = np.random.default_rng(m)
-    pool = rng.random((12, m)) < 0.6
-    inputs = [pool[rng.integers(12, size=200)], rng.random((50, m)) < 0.5,
+    coords = rng.normal(size=(m, 3))
+    pool, drawn = (obs[obs.any(axis=1)] for obs in (rng.random((12, m)) < 0.6,
+                                                     rng.random((50, m)) < 0.5))
+    reversed_view = drawn[:, ::-1]
+    assert not reversed_view.flags.c_contiguous
+    inputs = [pool[rng.integers(len(pool), size=200)], drawn, reversed_view,
               np.ones((30, m), dtype=bool), np.zeros((0, m), dtype=bool)]
     for obs in inputs:
-        which, keys = _pattern_groups(obs)
+        which, subsets = _pattern_subsets(coords, obs)
         want_patterns, want_which = np.unique(obs, axis=0, return_inverse=True)
         assert np.array_equal(which, want_which.reshape(-1))
-        patterns = [np.unpackbits(np.frombuffer(key, dtype=np.uint8), count=m)
-                    for key in keys]
-        assert np.array_equal(np.array(patterns, dtype=bool).reshape(-1, m), want_patterns)
+        assert len(subsets) == len(want_patterns)
+        for sub, pattern in zip(subsets, want_patterns):
+            assert np.array_equal(sub.points, coords[pattern])
 
 
 class TestBatchTwoStage:

@@ -11,8 +11,14 @@ import pytest
 
 import rigidloc
 from rigidloc.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
-from rigidloc.geometry import Conformation
-from rigidloc.measurement import AnchorSet, PartialEdm
+from rigidloc.geometry import Conformation, Pose, apply_pose, rotation_about_axis
+from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
+from rigidloc.measurement import (
+    AnchorSet,
+    MaskedRangeMatrix,
+    PartialEdm,
+    assemble_partial_edm,
+)
 from rigidloc.placement import evaluate_placement
 
 
@@ -279,6 +285,31 @@ class TestValidate:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("source, key", [("anchors", "positions"),
+                                             ("conformation", "coords")])
+    @pytest.mark.parametrize("text, reason", [
+        ('{"labels": []}', "missing key"),
+        ("[[0.0, 0.0, 0.0]]", "list indices"),
+        ('{"coords": [[0.0, 0.0, 0.0]\n', "Expecting"),
+    ], ids=["no_key", "list", "truncated"])
+    def test_malformed_source_file_names_itself(self, tmp_path, capsys, source, key,
+                                                text, reason):
+        """An anchor or body file that is not a JSON object with its key
+        fails both commands at run time with the file, the key and the
+        reason."""
+        path = tmp_path / "source.json"
+        path.write_text(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"scenario": "rmse_vs_sensors", "trials": 2,
+                                   source: f"file:{path}", "sensor_counts": [3]}))
+        out = tmp_path / "out"
+        for command in ("validate", "run"):
+            extra = [] if command == "validate" else ["--out-dir", str(out)]
+            assert main([command, str(bad), *extra]) == EXIT_RUNTIME
+            err = capsys.readouterr().err
+            assert str(path) in err and repr(key) in err and reason in err
+        assert not out.exists()
+
     def test_unread_anchor_file_not_checked(self, tmp_path):
         # the anchorless scenario reads no anchors, so neither command does
         cfg = tmp_path / "cfg.json"
@@ -382,6 +413,28 @@ class TestComplete:
         assert code == EXIT_OK
         back = PartialEdm.from_json((out / "completed.json").read_text(), dim=3)
         assert back.mask.all()
+
+    @pytest.mark.parametrize("node_3_ranged", [False, True])
+    def test_mirror_tie_warns(self, tmp_path, capsys, node_3_ranged):
+        """Cross ranges of box nodes 0-2 alone cannot tell the body from its
+        mirror image: the completion runs and exits as before, with a
+        warning on stderr. A range of node 3, off their plane, decides."""
+        anchors, conf = cube_anchor_layout(8), box_vehicle_conformation(8)
+        body = apply_pose(conf, Pose(rotation_about_axis([1.0, 2.0, 3.0], 0.7),
+                                     np.array([1.0, -2.0, 0.5])))
+        mask = np.zeros((8, 8), dtype=bool)
+        mask[:, :3] = True
+        mask[0, 3] = node_3_ranged
+        d = np.sqrt(squared_edm(np.vstack([anchors.positions, body.positions]))[:8, 8:])
+        partial = assemble_partial_edm(anchors, conf,
+                                       MaskedRangeMatrix(np.where(mask, d, np.nan), mask))
+        partial.to_csv(tmp_path / "values.csv", tmp_path / "mask.csv")
+        code = main(["complete", str(tmp_path / "values.csv"), str(tmp_path / "mask.csv"),
+                     "--num-anchors", "8", "--out-dir", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert "converged=True" in captured.out
+        assert ("mirror" in captured.err) != node_3_ranged
 
     def test_missing_file_is_config_error(self, tmp_path):
         assert main(["complete", str(tmp_path / "nope.csv"),

@@ -5,6 +5,7 @@ import pytest
 
 from rigidloc.completion import (
     NonEuclideanMatrixError,
+    _aligned_body,
     _congruent_fill,
     _congruent_fill_batch,
     complete_edm,
@@ -12,11 +13,15 @@ from rigidloc.completion import (
 )
 from rigidloc.geometry import (
     Conformation,
+    Pose,
     _apply_linear_factor,
     _linear_factor,
     _weighted_kabsch,
+    apply_pose,
     random_rotation,
+    squared_distances,
 )
+from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
 from rigidloc.measurement import (
     AnchorSet,
     MaskedRangeMatrix,
@@ -32,6 +37,19 @@ def squared_edm(points):
 
 def cross_distances(anchors, nodes):
     return np.sqrt(((anchors[:, None, :] - nodes[None, :, :]) ** 2).sum(axis=2))
+
+
+def box_partial(observed):
+    """Partial EDM of the 8-node box vehicle at a fixed pose among the
+    8-anchor cube, with the noiseless cross ranges of the (anchor, node)
+    pairs ``observed``."""
+    anchors, conf = cube_anchor_layout(8), box_vehicle_conformation(8)
+    rng = np.random.default_rng(5)
+    body = apply_pose(conf, Pose(random_rotation(rng, 3), rng.uniform(-5, 5, 3)))
+    mask = np.zeros((8, 8), dtype=bool)
+    mask[tuple(np.array(observed).T)] = True
+    d = np.where(mask, cross_distances(anchors.positions, body.positions), np.nan)
+    return assemble_partial_edm(anchors, conf, MaskedRangeMatrix(d, mask))
 
 
 def masked_partial(points, pairs, dim, num_anchors=None):
@@ -157,6 +175,31 @@ class TestCongruentFill:
         normal /= np.linalg.norm(normal)
         return points - 2.0 * ((points - base) @ normal)[:, None] * normal
 
+    def test_mirror_tie_is_reported(self):
+        """Cross ranges for box nodes 0-2 only: the three pins span a plane
+        and no other node has a range, so the body and its mirror image fit
+        the data equally. ``complete_edm`` reports the tie and starts from
+        the unmirrored body. One more range of node 3, off the pins' plane,
+        pins it and clears the flag."""
+        pairs = [(a, j) for a in range(8) for j in range(3)]
+        partial = box_partial(pairs)
+        tied = complete_edm(partial)
+        assert tied.mirror_ambiguous
+        fill, ambiguous = _congruent_fill(partial)
+        assert ambiguous
+        anchors, body = (edm_to_points(partial.values_sq[b, b], 3)
+                         for b in (slice(None, 8), slice(8, None)))
+        cross = np.sqrt(np.where(partial.mask[:8, 8:], partial.values_sq[:8, 8:], 0.0))
+        placed, pinned, _ = _congruent_fill_batch(anchors, body, cross[None],
+                                                  partial.mask[None, :8, 8:])
+        assert pinned[0].tolist() == [True] * 3 + [False] * 5
+        unmirrored = np.vstack([anchors, np.where(pinned[0, :, None], placed[0],
+                                                  _aligned_body(body, placed, pinned)[0])])
+        assert np.array_equal(fill, squared_distances(unmirrored, unmirrored))
+        resolved = box_partial(pairs + [(0, 3)])
+        assert not complete_edm(resolved).mirror_ambiguous
+        assert not _congruent_fill(resolved)[1]
+
     @pytest.mark.parametrize("dim", [2, 3])
     def test_partial_pins_place_the_rest(self, dim):
         """Only the first ``dim`` body nodes have cross ranges, so they are
@@ -170,8 +213,8 @@ class TestCongruentFill:
         unpinned = [(a, m + j) for a in range(m) for j in range(dim, k)]
         partial, sq = masked_partial(pts, unpinned, dim, num_anchors=m)
 
-        fill = _congruent_fill(partial)
-        assert fill is not None
+        fill, ambiguous = _congruent_fill(partial)
+        assert fill is not None and ambiguous
         scale = sq.max()
         pinned = list(range(m + dim))
         assert np.abs(fill[np.ix_(pinned, pinned)]
@@ -263,7 +306,7 @@ class TestCongruentFillBatch:
                 fills = [squared_edm(np.vstack([anchors, placed[t]])),
                          _congruent_fill(assemble_partial_edm(
                              AnchorSet(anchors), Conformation(body),
-                             MaskedRangeMatrix(cross[t], masks[t])))]
+                             MaskedRangeMatrix(cross[t], masks[t])))[0]]
                 assert (fills[-1] is not None) == ok[t]
                 assert ok[t] == (ref is not None)
                 if ref is None:

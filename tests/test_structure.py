@@ -265,13 +265,18 @@ def test_pattern_geometry_goes_through_the_cache():
     """In ``estimators`` the affine rank and the linear factor of an
     observation pattern's points are computed only by the cached helper;
     the stage-1 fix, the stage-2 rank check and the hybrid range start
-    reach them through it."""
-    tree = parse_modules()["estimators"]
+    reach them through the one pattern call, whose cache is its only
+    reader. Masks key the cache as boolean bytes: no module packs bits."""
+    modules = parse_modules()
+    tree = modules["estimators"]
     assert readers(tree, "affine_basis") == {"_cached_subset", "relative_pose_anchorless"}
     assert readers(tree, "_linear_factor") == {"_cached_subset"}
-    assert readers(tree, "_cached_subset") == {"_subset_geometry"}
-    assert readers(tree, "_subset_geometry") == {"_fix_columns", "_fit_poses",
+    assert readers(tree, "_cached_subset") == {"_pattern_subsets"}
+    assert readers(tree, "_pattern_subsets") == {"_fix_columns", "_fit_poses",
                                                  "localize_point_hybrid"}
+    assert {f"{module}.{owner}" for module, tree in modules.items()
+            for name in ("np.packbits", "np.unpackbits")
+            for owner in readers(tree, name)} == set()
 
 
 def test_repeated_frame_computes_no_pattern_geometry(monkeypatch):
