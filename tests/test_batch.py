@@ -266,7 +266,7 @@ class TestPatternCache:
 
 
 @pytest.mark.parametrize("m", [3, 8, 9, 20, 70])
-def test_pattern_subsets_match_np_unique(m):
+def test_pattern_groups_match_np_unique(m):
     """Distinct rows in ``np.unique`` order, each with the points it picks,
     for masks with and without repeats, all rows observed, no rows, and a
     column-reversed view that is not contiguous. Every row observes some
