@@ -3,14 +3,15 @@
 Runs seeded sweeps over noise level, sensor count and missing-data
 fraction for the estimation scenarios, aggregates RMSE per sweep point and
 emits CSV/JSON/plot-ready tables. Sweep points run one after another in
-sweep order. Every trial derives its generator from (master_seed, sweep
-index, trial index), so results are bit-reproducible however the trials
-of a point are blocked for estimation.
+sweep order. Trial t of sweep point i draws the stream of
+``np.random.default_rng((master_seed, i, t))``, which
+``placement.trial_blocks`` seeds for a whole block of trials at once, so
+results are bit-reproducible however the trials of a point are blocked
+for estimation.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import time
@@ -393,10 +394,6 @@ def emit_results(table: ResultTable, fmt: str, out_dir) -> list:
                       "expected csv, json or plot-data")
 
 
-def _trial_rng(master_seed: int, sweep_idx: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng((master_seed, sweep_idx, trial))
-
-
 def _source_path(source: str) -> Path:
     # config sources may name files directly or with an explicit file: prefix
     return Path(source[5:] if source.startswith("file:") else source)
@@ -404,15 +401,25 @@ def _source_path(source: str) -> Path:
 
 def _read_source(source: str, kind: str, key: str, parse):
     """``parse`` of the text of the file a config source names. A file that
-    is not JSON, or not an object with a usable ``key`` entry, raises a
-    ValueError naming the file, the key and the reason."""
+    is not UTF-8 JSON, not an object with a ``key`` entry of numbers, or
+    not otherwise of the shape ``parse`` reads, raises a ValueError naming
+    the file, the key and the reason; ``parse``'s own ValueErrors, such as
+    coordinates too far apart, pass through."""
     path = _source_path(source)
-    try:
-        return parse(path.read_text())
-    except (KeyError, TypeError, json.JSONDecodeError) as err:
+
+    def unreadable(err):
         reason = f"missing key {err}" if isinstance(err, KeyError) else str(err)
-        raise ValueError(f"cannot read {kind} file {path}, a JSON object with a "
-                         f"{key!r} entry: {reason}") from err
+        return ValueError(f"cannot read {kind} file {path}, a JSON object with a "
+                          f"{key!r} entry: {reason}")
+    try:
+        text = path.read_text()
+        np.array(json.loads(text)[key], dtype=float)
+    except (KeyError, TypeError, ValueError) as err:
+        raise unreadable(err) from err
+    try:
+        return parse(text)
+    except TypeError as err:
+        raise unreadable(err) from err
 
 
 def _resolve_anchors(config: ExperimentConfig) -> AnchorSet:
@@ -444,8 +451,7 @@ def _range_blocks(config, anchors, conf, sweep_idx, sigma, fraction):
     """Blocks of (true poses, ranges) of a sweep point (see
     ``placement.range_blocks``), each range dropped with probability
     ``fraction``."""
-    return range_blocks(anchors, conf, config.trials,
-                        functools.partial(_trial_rng, config.master_seed, sweep_idx),
+    return range_blocks(anchors, conf, config.trials, (config.master_seed, sweep_idx),
                         uniform_pose(anchors.positions.mean(axis=0), POSE_SPREAD),
                         sigma, fraction)
 
@@ -511,8 +517,7 @@ def _point_anchorless(config, anchors, sweep_idx, sigma, sensors):
         direction /= np.linalg.norm(direction)
         return rot, (10.0 + rng.uniform(-2.0, 2.0)) * direction
 
-    blocks = range_blocks(body1, conf, config.trials,
-                          functools.partial(_trial_rng, config.master_seed, sweep_idx),
+    blocks = range_blocks(body1, conf, config.trials, (config.master_seed, sweep_idx),
                           draw_pose, sigma)
     return error_statistics(blocks, lambda data: refined_block(
         body1, conf, data[0], *data, config.estimator["weighted"]))
@@ -544,9 +549,8 @@ def _point_motion(config, anchors, sweep_idx, sigma, sensors):
                 rng.normal(0.0, sigma, size=shape) if sigma > 0 else None)
 
     def blocks():
-        trial_rng = functools.partial(_trial_rng, config.master_seed, sweep_idx)
-        for rot, trans, omegas, t_dots, noise in trial_blocks(conf, config.trials,
-                                                              trial_rng, draw):
+        for rot, trans, omegas, t_dots, noise in trial_blocks(
+                conf, config.trials, (config.master_seed, sweep_idx), draw):
             rot = _drawn_rotations(rot)
             _check_poses(rot, trans)
             for name, values in (("t_dot", t_dots), ("omega", omegas)):

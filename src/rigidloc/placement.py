@@ -11,6 +11,7 @@ scores a candidate layout by Monte-Carlo localization error.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,16 @@ DESCENT_TOL = 1e-15
 # the largest power of two that keeps the peak RSS of a harness sweep within
 # 5% of one trial per block (see README, "Batched estimation").
 BLOCK_NODE_FIXES = 1024
+
+# numpy's SeedSequence constants (pool of four uint32 words) and PCG64's
+# 128-bit LCG multiplier, from which ``_trial_generators`` seeds a block.
+_SEED_POOL_SIZE = 4
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_MULT_L, _SEED_MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_SEED_XSHIFT = 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 # The estimation errors that fail a Monte-Carlo trial; any other error is a
 # fault of the program and propagates.
@@ -171,15 +182,17 @@ def evaluate_placement(anchors: AnchorSet, conf: Conformation, sigma: float,
     Each trial places the body at a random rotation and a translation
     drawn uniformly within ``EVALUATION_POSE_SPREAD`` meters per axis of
     the anchor centroid, simulates ranges at noise ``sigma`` and runs the
-    two-stage estimator. Per-trial generators are derived from (seed,
-    trial index), so results do not depend on scheduling. Estimator
-    failures are counted and excluded from the error statistics.
+    two-stage estimator. ``seed`` is a non-negative int or a tuple of them,
+    and trial t draws the stream of ``np.random.default_rng((*seeds, t))``,
+    ``seeds`` being ``seed`` as a tuple (``trial_blocks``), so results do
+    not depend on how trials are blocked. Estimator failures are counted
+    and excluded from the error statistics.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
     entropy = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     blocks = range_blocks(
-        anchors, conf, trials, lambda trial: np.random.default_rng((*entropy, trial)),
+        anchors, conf, trials, entropy,
         uniform_pose(anchors.positions.mean(axis=0), EVALUATION_POSE_SPREAD), sigma)
     return two_stage_statistics(anchors, conf, blocks)
 
@@ -193,7 +206,7 @@ def uniform_pose(center: np.ndarray, spread: float):
                         center + rng.uniform(-spread, spread, dim))
 
 
-def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
+def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, entropy: tuple,
                  draw_pose, sigma: float, fraction: float = 0.0):
     """Monte-Carlo range draws of a body, in the blocks of
     ``trial_blocks``, for ``error_statistics``.
@@ -218,7 +231,7 @@ def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
         return (*draw_pose(rng), rng.normal(0.0, sigma, size=shape) if sigma > 0 else None,
                 rng.random(shape) if fraction > 0 else None)
 
-    for rotations, translations, noise, draws in trial_blocks(conf, trials, trial_rng, draw):
+    for rotations, translations, noise, draws in trial_blocks(conf, trials, entropy, draw):
         rotations = _drawn_rotations(rotations)
         _check_poses(rotations, translations)
         values = _ranges(anchors.positions, _place(conf.coords, rotations, translations), noise)
@@ -228,15 +241,89 @@ def range_blocks(anchors: AnchorSet, conf: Conformation, trials: int, trial_rng,
         yield (rotations, translations), (values, mask)
 
 
-def trial_blocks(conf: Conformation, trials: int, trial_rng, draw):
+def trial_blocks(conf: Conformation, trials: int, entropy: tuple, draw):
     """Monte-Carlo draws in blocks of ``trials_per_block(conf)`` trials:
-    ``draw(trial_rng(t))`` returns a tuple of arrays or Nones for trial t,
-    and each block yields, per tuple field, its trials' arrays stacked in
-    trial order, or None."""
+    ``draw(rng)`` returns a tuple of arrays or Nones for trial t, drawn
+    from ``rng`` in the state ``np.random.default_rng((*entropy, t))``
+    starts in, and each block yields, per tuple field, its trials' arrays
+    stacked in trial order, or None. ``rng`` is one generator that
+    ``_trial_generators`` reseeds for the next trial, so ``draw`` must
+    take what it needs from it before it returns."""
     size = trials_per_block(conf)
     for first in range(0, trials, size):
-        fields = zip(*[draw(trial_rng(t)) for t in range(first, min(first + size, trials))])
+        block = range(first, min(first + size, trials))
+        fields = zip(*[draw(rng) for rng in _trial_generators(entropy, block)])
         yield [None if field[0] is None else np.stack(field) for field in fields]
+
+
+def _trial_generators(entropy: tuple, trials: range):
+    """One generator, put in turn in the state ``np.random.default_rng((*entropy, t))``
+    starts in for each trial t of ``trials`` (ascending), and yielded once per trial.
+
+    ``entropy`` is a tuple of non-negative ints; anything else raises the
+    exception type ``default_rng`` raises. The block is seeded at once:
+    numpy's ``SeedSequence`` pool mixing and ``generate_state(4, uint64)``
+    run as uint32 array arithmetic over every trial with the same number
+    of entropy words, then PCG64's ``srandom`` seeding runs on Python ints
+    and sets the state of the one ``PCG64``. That is the construction
+    numpy keeps stable for a given seed under its stream-compatibility
+    policy for ``SeedSequence`` and the bit generators (NEP 19), and
+    ``tests/test_batch.py`` checks it against ``default_rng``.
+    """
+    def words(value):
+        value = operator.index(value)
+        if value < 0:
+            raise ValueError("expected non-negative integer")
+        return [value >> shift & _MASK32 for shift in range(0, max(32, value.bit_length()), 32)]
+
+    prefix = [word for value in entropy for word in words(value)]
+    # trials by their number of entropy words, in trial order, each padded
+    # to the pool: a pool word past the entropy hashes as a zero word would
+    groups = {}
+    for t in trials:
+        row = prefix + words(t)
+        groups.setdefault(len(row), []).append(row + [0] * (_SEED_POOL_SIZE - len(row)))
+    bit_generator = np.random.PCG64()
+    rng = np.random.Generator(bit_generator)
+    for rows in groups.values():
+        entropy_words = np.array(rows, dtype=np.uint32).T
+        hash_const = _SEED_INIT_A
+
+        def hashmix(value):
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * _SEED_MULT_A & _MASK32
+            value = value * np.uint32(hash_const)
+            return value ^ value >> _SEED_XSHIFT
+
+        def mix(x, y):
+            value = x * np.uint32(_SEED_MIX_MULT_L) - y * np.uint32(_SEED_MIX_MULT_R)
+            return value ^ value >> _SEED_XSHIFT
+
+        pool = [hashmix(word) for word in entropy_words[:_SEED_POOL_SIZE]]
+        for src in range(_SEED_POOL_SIZE):
+            for dst in range(_SEED_POOL_SIZE):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for word in entropy_words[_SEED_POOL_SIZE:]:
+            for dst in range(_SEED_POOL_SIZE):
+                pool[dst] = mix(pool[dst], hashmix(word))
+        hash_const, state_words = _SEED_INIT_B, []
+        for i in range(8):
+            value = pool[i % _SEED_POOL_SIZE] ^ np.uint32(hash_const)
+            hash_const = hash_const * _SEED_MULT_B & _MASK32
+            value = value * np.uint32(hash_const)
+            state_words.append((value ^ value >> _SEED_XSHIFT).tolist())
+        # generate_state's four uint64 words are little-endian uint32 pairs:
+        # the first two make the 128-bit seed and the last two the stream
+        for w in zip(*state_words):
+            initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+            inc = (w[5] << 97 | w[4] << 65 | w[7] << 33 | w[6] << 1 | 1) & _MASK128
+            bit_generator.state = {
+                "bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                "state": {"state": ((inc + initstate) * _PCG64_MULT + inc) & _MASK128,
+                          "inc": inc}}
+            yield rng
 
 
 def pose_errors(est_pose: Pose, true_pose: Pose):

@@ -1078,7 +1078,7 @@ class TestStackedChecks:
             rotations[draws[:, 0] < -1.5] = reflection
             return rotations
         monkeypatch.setattr(placement, "_drawn_rotations", with_reflections)
-        blocks = range_blocks(anchors, conf, 100, np.random.default_rng,
+        blocks = range_blocks(anchors, conf, 100, (),
                               uniform_pose(np.zeros(3), 5.0), 0.1)
         assert raised(lambda: list(blocks)) == raised(Pose, reflection, np.zeros(3))
 
@@ -1089,9 +1089,46 @@ class TestStackedChecks:
         the same generator state."""
         anchors = cube_anchor_layout(8, dim)
         conf = box_vehicle_conformation(8, dim)
-        blocks = range_blocks(anchors, conf, 100, np.random.default_rng,
+        blocks = range_blocks(anchors, conf, 100, (),
                               uniform_pose(np.zeros(dim), 5.0), 0.1, 0.3)
         rotations = np.concatenate([truth[0] for truth, _ in blocks])
         assert len(rotations) == 100
         assert np.array_equal(rotations, np.stack([
             random_rotation(np.random.default_rng(t), dim) for t in range(100)]))
+
+
+class TestTrialGenerators:
+    """``placement._trial_generators`` seeds a block of trials at once and
+    puts one reused generator in the state ``np.random.default_rng((*entropy,
+    t))`` starts in for each trial t."""
+
+    @pytest.mark.parametrize("entropy", [(), (5,), (2408 * 10**7, 0), (2**70, 3), (2**200,)],
+                             ids=["empty", "small", "two_words", "three_words", "seven_words"])
+    @pytest.mark.parametrize("first", [0, 2**32 - 40], ids=["from_zero", "across_2**32"])
+    def test_states_match_default_rng(self, entropy, first):
+        trials = range(first, first + 80)
+        got = [rng.bit_generator.state
+               for rng in placement._trial_generators(entropy, trials)]
+        assert got == [np.random.default_rng((*entropy, t)).bit_generator.state
+                       for t in trials]
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, np.float64(3.0)])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_bad_entropy_raises_as_default_rng_does(self, bad, at):
+        entropy = (7, 7)[:at] + (bad,)
+        with pytest.raises(Exception) as want:
+            np.random.default_rng((*entropy, 0))
+        with pytest.raises(want.type):
+            next(placement._trial_generators(entropy, range(3)))
+
+    def test_draw_sees_each_trial_in_order(self, monkeypatch):
+        """Each ``draw`` call of ``trial_blocks`` draws trial t's numbers,
+        in trial order, across blocks of four trials."""
+        monkeypatch.setattr(placement, "BLOCK_NODE_FIXES", 16)
+        conf = box_vehicle_conformation(4)
+        blocks = list(placement.trial_blocks(conf, 10, (3, 1),
+                                             lambda rng: (rng.random(2), None)))
+        assert [len(draws) for draws, _ in blocks] == [4, 4, 2]
+        assert all(unused is None for _, unused in blocks)
+        assert np.array_equal(np.concatenate([draws for draws, _ in blocks]), np.stack(
+            [np.random.default_rng((3, 1, t)).random(2) for t in range(10)]))

@@ -291,14 +291,17 @@ class TestValidate:
         ('{"labels": []}', "missing key"),
         ("[[0.0, 0.0, 0.0]]", "list indices"),
         ('{"coords": [[0.0, 0.0, 0.0]\n', "Expecting"),
-    ], ids=["no_key", "list", "truncated"])
+        (b'\xff{"coords": []}', "'utf-8' codec can't decode byte 0xff"),
+        ('{"positions": [[0, 0, "x"], [1, 0, 0]], "coords": [[0, 0, "x"], [1, 0, 0]]}',
+         "could not convert string to float"),
+    ], ids=["no_key", "list", "truncated", "not_utf8", "not_a_number"])
     def test_malformed_source_file_names_itself(self, tmp_path, capsys, source, key,
                                                 text, reason):
-        """An anchor or body file that is not a JSON object with its key
-        fails both commands at run time with the file, the key and the
-        reason."""
+        """An anchor or body file that is not UTF-8 JSON, not an object with
+        its key, or whose coordinates are not numbers, fails both commands
+        at run time with the file, the key and the reason."""
         path = tmp_path / "source.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"scenario": "rmse_vs_sensors", "trials": 2,
                                    source: f"file:{path}", "sensor_counts": [3]}))

@@ -526,7 +526,7 @@ class TestBlocksMatchThePublicCalls:
         for sweep_idx, row in enumerate(rows):
             conf = box_vehicle_conformation(row.params["sensors"], dim)
             want = public_statistics(
-                cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
+                cfg.trials, lambda t: np.random.default_rng((cfg.master_seed, sweep_idx, t)),
                 anchors, conf, uniform_draw(anchors, harness.POSE_SPREAD),
                 row.params["sigma"], fraction)
             assert row_statistics(row) == want, row.params
@@ -578,7 +578,7 @@ class TestBlocksMatchThePublicCalls:
                 filled = MaskedRangeMatrix(np.where(ranges.mask, ranges.values, fill))
                 return refined(anchors, conf, ranges, filled)
             want = public_statistics(
-                cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
+                cfg.trials, lambda t: np.random.default_rng((cfg.master_seed, sweep_idx, t)),
                 anchors, conf, uniform_draw(anchors, harness.POSE_SPREAD), sigma, 0.7,
                 estimate)
             np.testing.assert_equal(row_statistics(row), want, str(row.params))
@@ -595,7 +595,7 @@ class TestBlocksMatchThePublicCalls:
             conf = box_vehicle_conformation(row.params["sensors"], dim)
             body1 = AnchorSet(conf.coords)
             want = public_statistics(
-                cfg.trials, lambda t: harness._trial_rng(cfg.master_seed, sweep_idx, t),
+                cfg.trials, lambda t: np.random.default_rng((cfg.master_seed, sweep_idx, t)),
                 body1, conf, anchorless_draw(dim), row.params["sigma"],
                 estimate=lambda ranges: refined(body1, conf, ranges, ranges))
             np.testing.assert_equal(row_statistics(row), want, str(row.params))
@@ -617,7 +617,7 @@ class TestBlocksMatchThePublicCalls:
             conf = box_vehicle_conformation(row.params["sensors"], dim)
             t_sq, r_sq, failures = [], [], 0
             for trial in range(cfg.trials):
-                rng = harness._trial_rng(cfg.master_seed, sweep_idx, trial)
+                rng = np.random.default_rng((cfg.master_seed, sweep_idx, trial))
                 pose = Pose(*draw_pose(rng))
                 omega = rng.uniform(-0.5, 0.5, 3) if dim == 3 \
                     else float(rng.uniform(-0.5, 0.5))

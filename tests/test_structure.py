@@ -384,3 +384,18 @@ def test_every_export_is_used_or_documented():
     unreached = [name for name in exports if not (
         read_in_package(name) or name in bench_names or name in documented)]
     assert unreached == []
+
+
+def test_no_generator_per_trial():
+    """The sweeps seed each block of trials at once: only the placement
+    descent (one generator per problem) and the simulators' default (one
+    per call) call ``default_rng``, and ``_trial_generators`` makes the one
+    ``PCG64`` a block's trials share."""
+    modules = parse_modules()
+
+    def users(name):
+        return {f"{m}.{f}" for m, tree in modules.items() for f in readers(tree, name)}
+    assert users("np.random.default_rng") == {
+        "placement.optimize_placement", "measurement.simulate_ranges",
+        "measurement.simulate_aoa", "measurement.simulate_range_rates"}
+    assert users("np.random.PCG64") == {"placement._trial_generators"}

@@ -17,7 +17,12 @@ of checkout> <sha256 of other>``; the exit code is 1 if any differ and
   csv, json (without the run-to-run ``wall_time_s``) and plot-data; the
   completion scenario at 30% and 70% missing, and ``rmse_vs_noise`` also
   at 30%;
-- ``rigidloc placement`` and ``rigidloc complete``;
+- ``rigidloc run`` of ``rmse_vs_sensors`` and ``completion_benchmark`` in
+  3D at K {4, 14} with 300 trials, more than one block holds, and a
+  master seed of two 32-bit words;
+- ``rigidloc placement`` and ``rigidloc complete``, the latter also on a
+  box whose cross ranges pin only its first ``dim`` nodes (a mirror
+  tie);
 - ``rigidloc validate`` and ``run`` on geometry whose squared distances
   overflow;
 - one-trial outcomes of ``rbl_two_stage``, ``relative_pose_anchorless``,
@@ -119,6 +124,43 @@ def run_lines(cli, work: Path):
                         yield label, command_hash(
                             cli, ["run", str(config), "--out-dir", str(out),
                                   "--format", fmt], out)
+
+
+def block_lines(cli, work: Path):
+    """Hashes of ``rigidloc run`` over several blocks of trials."""
+    for scenario, missing in (("rmse_vs_sensors", 0.0), ("completion_benchmark", 0.3)):
+        config = work / "blocks.json"
+        config.write_text(json.dumps({
+            "scenario": scenario, "dim": 3, "sigma_list": [0.1], "sensor_counts": [4, 14],
+            "missing_fraction": [missing], "trials": 300, "master_seed": 24080000000}))
+        out = Path(tempfile.mkdtemp(dir=work))
+        yield f"blocks:{scenario}:3D:csv", command_hash(
+            cli, ["run", str(config), "--out-dir", str(out), "--format", "csv"], out)
+
+
+def mirror_tie_lines(cli, work: Path):
+    """Hashes of ``rigidloc complete --num-anchors 8`` on a box whose cross
+    ranges reach only its first ``dim`` nodes: they are pinned, span less
+    than the space, and leave the body's mirror image an equal fit."""
+    from rigidloc.geometry import Pose, apply_pose, random_rotation
+    from rigidloc.harness import box_vehicle_conformation, cube_anchor_layout
+    from rigidloc.measurement import MaskedRangeMatrix, assemble_partial_edm
+
+    for dim in (2, 3):
+        rng = np.random.default_rng(5)
+        anchors, conf = cube_anchor_layout(8, dim), box_vehicle_conformation(8, dim)
+        body = apply_pose(conf, Pose(random_rotation(rng, dim), rng.uniform(-5, 5, dim)))
+        ranges = np.sqrt(((anchors.positions[:, None] - body.positions[None]) ** 2).sum(-1))
+        mask = np.zeros(ranges.shape, dtype=bool)
+        mask[:, :dim] = True
+        partial = assemble_partial_edm(anchors, conf, MaskedRangeMatrix(
+            np.where(mask, ranges, np.nan), mask))
+        values, mask_csv = work / "values.csv", work / "mask.csv"
+        partial.to_csv(values, mask_csv)
+        out = Path(tempfile.mkdtemp(dir=work))
+        yield f"complete:{dim}D:mirror_tie", command_hash(
+            cli, ["complete", str(values), str(mask_csv), "--dim", str(dim), "--format",
+                  "json", "--out-dir", str(out), "--num-anchors", "8"], out)
 
 
 def placement_and_complete_lines(cli, work: Path):
@@ -267,7 +309,8 @@ def main(argv) -> int:
     cli = importlib.import_module("rigidloc.cli")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for lines in (run_lines(cli, work), placement_and_complete_lines(cli, work),
+        for lines in (run_lines(cli, work), block_lines(cli, work),
+                      placement_and_complete_lines(cli, work), mirror_tie_lines(cli, work),
                       overflow_lines(cli, work), estimator_lines()):
             for label, digest in lines:
                 print(label, digest, flush=True)
